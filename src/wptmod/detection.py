@@ -90,14 +90,51 @@ class ThresholdModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ThresholdModel":
+        """Parse threshold.json; a missing or mistyped key raises ValueError naming it."""
         data = json.loads(text)
+
+        def get(*path):
+            value = data
+            for depth, key in enumerate(path):
+                if not isinstance(value, dict) or key not in value:
+                    raise ValueError(
+                        f"threshold.json: missing key {'.'.join(path[: depth + 1])!r}"
+                    )
+                value = value[key]
+            return value
+
+        def number(*path):
+            value = get(*path)
+            if not _is_number(value):
+                raise ValueError(
+                    f"threshold.json: {'.'.join(path)!r} must be a finite number, got {value!r}"
+                )
+            return value
+
+        p_poly = get("p_poly_W_per_A_n")
+        if not (isinstance(p_poly, list) and all(_is_number(c) for c in p_poly)):
+            raise ValueError(
+                f"threshold.json: 'p_poly_W_per_A_n' must be a list of finite numbers, "
+                f"got {p_poly!r}"
+            )
+        degree = get("degree")
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise ValueError(f"threshold.json: 'degree' must be an integer, got {degree!r}")
         return cls(
-            u_slope=data["u_line"]["slope_V_per_A"],
-            u_intercept=data["u_line"]["intercept_V"],
-            p_poly=tuple(data["p_poly_W_per_A_n"]),
-            degree=data["degree"],
-            i_min_gate=data["i_min_gate_A"],
+            u_slope=number("u_line", "slope_V_per_A"),
+            u_intercept=number("u_line", "intercept_V"),
+            p_poly=tuple(p_poly),
+            degree=degree,
+            i_min_gate=number("i_min_gate_A"),
         )
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _resample(curves: list[CharacteristicCurve], grid: np.ndarray):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,24 @@ class TestCurvesFitDetect:
         assert cli.main(["detect", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
         assert "missing upstream artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.pop("p_poly_W_per_A_n"), "p_poly_W_per_A_n"),
+            (lambda d: d["u_line"].pop("intercept_V"), "u_line.intercept_V"),
+            (lambda d: d.update(degree="2"), "degree"),
+            (lambda d: d.update(i_min_gate_A=None), "i_min_gate_A"),
+            (lambda d: d.update(u_line=[1.0, 2.0]), "u_line.slope_V_per_A"),
+        ],
+        ids=["no_p_poly", "no_intercept", "degree_str", "gate_null", "u_line_list"],
+    )
+    def test_detect_bad_threshold_names_key(self, pipeline_out, tmp_path, capsys, edit, key):
+        data = json.loads((pipeline_out / "threshold.json").read_text())
+        edit(data)
+        (tmp_path / "threshold.json").write_text(json.dumps(data))
+        assert cli.main(["detect", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert repr(key) in capsys.readouterr().err
+
     def test_detect_report(self, pipeline_out, capsys):
         assert cli.main(["detect", "--out", str(pipeline_out)]) == cli.EXIT_OK
         out_text = capsys.readouterr().out
@@ -149,3 +171,13 @@ class TestScenarioValidation:
         assert len(repro_scenario.receiver_coils) == 3
         assert len(repro_scenario.metal_plates) == 6
         assert repro_scenario.detection.test_currents_a == (3.0, 6.0, 9.0)
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, wptmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
