@@ -1,12 +1,6 @@
 """Two-orthogonal-coil WPT simulation with communication-free metal detection."""
 
-from .characteristics import (
-    CharacteristicCurve,
-    NoiseSpec,
-    SweepSpec,
-    add_noise,
-    sweep_curve,
-)
+from .characteristics import CharacteristicCurve, NoiseSpec, SweepSpec, sweep_curve
 from .circuit import (
     CoilReceiver,
     Couplings,
@@ -29,16 +23,10 @@ from .detection import Sample, ThresholdModel, Verdict, classify, evaluate_batch
 from .eddy import EddyGeometry, EddyImpedance, MetalMaterial, phi_k, plate_impedance
 from .magnetics import (
     CoaxialPair,
-    FieldVector,
-    ReceiverPose,
     SquareLoop,
-    b_field_at_origin,
-    field_angle,
-    field_components,
     mutual_inductance_coil_coil_closed,
     mutual_inductance_coil_plate,
     mutual_inductance_neumann,
-    steering_angle,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,10 @@
 
 A sweep holds the steering angle at the receiver azimuth (maximal coupling
 projection) and records, for each transmitter current, the reported coil
-voltage magnitude and the system input power.  Multiplicative Gaussian
-noise can be layered on to mimic measured data.
+voltage magnitude and the system input power.  A fixed receiver reflects
+one fixed impedance into the transmitter, so both follow from a single
+unit-current operating point: the U-I curve is the line u = z_u*I and the
+P-I curve the parabola p = r_in*I^2.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import (
-    Couplings,
-    DriveSpec,
-    Receiver,
-    TxCoil,
-    default_tx_coil,
-    input_power,
-    transmitter_voltages,
-)
+from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_power, transmitter_voltages
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,6 @@ class CharacteristicCurve:
     i_tx: np.ndarray  # [A], strictly increasing
     u_tx: np.ndarray  # [V], reported coil voltage magnitude
     p_in: np.ndarray  # [W]
-    u_a: np.ndarray | None = None  # raw per-coil voltage magnitudes
-    u_b: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("i_tx", "u_tx", "p_in"):
@@ -65,10 +57,6 @@ class CharacteristicCurve:
             raise ValueError("i_tx must be strictly increasing")
         if np.any(self.u_tx < 0.0) or np.any(self.p_in < 0.0):
             raise ValueError("u_tx and p_in must be nonnegative")
-
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.i_tx.tolist(), self.u_tx.tolist(), self.p_in.tolist()))
 
 
 @dataclass(frozen=True)
@@ -83,57 +71,29 @@ class NoiseSpec:
             raise ValueError("relative_sigma must be >= 0")
 
 
-def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
-    """Evaluate the noiseless characteristic curve for one receiver.
+def evaluate_point(spec: SweepSpec, i_tx):
+    """Noiseless (u_tx, p_in) of the sweep configuration at current(s) i_tx.
 
-    The reported u_tx is the voltage magnitude of the coil carrying the
-    larger share of the drive current at the sweep steering angle (coil A
-    on ties); both coil voltages are retained in the raw record.
+    The circuit is solved once, at 1 A.  The reported voltage is that of the
+    coil carrying the larger share of the drive current at the sweep
+    steering angle (coil A on ties); i_tx may be a scalar or an array.
     """
-    tx = spec.tx or default_tx_coil(omega=spec.drive.angular_frequency)
+    i_tx = np.asarray(i_tx, dtype=float)
+    if np.any(i_tx < 0.0):
+        raise ValueError("i_tx must be >= 0")
+    unit = replace(spec.drive, amplitude=1.0)
+    u_a, u_b = transmitter_voltages(unit, spec.couplings, spec.receiver, spec.tx)
+    steering = spec.drive.steering
+    z_u = abs(u_a) if abs(math.sin(steering)) >= abs(math.cos(steering)) else abs(u_b)
+    r_in = input_power(unit, spec.couplings, spec.receiver, spec.tx)
+    return z_u * i_tx, r_in * i_tx * i_tx
+
+
+def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
+    """Evaluate the noiseless characteristic curve for one receiver."""
     currents = np.linspace(spec.i_min, spec.i_max, spec.steps)
-    use_coil_a = abs(math.sin(spec.drive.steering)) >= abs(math.cos(spec.drive.steering))
-    u_sel = np.empty_like(currents)
-    u_a_abs = np.empty_like(currents)
-    u_b_abs = np.empty_like(currents)
-    p = np.empty_like(currents)
-    for idx, amp in enumerate(currents):
-        drive = replace(spec.drive, amplitude=float(amp))
-        ua, ub = transmitter_voltages(drive, spec.couplings, spec.receiver, tx)
-        u_a_abs[idx] = abs(ua)
-        u_b_abs[idx] = abs(ub)
-        u_sel[idx] = u_a_abs[idx] if use_coil_a else u_b_abs[idx]
-        p[idx] = input_power(drive, spec.couplings, spec.receiver, tx)
-    return CharacteristicCurve(
-        label=spec.label, i_tx=currents, u_tx=u_sel, p_in=p, u_a=u_a_abs, u_b=u_b_abs
-    )
-
-
-def evaluate_point(spec: SweepSpec, i_tx: float) -> tuple[float, float]:
-    """Noiseless (u_tx, p_in) of the sweep configuration at one current."""
-    tx = spec.tx or default_tx_coil(omega=spec.drive.angular_frequency)
-    drive = replace(spec.drive, amplitude=float(i_tx))
-    ua, ub = transmitter_voltages(drive, spec.couplings, spec.receiver, tx)
-    use_coil_a = abs(math.sin(spec.drive.steering)) >= abs(math.cos(spec.drive.steering))
-    u = abs(ua) if use_coil_a else abs(ub)
-    return u, input_power(drive, spec.couplings, spec.receiver, tx)
-
-
-def add_noise(curve: CharacteristicCurve, noise: NoiseSpec) -> CharacteristicCurve:
-    """Scale u_tx and p_in by independent (1 + eps) draws; currents stay exact."""
-    if noise.relative_sigma == 0.0:
-        return curve
-    rng = np.random.default_rng(noise.seed)
-    eps_u = rng.normal(0.0, noise.relative_sigma, len(curve.i_tx))
-    eps_p = rng.normal(0.0, noise.relative_sigma, len(curve.i_tx))
-    return CharacteristicCurve(
-        label=curve.label,
-        i_tx=curve.i_tx,
-        u_tx=np.maximum(curve.u_tx * (1.0 + eps_u), 0.0),
-        p_in=np.maximum(curve.p_in * (1.0 + eps_p), 0.0),
-        u_a=curve.u_a,
-        u_b=curve.u_b,
-    )
+    u, p = evaluate_point(spec, currents)
+    return CharacteristicCurve(label=spec.label, i_tx=currents, u_tx=u, p_in=p)
 
 
 def curves_to_csv(curves: list[CharacteristicCurve]) -> str:

@@ -159,8 +159,7 @@ class PhasorSolution:
     """One steady-state operating point of the full or reduced circuit.
 
     For the reduced (single-coil) model, i_a/u_a hold the primary current
-    and source voltage, i_c the secondary current, and u_p/u_s the mutual
-    inductance voltages; i_b and u_b are zero.
+    and source voltage and i_c the secondary current; i_b and u_b are zero.
     """
 
     i_a: complex
@@ -169,8 +168,6 @@ class PhasorSolution:
     u_a: complex
     u_b: complex
     p_in: float
-    u_p: complex | None = None
-    u_s: complex | None = None
     omega: float = DEFAULT_OMEGA
     drive: DriveSpec | None = None
     couplings: Couplings | None = None
@@ -336,8 +333,6 @@ def solve_single_coil(
     else:
         u_i = i_1 * z_total
     i_2 = 1j * w * m * i_1 / z2
-    u_p = 1j * w * m * i_2
-    u_s = 1j * w * m * i_1
     p_in = (u_i * np.conj(i_1)).real
     return PhasorSolution(
         i_a=complex(i_1),
@@ -346,8 +341,6 @@ def solve_single_coil(
         u_a=complex(u_i),
         u_b=0.0,
         p_in=float(p_in),
-        u_p=complex(u_p),
-        u_s=complex(u_s),
         omega=omega,
         receiver=rx,
         tx=tx,

@@ -94,18 +94,20 @@ class EddyImpedance:
 def phi_k(k, geom: EddyGeometry, mat: MetalMaterial):
     """Complex material response at spatial frequency k (principal root).
 
-    phi = (sqrt(k^2 + j*w*sigma*mu0*mur) - k*mur) / (same sqrt + k*mur).
-    Bounded by 1 in magnitude with nonnegative imaginary part for any
-    passive material, which keeps the loss resistance nonnegative.
+    phi = (root - k*mur) / (root + k*mur) with root = sqrt(k^2 + j*k_s^2) and
+    k_s^2 = w*sigma*mu0*mur.  Bounded by 1 in magnitude with nonnegative
+    imaginary part for any passive material, which keeps the loss
+    resistance nonnegative.  Evaluated as the equal quotient
+    (k^2 (1 - mur^2) + j k_s^2) / (root + k*mur)^2, which does not cancel
+    in root - k*mur when k >> k_s.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
         raise ValueError("k must be >= 0")
-    root = np.sqrt(
-        k * k
-        + 1j * geom.angular_frequency * mat.conductivity * MU0 * mat.rel_permeability
-    )
-    out = (root - k * mat.rel_permeability) / (root + k * mat.rel_permeability)
+    mur = mat.rel_permeability
+    ks2 = geom.angular_frequency * mat.conductivity * MU0 * mur
+    root = np.sqrt(k * k + 1j * ks2)
+    out = (k * k * (1.0 - mur * mur) + 1j * ks2) / (root + k * mur) ** 2
     return out if out.ndim else complex(out)
 
 

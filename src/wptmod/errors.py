@@ -5,14 +5,6 @@ class WptError(Exception):
     """Base class for all wptmod-specific errors."""
 
 
-class UndefinedAngleError(WptError, ValueError):
-    """Angle of a zero field vector is requested."""
-
-
-class PoleError(WptError, ZeroDivisionError):
-    """Steering-angle evaluation hit a zero denominator instant."""
-
-
 class ConvergenceError(WptError, RuntimeError):
     """A numeric integral or refinement loop failed to converge."""
 

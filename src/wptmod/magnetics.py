@@ -1,8 +1,7 @@
-"""Field shaping and mutual inductance for square-loop transmitter geometry.
+"""Mutual inductance for square-loop transmitter geometry.
 
 The transmitter pair consists of two identical square coils in orthogonal
-planes; the composite flux density at the origin is steered by the current
-ratio.  Mutual inductance between coaxial square loops is available three
+planes.  Mutual inductance between coaxial square loops is available three
 ways: a discretized Neumann double contour integral (ground truth), a fast
 closed-form estimate, and a plate variant obtained by stacking loop
 contributions over the plate radius.
@@ -15,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleError, UndefinedAngleError
+from .errors import ConvergenceError
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability [N/A^2]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -61,80 +58,6 @@ class CoaxialPair:
             separation=self.separation,
             secondary_turns=self.primary.turns,
         )
-
-
-@dataclass(frozen=True)
-class ReceiverPose:
-    """Planar receiver position: radial distance and azimuth from the X-axis."""
-
-    distance: float  # [m]
-    azimuth: float  # [rad], wrapped into [0, 2*pi)
-
-    def __post_init__(self):
-        if not self.distance > 0.0:
-            raise ValueError("distance must be > 0")
-        object.__setattr__(self, "azimuth", self.azimuth % TWO_PI)
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Planar flux density components; complex entries represent phasors."""
-
-    bx: complex
-    by: complex
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(abs(self.bx), abs(self.by))
-
-
-def field_components(magnitude: float, theta: float) -> FieldVector:
-    """Decompose a flux density of given magnitude along direction theta."""
-    if magnitude < 0.0:
-        raise ValueError("magnitude must be >= 0")
-    return FieldVector(bx=magnitude * math.cos(theta), by=magnitude * math.sin(theta))
-
-
-def field_angle(v: FieldVector) -> tuple[float, float]:
-    """Magnitude and quadrant-correct direction (in [0, 2*pi)) of a real field vector.
-
-    Raises UndefinedAngleError for the zero vector.
-    """
-    bx, by = complex(v.bx), complex(v.by)
-    if bx.imag != 0.0 or by.imag != 0.0:
-        raise ValueError("field_angle requires a real-valued field vector")
-    if bx.real == 0.0 and by.real == 0.0:
-        raise UndefinedAngleError("angle of the zero field vector is undefined")
-    theta = math.atan2(by.real, bx.real) % TWO_PI
-    return math.hypot(bx.real, by.real), theta
-
-
-def b_field_at_origin(i_a: complex, i_b: complex, coil: SquareLoop) -> FieldVector:
-    """Flux density phasor at the center of the orthogonal transmitter pair.
-
-    The x-component is driven by the coil-B current and the y-component by
-    the coil-A current (cross mapping of the orthogonal planes).
-    """
-    scale = -math.sqrt(2.0) * MU0 * coil.turns / (math.pi * coil.half_side)
-    return FieldVector(bx=scale * i_b, by=scale * i_a)
-
-
-def steering_angle(
-    i_a_amp: float, i_b_amp: float, delta_phi: float = 0.0, omega_t: float = 0.0
-) -> float:
-    """Instantaneous direction of the composite field from the two coil currents.
-
-    With delta_phi in {0, pi} this is time independent and equals
-    atan(+-i_a_amp / i_b_amp).
-    """
-    num = i_a_amp * math.cos(omega_t + delta_phi)
-    den = i_b_amp * math.cos(omega_t)
-    if num == 0.0:
-        return 0.0
-    # cos at an odd multiple of pi/2 lands at ~1e-16, still a pole instant
-    if den == 0.0 or abs(den) < 1e-12 * abs(i_b_amp) or abs(math.cos(omega_t)) < 1e-12:
-        raise PoleError("steering angle undefined: coil-B current crosses zero")
-    return math.atan(num / den)
 
 
 def _square_contour(half_side: float, z: float, n_per_side: int):

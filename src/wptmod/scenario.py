@@ -8,16 +8,22 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from . import circuit, eddy, magnetics
-from .characteristics import NoiseSpec, SweepSpec
+from .characteristics import NoiseSpec, SweepSpec, evaluate_point
 from .circuit import DriveSpec, MetalReceiver, TxCoil, couplings_from_coaxial
+from .detection import Sample
 from .errors import ScenarioError
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where} must be an object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -27,6 +33,47 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ScenarioError(f"missing key {key!r} in {where}")
     return section[key]
+
+
+def _finite(value, where: str, integer: bool = False):
+    """value as a finite number (an integer if asked); bools are rejected."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max  # also rejects nan and huge ints
+        or (integer and value != int(value))
+    ):
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{where} must be {kind}, got {value!r}")
+    return int(value) if integer else value
+
+
+_REQUIRED = object()
+
+
+def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
+    """section[key] read by _finite; an absent optional key gives the default.
+
+    Keys whose default is None also take an explicit null.
+    """
+    optional = default is not _REQUIRED
+    if optional and (key not in section or (default is None and section[key] is None)):
+        return default
+    return _finite(_require(section, key, where), f"{where}.{key}", integer)
+
+
+def _label(entry: dict, where: str, seen: set[str]) -> str:
+    """Receiver label, unique within its class and safe as a curves.csv field."""
+    label = _require(entry, "label", where)
+    # curves.csv splits rows on line boundaries and fields on commas
+    if not isinstance(label, str) or "," in label or "".join(label.splitlines()) != label:
+        raise ScenarioError(
+            f"{where}.label must be a string without commas or line breaks, got {label!r}"
+        )
+    if label in seen:
+        raise ScenarioError(f"duplicate label {label!r} at {where}")
+    seen.add(label)
+    return label
 
 
 @dataclass(frozen=True)
@@ -122,7 +169,7 @@ def parse_scenario(raw: dict) -> Scenario:
         },
         "scenario",
     )
-    freq = _require(raw, "frequency_hz", "scenario")
+    freq = _number(raw, "frequency_hz", "scenario")
     if not freq > 0.0:
         raise ScenarioError("frequency_hz must be > 0")
 
@@ -133,14 +180,14 @@ def parse_scenario(raw: dict) -> Scenario:
         "transmitter",
     )
     tx = TransmitterSpec(
-        half_side_m=_require(tx_raw, "half_side_m", "transmitter"),
-        turns=_require(tx_raw, "turns", "transmitter"),
-        resistance_ohm=_require(tx_raw, "resistance_ohm", "transmitter"),
-        inductance_h=_require(tx_raw, "inductance_h", "transmitter"),
-        capacitance_f=tx_raw.get("capacitance_f"),
+        half_side_m=_number(tx_raw, "half_side_m", "transmitter"),
+        turns=_number(tx_raw, "turns", "transmitter", integer=True),
+        resistance_ohm=_number(tx_raw, "resistance_ohm", "transmitter"),
+        inductance_h=_number(tx_raw, "inductance_h", "transmitter"),
+        capacitance_f=_number(tx_raw, "capacitance_f", "transmitter", None),
     )
 
-    coils = []
+    coils, seen = [], set()
     for idx, entry in enumerate(raw.get("receiver_coils", [])):
         where = f"receiver_coils[{idx}]"
         _check_keys(
@@ -159,58 +206,67 @@ def parse_scenario(raw: dict) -> Scenario:
         )
         coils.append(
             ReceiverCoilSpec(
-                label=_require(entry, "label", where),
-                load_ohm=_require(entry, "load_ohm", where),
-                half_side_m=_require(entry, "half_side_m", where),
-                turns=_require(entry, "turns", where),
-                resistance_ohm=_require(entry, "resistance_ohm", where),
-                inductance_h=_require(entry, "inductance_h", where),
-                distance_m=_require(entry, "distance_m", where),
-                capacitance_f=entry.get("capacitance_f"),
+                label=_label(entry, where, seen),
+                load_ohm=_number(entry, "load_ohm", where),
+                half_side_m=_number(entry, "half_side_m", where),
+                turns=_number(entry, "turns", where, integer=True),
+                resistance_ohm=_number(entry, "resistance_ohm", where),
+                inductance_h=_number(entry, "inductance_h", where),
+                distance_m=_number(entry, "distance_m", where),
+                capacitance_f=_number(entry, "capacitance_f", where, None),
             )
         )
 
-    plates = []
+    plates, seen = [], set()
     for idx, entry in enumerate(raw.get("metal_plates", [])):
         where = f"metal_plates[{idx}]"
         _check_keys(
             entry, {"label", "material", "half_side_m", "distance_m", "mu_r"}, where
         )
+        label = _label(entry, where, seen)
+        material = _require(entry, "material", where)
+        if not isinstance(material, str):
+            raise ScenarioError(f"{where}.material must be a string, got {material!r}")
         plates.append(
             MetalPlateSpec(
-                label=_require(entry, "label", where),
-                material=_require(entry, "material", where),
-                half_side_m=_require(entry, "half_side_m", where),
-                distance_m=_require(entry, "distance_m", where),
-                mu_r=entry.get("mu_r"),
+                label=label,
+                material=material,
+                half_side_m=_number(entry, "half_side_m", where),
+                distance_m=_number(entry, "distance_m", where),
+                mu_r=_number(entry, "mu_r", where, None),
             )
         )
 
     sweep_raw = _require(raw, "sweep", "scenario")
     _check_keys(sweep_raw, {"i_min_a", "i_max_a", "steps", "azimuth_rad"}, "sweep")
     sweep = SweepSection(
-        i_min_a=_require(sweep_raw, "i_min_a", "sweep"),
-        i_max_a=_require(sweep_raw, "i_max_a", "sweep"),
-        steps=_require(sweep_raw, "steps", "sweep"),
-        azimuth_rad=_require(sweep_raw, "azimuth_rad", "sweep"),
+        i_min_a=_number(sweep_raw, "i_min_a", "sweep"),
+        i_max_a=_number(sweep_raw, "i_max_a", "sweep"),
+        steps=_number(sweep_raw, "steps", "sweep", integer=True),
+        azimuth_rad=_number(sweep_raw, "azimuth_rad", "sweep"),
     )
 
     noise_raw = raw.get("noise", {})
     _check_keys(noise_raw, {"relative_sigma", "seed"}, "noise")
     try:
         noise = NoiseSpec(
-            relative_sigma=noise_raw.get("relative_sigma", 0.01),
-            seed=noise_raw.get("seed", 0),
+            relative_sigma=_number(noise_raw, "relative_sigma", "noise", 0.01),
+            seed=_number(noise_raw, "seed", "noise", 0, integer=True),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
     det_raw = raw.get("detection", {})
     _check_keys(det_raw, {"degree", "gate_amps", "test_currents_a"}, "detection")
+    currents = det_raw.get("test_currents_a", [3.0, 6.0, 9.0])
+    if not isinstance(currents, list):
+        raise ScenarioError(f"detection.test_currents_a must be a list, got {currents!r}")
     detection = DetectionSection(
-        degree=det_raw.get("degree", 2),
-        gate_amps=det_raw.get("gate_amps", 3.0),
-        test_currents_a=tuple(det_raw.get("test_currents_a", (3.0, 6.0, 9.0))),
+        degree=_number(det_raw, "degree", "detection", 2, integer=True),
+        gate_amps=_number(det_raw, "gate_amps", "detection", 3.0),
+        test_currents_a=tuple(
+            _finite(v, f"detection.test_currents_a[{j}]") for j, v in enumerate(currents)
+        ),
     )
 
     try:
@@ -355,32 +411,21 @@ def generate_test_samples(
 ):
     """Noisy labeled test points at the scenario's test currents.
 
-    Returns (true_label, label, Sample) triples; noise draws follow a fixed
-    receiver-major, current-minor order so a seed pins the whole batch.
-    Pass precomputed sweeps to skip rebuilding couplings and impedances.
+    Returns (true_label, label, Sample) triples.  u_tx and p_in are scaled
+    by independent (1 + eps) factors, clipped at 0; one draw of shape
+    (receivers, currents, 2) fixes the receiver-major, current-minor order,
+    so a seed pins the whole batch.  Pass precomputed sweeps to skip
+    rebuilding couplings and impedances.
     """
-    import numpy as np
-
-    from .characteristics import evaluate_point
-    from .detection import Sample
-
+    sweeps = build_sweeps(sc) if sweeps is None else sweeps
+    currents = sc.detection.test_currents_a
     rng = np.random.default_rng(sc.noise.seed if seed is None else seed)
-    sigma = sc.noise.relative_sigma
+    eps = rng.normal(0.0, sc.noise.relative_sigma, (len(sweeps), len(currents), 2))
     samples = []
-    for sweep in sweeps if sweeps is not None else build_sweeps(sc):
+    for sweep, eps_r in zip(sweeps, eps):
         true_label, name = sweep.label.split(":", 1)
-        for i_tx in sc.detection.test_currents_a:
-            u, p = evaluate_point(sweep, i_tx)
-            eps_u, eps_p = rng.normal(0.0, sigma, 2)
-            samples.append(
-                (
-                    true_label,
-                    name,
-                    Sample(
-                        i_tx=i_tx,
-                        u_tx=max(u * (1.0 + eps_u), 0.0),
-                        p_in=max(p * (1.0 + eps_p), 0.0),
-                    ),
-                )
-            )
+        u, p = evaluate_point(sweep, currents)
+        u = np.maximum(u * (1.0 + eps_r[:, 0]), 0.0).tolist()
+        p = np.maximum(p * (1.0 + eps_r[:, 1]), 0.0).tolist()
+        samples += [(true_label, name, Sample(*row)) for row in zip(currents, u, p)]
     return samples

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from wptmod.characteristics import (
     CharacteristicCurve,
     NoiseSpec,
     SweepSpec,
-    add_noise,
     curves_from_csv,
     curves_to_csv,
     evaluate_point,
@@ -16,9 +17,13 @@ from wptmod.characteristics import (
 from wptmod.circuit import (
     Couplings,
     DriveSpec,
+    MetalReceiver,
     default_tx_coil,
     resonant_coil_receiver,
+    solve_from_drive,
+    transmitter_voltages,
 )
+from wptmod.scenario import generate_test_samples, load_scenario
 
 OMEGA = 2.0 * math.pi * 20e3
 
@@ -34,6 +39,17 @@ def make_spec(m_ac=0.0, m_bc=0.0, theta=math.pi / 4, r_tx=0.1, label="x"):
         tx=default_tx_coil(resistance=r_tx),
         label=label,
     )
+
+
+def noisy_samples(sweeps, sigma, seed, currents=(3.0, 6.0, 9.0)):
+    """generate_test_samples on given sweeps with the noise and currents set here."""
+    sc = load_scenario()
+    sc = replace(
+        sc,
+        noise=NoiseSpec(sigma, seed),
+        detection=replace(sc.detection, test_currents_a=tuple(currents)),
+    )
+    return generate_test_samples(sc, sweeps=sweeps)
 
 
 class TestSweepShapes:
@@ -54,10 +70,15 @@ class TestSweepShapes:
         assert np.allclose(curve.p_in[mask], p1 * curve.i_tx[mask] ** 2, rtol=1e-9)
 
     def test_coil_selection_by_steering(self):
-        near_a = sweep_curve(make_spec(m_ac=5e-7, theta=math.pi / 2 - 0.1))
-        near_b = sweep_curve(make_spec(m_ac=5e-7, theta=0.1))
-        assert np.allclose(near_a.u_tx, near_a.u_a)
-        assert np.allclose(near_b.u_tx, near_b.u_b)
+        # the reported voltage is that of the coil carrying more of the drive
+        for theta, coil in ((math.pi / 2 - 0.1, 0), (0.1, 1)):
+            spec = make_spec(m_ac=5e-7, theta=theta)
+            curve = sweep_curve(spec)
+            for i, u in zip(curve.i_tx[1:], curve.u_tx[1:]):
+                drive = replace(spec.drive, amplitude=float(i))
+                volts = transmitter_voltages(drive, spec.couplings, spec.receiver, spec.tx)
+                assert u == pytest.approx(abs(volts[coil]), rel=1e-12)
+                assert u != pytest.approx(abs(volts[1 - coil]), rel=1e-3)
 
     def test_evaluate_point_matches_sweep(self):
         spec = make_spec(m_ac=3e-7, m_bc=-4e-7)
@@ -66,6 +87,38 @@ class TestSweepShapes:
             u, p = evaluate_point(spec, float(curve.i_tx[idx]))
             assert u == pytest.approx(curve.u_tx[idx], rel=1e-12, abs=1e-15)
             assert p == pytest.approx(curve.p_in[idx], rel=1e-12, abs=1e-15)
+
+    def test_array_matches_solve_from_drive(self):
+        # one unit-current evaluation against a full current-driven solve per point
+        rng = np.random.default_rng(5)
+        currents = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 15)])
+        for _ in range(40):
+            if rng.random() < 0.5:
+                rx = resonant_coil_receiver(rng.uniform(0.01, 0.5), rng.uniform(0.5, 20.0))
+            else:
+                rx = MetalReceiver(rng.uniform(1e-4, 1.0), rng.uniform(1e-9, 1e-6))
+            spec = SweepSpec(
+                i_min=0.0,
+                i_max=1.0,
+                steps=2,
+                drive=DriveSpec(OMEGA, 0.0, rng.uniform(0.0, 2.0 * math.pi)),
+                receiver=rx,
+                couplings=Couplings(*rng.uniform(-1e-6, 1e-6, 2)),
+                tx=default_tx_coil(resistance=rng.uniform(0.005, 0.5)),
+            )
+            u, p = evaluate_point(spec, currents)
+            use_a = abs(math.sin(spec.drive.steering)) >= abs(math.cos(spec.drive.steering))
+            for i, u_i, p_i in zip(currents, u, p):
+                sol = solve_from_drive(
+                    replace(spec.drive, amplitude=float(i)), spec.couplings, rx, spec.tx
+                )
+                u_ref = abs(sol.u_a if use_a else sol.u_b)
+                assert abs(u_i - u_ref) <= 1e-12 * u_ref
+                assert abs(p_i - sol.p_in) <= 1e-12 * sol.p_in
+
+    def test_negative_current_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_point(make_spec(), np.array([1.0, -1.0]))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -84,41 +137,55 @@ class TestSweepShapes:
 
 
 class TestNoise:
+    SWEEPS = [make_spec(m_ac=5e-7, label="coil:a"), make_spec(m_bc=2e-7, label="metal:b")]
+
     def test_zero_sigma_identity(self):
-        curve = sweep_curve(make_spec(m_ac=5e-7))
-        noisy = add_noise(curve, NoiseSpec(relative_sigma=0.0, seed=3))
-        assert noisy is curve
+        for true, name, sample in noisy_samples(self.SWEEPS, 0.0, seed=3):
+            spec = next(s for s in self.SWEEPS if s.label == f"{true}:{name}")
+            assert (sample.u_tx, sample.p_in) == evaluate_point(spec, sample.i_tx)
 
     def test_deterministic_per_seed(self):
-        curve = sweep_curve(make_spec(m_ac=5e-7))
-        a = add_noise(curve, NoiseSpec(0.01, seed=42))
-        b = add_noise(curve, NoiseSpec(0.01, seed=42))
-        c = add_noise(curve, NoiseSpec(0.01, seed=43))
-        assert np.array_equal(a.u_tx, b.u_tx) and np.array_equal(a.p_in, b.p_in)
-        assert not np.array_equal(a.u_tx, c.u_tx)
+        a = noisy_samples(self.SWEEPS, 0.01, seed=42)
+        b = noisy_samples(self.SWEEPS, 0.01, seed=42)
+        c = noisy_samples(self.SWEEPS, 0.01, seed=43)
+        assert a == b
+        assert [t[2].u_tx for t in a] != [t[2].u_tx for t in c]
 
     def test_currents_untouched(self):
-        curve = sweep_curve(make_spec(m_ac=5e-7))
-        noisy = add_noise(curve, NoiseSpec(0.05, seed=1))
-        assert np.array_equal(noisy.i_tx, curve.i_tx)
+        currents = (0.5, 3.0, 7.25)
+        samples = noisy_samples(self.SWEEPS, 0.05, seed=1, currents=currents)
+        assert [t[2].i_tx for t in samples] == list(currents) * len(self.SWEEPS)
 
     def test_statistics(self):
-        # mean relative deviation ~0, std ~sigma over many seeds at one point
-        curve = CharacteristicCurve("x", [1.0, 2.0], [10.0, 20.0], [5.0, 10.0])
+        # mean relative deviation ~0 and std ~sigma over many independent points
         sigma = 0.01
-        rel = np.array(
-            [
-                add_noise(curve, NoiseSpec(sigma, seed=s)).u_tx[0] / 10.0 - 1.0
-                for s in range(4000)
-            ]
-        )
-        assert abs(rel.mean()) < 5e-4
-        assert rel.std() == pytest.approx(sigma, rel=0.05)
+        currents = np.linspace(1.0, 10.0, 4000)
+        samples = noisy_samples(self.SWEEPS[:1], sigma, seed=0, currents=currents)
+        u, p = evaluate_point(self.SWEEPS[0], currents)
+        for got, clean in (([t[2].u_tx for t in samples], u), ([t[2].p_in for t in samples], p)):
+            rel = np.array(got) / clean - 1.0
+            assert abs(rel.mean()) < 5e-4
+            assert rel.std() == pytest.approx(sigma, rel=0.05)
 
     def test_clipped_at_zero(self):
-        curve = CharacteristicCurve("x", [1.0, 2.0], [1e-12, 1e-12], [1e-12, 1e-12])
-        noisy = add_noise(curve, NoiseSpec(relative_sigma=5.0, seed=0))
-        assert np.all(noisy.u_tx >= 0.0) and np.all(noisy.p_in >= 0.0)
+        samples = noisy_samples(self.SWEEPS, 5.0, seed=0, currents=np.linspace(1.0, 9.0, 50))
+        u = np.array([t[2].u_tx for t in samples])
+        p = np.array([t[2].p_in for t in samples])
+        assert np.all(u >= 0.0) and np.all(p >= 0.0)
+        assert np.any(u == 0.0) and np.any(p == 0.0)
+
+    def test_stream_receiver_major(self):
+        # one (eps_u, eps_p) pair per point, receivers outer, currents inner
+        sigma, seed, currents = 0.02, 7, (3.0, 6.0, 9.0)
+        samples = noisy_samples(self.SWEEPS, sigma, seed, currents)
+        rng = np.random.default_rng(seed)
+        pairs = itertools.product(self.SWEEPS, currents)
+        for (true, name, sample), (spec, i) in zip(samples, pairs, strict=True):
+            eps_u, eps_p = rng.normal(0.0, sigma, 2)
+            u, p = evaluate_point(spec, i)
+            assert f"{true}:{name}" == spec.label and sample.i_tx == i
+            assert sample.u_tx == max(u * (1.0 + eps_u), 0.0)
+            assert sample.p_in == max(p * (1.0 + eps_p), 0.0)
 
 
 class TestCsv:

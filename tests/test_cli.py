@@ -156,6 +156,61 @@ class TestScenarioValidation:
         assert code == cli.EXIT_VALIDATION
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d["sweep"].update(steps=21.5), "sweep.steps"),
+            (lambda d: d.update(frequency_hz="20k"), "frequency_hz"),
+            (lambda d: d["transmitter"].update(turns="3"), "transmitter.turns"),
+            (lambda d: d["receiver_coils"][1].update(load_ohm=True), "receiver_coils[1].load_ohm"),
+            (lambda d: d["detection"].update(gate_amps=None), "detection.gate_amps"),
+            (lambda d: d["noise"].update(relative_sigma=float("nan")), "noise.relative_sigma"),
+            (lambda d: d["sweep"].update(i_max_a=10**400), "sweep.i_max_a"),
+            (lambda d: d["detection"]["test_currents_a"].append("9"), "test_currents_a[3]"),
+        ],
+        ids=["steps_float", "freq_str", "turns_str", "load_bool", "gate_null", "sigma_nan",
+             "huge_int", "current_str"],
+    )
+    def test_bad_number_names_key(self, tmp_path, capsys, edit, key):
+        code = self._curves(tmp_path, edit)
+        assert code == cli.EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["receiver_coils"][2].update(label="load_1.5ohm"), "duplicate label"),
+            (lambda d: d["metal_plates"][1].update(label="fe_0.1m"), "duplicate label"),
+            (lambda d: d["metal_plates"][0].update(label="a,b"), "metal_plates[0].label"),
+            (lambda d: d["receiver_coils"][0].update(label="ab\n"), "receiver_coils[0].label"),
+            (lambda d: d["receiver_coils"][0].update(label=7), "receiver_coils[0].label"),
+            (lambda d: d["metal_plates"][2].update(material=1), "metal_plates[2].material"),
+            (lambda d: d.update(transmitter=5), "transmitter must be an object"),
+        ],
+        ids=["dup_coil", "dup_plate", "comma", "newline", "label_int", "material_int", "tx_int"],
+    )
+    def test_bad_name_or_section_rejected(self, tmp_path, capsys, edit, message):
+        code = self._curves(tmp_path, edit)
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_same_label_across_classes_allowed(self, tmp_path):
+        edit = lambda d: d["metal_plates"][0].update(label="load_1.5ohm")  # noqa: E731
+        assert self._curves(tmp_path, edit) == cli.EXIT_OK
+
+    @staticmethod
+    def _curves(tmp_path, edit) -> int:
+        raw = json.loads(
+            __import__("importlib.resources", fromlist=["files"])
+            .files("wptmod.data")
+            .joinpath("paper_repro.json")
+            .read_text()
+        )
+        edit(raw)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        return cli.main(["curves", "--scenario", str(path), "--out", str(tmp_path / "o")])
+
     def test_missing_file(self, tmp_path):
         code = cli.main(
             ["curves", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

@@ -88,6 +88,19 @@ class TestPhi:
         expected = (root - k) / (root + k)
         assert phi_k(k, geom(), CU) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [1e-2, 1e-4])
+    def test_against_mpmath_where_k_dominates(self, sigma):
+        # k >> k_s: the difference root - k*mur cancels in double precision
+        mpmath = pytest.importorskip("mpmath")
+        k = 20.0
+        with mpmath.workdps(40):
+            ks2 = mpmath.mpf(W20K) * mpmath.mpf(sigma) * mpmath.mpf(MU0)
+            root = mpmath.sqrt(k * k + 1j * ks2)
+            expected = (root - k) / (root + k)
+        got = phi_k(k, geom(), MetalMaterial("x", sigma, 1.0))
+        assert abs(got.real - float(expected.real)) <= 1e-13 * abs(float(expected.real))
+        assert abs(got.imag - float(expected.imag)) <= 1e-13 * abs(float(expected.imag))
+
     def test_bounded_and_passive_random(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -166,6 +179,13 @@ class TestPlateImpedance:
         weaker = plate_impedance(geom(), MetalMaterial("x", 1e-4, 1.0))
         assert weaker.r_m == pytest.approx(1e-2 * weak.r_m, rel=5e-2)
         assert abs(weaker.l_m) < abs(weak.l_m) < 1e-4 * plate_impedance(geom(), CU).l_m
+
+    def test_vanishing_conductivity_finite(self):
+        # far below the skin-effect regime R_m stays linear in sigma
+        faint = plate_impedance(geom(), MetalMaterial("x", 1e-30, 1.0))
+        weak = plate_impedance(geom(), MetalMaterial("x", 1e-4, 1.0))
+        assert math.isfinite(faint.l_m) and faint.r_m >= 0.0
+        assert faint.r_m == pytest.approx(1e-26 * weak.r_m, rel=5e-3)
 
     def test_fe_vs_cu(self):
         rm_fe = plate_impedance(geom(), FE)

@@ -1,98 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from wptmod import magnetics
-from wptmod.errors import PoleError, UndefinedAngleError
 from wptmod.magnetics import (
-    MU0,
     CoaxialPair,
-    FieldVector,
     SquareLoop,
-    b_field_at_origin,
-    field_angle,
-    field_components,
     mutual_inductance_coil_coil_closed,
     mutual_inductance_coil_plate,
     mutual_inductance_coil_plate_by_integration,
     mutual_inductance_neumann,
-    steering_angle,
 )
-
-
-class TestFieldDecomposition:
-    def test_axis_aligned(self):
-        v = field_components(1.0, 0.0)
-        assert v.bx == pytest.approx(1.0) and v.by == pytest.approx(0.0, abs=1e-15)
-        v = field_components(1.0, math.pi / 2)
-        assert v.bx == pytest.approx(0.0, abs=1e-15) and v.by == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        v = field_components(1.0, math.pi / 4)
-        assert v.bx == pytest.approx(math.sqrt(2) / 2)
-        assert v.by == pytest.approx(math.sqrt(2) / 2)
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            field_components(-1.0, 0.0)
-
-    def test_angle_quadrants(self):
-        assert field_angle(FieldVector(0.0, 1.0)) == pytest.approx((1.0, math.pi / 2))
-        assert field_angle(FieldVector(-1.0, 0.0)) == pytest.approx((1.0, math.pi))
-        mag, theta = field_angle(FieldVector(3.0, 4.0))
-        assert mag == pytest.approx(5.0)
-        assert theta == pytest.approx(math.atan2(4.0, 3.0))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(UndefinedAngleError):
-            field_angle(FieldVector(0.0, 0.0))
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            mag = rng.uniform(1e-9, 10.0)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            mag2, theta2 = field_angle(field_components(mag, theta))
-            assert abs(mag2 - mag) <= 1e-12 * mag
-            assert abs(theta2 - theta) <= 1e-12 or abs(theta2 - theta) >= 2 * math.pi - 1e-12
-
-
-class TestOriginField:
-    def test_zero_currents(self):
-        v = b_field_at_origin(0.0, 0.0, SquareLoop(0.164, 3))
-        assert v.bx == 0.0 and v.by == 0.0
-
-    def test_hand_evaluated_magnitude(self):
-        # sqrt(2)*mu0*3*10/(pi*0.164), x-component driven by coil B
-        v = b_field_at_origin(0.0, 10.0, SquareLoop(0.164, 3))
-        assert v.bx == pytest.approx(-1.0347904e-4, rel=1e-6)
-        assert v.by == 0.0
-
-    def test_cross_mapping_and_linearity(self):
-        coil = SquareLoop(0.164, 3)
-        v1 = b_field_at_origin(2.0, 0.0, coil)
-        v2 = b_field_at_origin(4.0, 0.0, coil)
-        assert v1.bx == 0.0  # coil A drives y only
-        assert v2.by == 2.0 * v1.by
-
-
-class TestSteeringAngle:
-    def test_equal_currents(self):
-        for omega_t in (0.0, 0.3, 1.0):
-            assert steering_angle(5.0, 5.0, 0.0, omega_t) == pytest.approx(math.pi / 4)
-
-    def test_zero_a_current(self):
-        assert steering_angle(0.0, 3.0) == 0.0
-
-    def test_thirty_degree_triangle(self):
-        assert steering_angle(1.0, math.sqrt(3.0)) == pytest.approx(math.pi / 6)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            steering_angle(1.0, 0.0)
-        with pytest.raises(PoleError):
-            steering_angle(1.0, 1.0, 0.0, math.pi / 2)
 
 
 class TestNeumann:
@@ -197,7 +113,3 @@ class TestInvariantsValidation:
             SquareLoop(0.0)
         with pytest.raises(ValueError):
             SquareLoop(0.1, 0)
-
-    def test_receiver_pose_wraps_azimuth(self):
-        pose = magnetics.ReceiverPose(0.2, 3.0 * math.pi)
-        assert pose.azimuth == pytest.approx(math.pi)
