@@ -50,24 +50,15 @@ def cmd_materials(args) -> int:
 
 def cmd_couplings(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    loop = scenario.tx_loop(sc)
     rows = ["label,kind,m_closed_form_H,m_reference_H,reference_method"]
     for spec in sc.receiver_coils:
-        pair = magnetics.CoaxialPair(
-            primary=loop,
-            secondary_half_side=spec.half_side_m,
-            separation=spec.distance_m,
-            secondary_turns=spec.turns,
-        )
-        closed = magnetics.mutual_inductance_coil_coil_closed(pair)
-        reference = magnetics.mutual_inductance_neumann(pair)
-        rows.append(f"{spec.label},coil,{closed:.12e},{reference:.12e},neumann")
+        closed = magnetics.mutual_inductance_coil_coil_closed(scenario.coil_pair(sc, spec))
+        reference = scenario.coil_coupling(sc, spec)
+        rows.append(f"{spec.label},coil,{closed:.12e},{reference:.12e},exact")
     for spec in sc.metal_plates:
-        closed = magnetics.mutual_inductance_coil_plate(
-            loop, spec.half_side_m, spec.distance_m
-        )
+        closed = scenario.plate_coupling(sc, spec)
         reference = magnetics.mutual_inductance_coil_plate_by_integration(
-            loop, spec.half_side_m, spec.distance_m
+            scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
         )
         rows.append(f"{spec.label},plate,{closed:.12e},{reference:.12e},radius_integral")
     path = _out_dir(args) / "couplings.csv"

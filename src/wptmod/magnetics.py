@@ -1,10 +1,10 @@
 """Mutual inductance for square-loop transmitter geometry.
 
 The transmitter pair consists of two identical square coils in orthogonal
-planes.  Mutual inductance between coaxial square loops is available three
-ways: a discretized Neumann double contour integral (ground truth), a fast
-closed-form estimate, and a plate variant obtained by stacking loop
-contributions over the plate radius.
+planes.  Mutual inductance between coaxial square loops is available four
+ways: the exact form over parallel sides (used by the pipeline), a discretized
+Neumann double contour integral (its independent test reference), the paper's
+closed-form estimate, and a plate variant stacking loops over the plate radius.
 """
 
 from __future__ import annotations
@@ -122,15 +122,36 @@ def mutual_inductance_neumann(
     )
 
 
+def mutual_inductance_coaxial_squares(pair: CoaxialPair) -> float:
+    """Exact mutual inductance of two coaxial parallel square loops, with turns.
+
+    Only parallel sides couple: each primary side sees one co-directed side at
+    d1 = sqrt((a-b)^2 + h^2) and one counter-directed side at
+    d2 = sqrt((a+b)^2 + h^2).  Centred parallel filaments of half lengths a, b
+    at distance d give S(d) = 2F(a+b) - 2F(a-b) with
+    F(u) = u*asinh(u/d) - sqrt(u^2 + d^2) (Grover, Inductance Calculations).
+    """
+    a, b, h = pair.primary.half_side, pair.secondary_half_side, pair.separation
+
+    def s(d: float) -> float:
+        def f(u: float) -> float:
+            return u * math.asinh(u / d) - math.hypot(u, d)
+
+        return 2.0 * f(a + b) - 2.0 * f(a - b)
+
+    m = MU0 / math.pi * (s(math.hypot(a - b, h)) - s(math.hypot(a + b, h)))
+    return pair.primary.turns * pair.secondary_turns * m
+
+
 def mutual_inductance_coil_coil_closed(pair: CoaxialPair) -> float:
     """Closed-form estimate of the coaxial square-loop mutual inductance.
 
     Reads the logarithm as the half-log of the ratio
     ((a+b)^2 + h^2) / ((a-b)^2 + h^2), which is the unique dimensionally
     consistent form whose radius integral reproduces the plate closed form.
-    This is a labeled approximation; mutual_inductance_neumann is the
-    ground truth (the closed form overshoots it by roughly 1.5-2.2x on
-    desk-scale geometry).
+    This is a labeled approximation: it overshoots the exact value of
+    mutual_inductance_coaxial_squares by roughly 1.5-2.2x on desk-scale
+    geometry.
     """
     a = pair.primary.half_side
     b = pair.secondary_half_side

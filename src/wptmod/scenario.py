@@ -48,6 +48,14 @@ def _finite(value, where: str, integer: bool = False):
     return int(value) if integer else value
 
 
+def _list(section: dict, key: str, where: str, default=()) -> list:
+    """section[key], which must be a list; an absent key gives the default."""
+    value = section.get(key, list(default))
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}.{key} must be a list, got {value!r}")
+    return value
+
+
 _REQUIRED = object()
 
 
@@ -188,7 +196,7 @@ def parse_scenario(raw: dict) -> Scenario:
     )
 
     coils, seen = [], set()
-    for idx, entry in enumerate(raw.get("receiver_coils", [])):
+    for idx, entry in enumerate(_list(raw, "receiver_coils", "scenario")):
         where = f"receiver_coils[{idx}]"
         _check_keys(
             entry,
@@ -218,7 +226,7 @@ def parse_scenario(raw: dict) -> Scenario:
         )
 
     plates, seen = [], set()
-    for idx, entry in enumerate(raw.get("metal_plates", [])):
+    for idx, entry in enumerate(_list(raw, "metal_plates", "scenario")):
         where = f"metal_plates[{idx}]"
         _check_keys(
             entry, {"label", "material", "half_side_m", "distance_m", "mu_r"}, where
@@ -258,9 +266,7 @@ def parse_scenario(raw: dict) -> Scenario:
 
     det_raw = raw.get("detection", {})
     _check_keys(det_raw, {"degree", "gate_amps", "test_currents_a"}, "detection")
-    currents = det_raw.get("test_currents_a", [3.0, 6.0, 9.0])
-    if not isinstance(currents, list):
-        raise ScenarioError(f"detection.test_currents_a must be a list, got {currents!r}")
+    currents = _list(det_raw, "test_currents_a", "detection", (3.0, 6.0, 9.0))
     detection = DetectionSection(
         degree=_number(det_raw, "degree", "detection", 2, integer=True),
         gate_amps=_number(det_raw, "gate_amps", "detection", 3.0),
@@ -305,15 +311,18 @@ def tx_loop(sc: Scenario) -> magnetics.SquareLoop:
         raise ScenarioError(str(exc)) from exc
 
 
-def coil_coupling(sc: Scenario, spec: ReceiverCoilSpec) -> float:
-    """Coil-to-coil coupling from the Neumann ground-truth integral."""
-    pair = magnetics.CoaxialPair(
+def coil_pair(sc: Scenario, spec: ReceiverCoilSpec) -> magnetics.CoaxialPair:
+    return magnetics.CoaxialPair(
         primary=tx_loop(sc),
         secondary_half_side=spec.half_side_m,
         separation=spec.distance_m,
         secondary_turns=spec.turns,
     )
-    return magnetics.mutual_inductance_neumann(pair)
+
+
+def coil_coupling(sc: Scenario, spec: ReceiverCoilSpec) -> float:
+    """Coil-to-coil coupling, exact for the coaxial square pair."""
+    return magnetics.mutual_inductance_coaxial_squares(coil_pair(sc, spec))
 
 
 def plate_coupling(sc: Scenario, spec: MetalPlateSpec) -> float:
@@ -364,46 +373,36 @@ def coil_receiver(sc: Scenario, spec: ReceiverCoilSpec) -> circuit.CoilReceiver:
         raise ScenarioError(str(exc)) from exc
 
 
-def _drive_template(sc: Scenario) -> DriveSpec:
-    return DriveSpec(
-        angular_frequency=sc.omega, amplitude=0.0, steering=sc.sweep.azimuth_rad
-    )
-
-
 def build_sweeps(sc: Scenario) -> list[SweepSpec]:
-    """All labeled sweeps of the scenario; labels carry the class prefix."""
+    """All labeled sweeps of the scenario; labels carry the class prefix.
+
+    Raises ScenarioError when either receiver class is empty.
+    """
+    for name in ("receiver_coils", "metal_plates"):
+        if not getattr(sc, name):
+            raise ScenarioError(f"{name} is empty; the threshold fit needs both classes")
     tx = build_tx_coil(sc)
-    drive = _drive_template(sc)
-    sweeps = []
-    for spec in sc.receiver_coils:
-        m = coil_coupling(sc, spec)
-        sweeps.append(
-            SweepSpec(
-                i_min=sc.sweep.i_min_a,
-                i_max=sc.sweep.i_max_a,
-                steps=sc.sweep.steps,
-                drive=drive,
-                receiver=coil_receiver(sc, spec),
-                couplings=couplings_from_coaxial(m, sc.sweep.azimuth_rad),
-                tx=tx,
-                label=f"coil:{spec.label}",
-            )
+    drive = DriveSpec(angular_frequency=sc.omega, amplitude=0.0, steering=sc.sweep.azimuth_rad)
+    receivers = [
+        (f"coil:{spec.label}", coil_coupling(sc, spec), coil_receiver(sc, spec))
+        for spec in sc.receiver_coils
+    ] + [
+        (f"metal:{spec.label}", plate_coupling(sc, spec), plate_receiver(sc, spec))
+        for spec in sc.metal_plates
+    ]
+    return [
+        SweepSpec(
+            i_min=sc.sweep.i_min_a,
+            i_max=sc.sweep.i_max_a,
+            steps=sc.sweep.steps,
+            drive=drive,
+            receiver=receiver,
+            couplings=couplings_from_coaxial(m, sc.sweep.azimuth_rad),
+            tx=tx,
+            label=label,
         )
-    for spec in sc.metal_plates:
-        m = plate_coupling(sc, spec)
-        sweeps.append(
-            SweepSpec(
-                i_min=sc.sweep.i_min_a,
-                i_max=sc.sweep.i_max_a,
-                steps=sc.sweep.steps,
-                drive=drive,
-                receiver=plate_receiver(sc, spec),
-                couplings=couplings_from_coaxial(m, sc.sweep.azimuth_rad),
-                tx=tx,
-                label=f"metal:{spec.label}",
-            )
-        )
-    return sweeps
+        for label, m, receiver in receivers
+    ]
 
 
 def generate_test_samples(

@@ -1,13 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from wptmod import cli, scenario
 from wptmod.errors import ScenarioError
+
+
+def _bundled() -> dict:
+    """The bundled scenario as a fresh dict, ready to edit."""
+    return json.loads(resources.files("wptmod.data").joinpath("paper_repro.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +54,7 @@ class TestCouplingsCommand:
         for ln in lines[1:]:
             label, kind, closed, ref, method = ln.split(",")
             assert float(closed) > 0.0 and float(ref) > 0.0
-            assert method == ("neumann" if kind == "coil" else "radius_integral")
+            assert method == ("exact" if kind == "coil" else "radius_integral")
 
     def test_byte_identical_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -77,6 +84,22 @@ class TestCurvesFitDetect:
         labels = {ln.split(",")[0] for ln in lines[1:]}
         assert any(lb.startswith("coil:") for lb in labels)
         assert any(lb.startswith("metal:") for lb in labels)
+
+    def test_near_field_coil_curves(self, tmp_path):
+        raw = _bundled()
+        coil = raw["receiver_coils"][0]
+        couplings = {}
+        for distance in (0.001, 0.0005):
+            coil["distance_m"] = distance
+            sc = scenario.parse_scenario(raw)
+            couplings[distance] = scenario.coil_coupling(sc, sc.receiver_coils[0])
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["curves", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        assert math.isfinite(couplings[0.0005]) and couplings[0.0005] > couplings[0.001] > 0.0
+        rows = [ln.split(",") for ln in (tmp_path / "curves.csv").read_text().splitlines()]
+        near = [row for row in rows if row[0] == f"coil:{coil['label']}"]
+        assert near and all(math.isfinite(float(v)) for row in near for v in row[1:])
 
     def test_fit_artifact(self, pipeline_out):
         data = json.loads((pipeline_out / "threshold.json").read_text())
@@ -143,12 +166,7 @@ class TestCurvesFitDetect:
 
 class TestScenarioValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        base = json.loads(
-            __import__("importlib.resources", fromlist=["files"])
-            .files("wptmod.data")
-            .joinpath("paper_repro.json")
-            .read_text()
-        )
+        base = _bundled()
         base["sweep"]["typo_key"] = 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(base))
@@ -186,13 +204,42 @@ class TestScenarioValidation:
             (lambda d: d["receiver_coils"][0].update(label=7), "receiver_coils[0].label"),
             (lambda d: d["metal_plates"][2].update(material=1), "metal_plates[2].material"),
             (lambda d: d.update(transmitter=5), "transmitter must be an object"),
+            (lambda d: d.update(metal_plates={"a": 1}), "metal_plates must be a list"),
+            (lambda d: d.update(receiver_coils="coil"), "receiver_coils must be a list"),
         ],
-        ids=["dup_coil", "dup_plate", "comma", "newline", "label_int", "material_int", "tx_int"],
+        ids=["dup_coil", "dup_plate", "comma", "newline", "label_int", "material_int", "tx_int",
+             "plates_object", "coils_str"],
     )
     def test_bad_name_or_section_rejected(self, tmp_path, capsys, edit, message):
         code = self._curves(tmp_path, edit)
         assert code == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["receiver_coils", "metal_plates"])
+    @pytest.mark.parametrize("verb", ["curves", "detect"])
+    def test_empty_receiver_class_rejected_up_front(
+        self, pipeline_out, tmp_path, capsys, section, verb
+    ):
+        raw = _bundled()
+        raw[section] = []
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        out.mkdir()
+        # detect reads a valid threshold.json before it builds its samples
+        (out / "threshold.json").write_bytes((pipeline_out / "threshold.json").read_bytes())
+        code = cli.main([verb, "--scenario", str(path), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"{section} is empty" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists() and not (out / "report.json").exists()
+
+    def test_plate_only_scenario_tables_still_written(self, tmp_path):
+        raw = _bundled()
+        raw["receiver_coils"] = []
+        path = tmp_path / "plates.json"
+        path.write_text(json.dumps(raw))
+        for verb in ("impedance", "couplings"):
+            assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path)]) == 0
 
     def test_same_label_across_classes_allowed(self, tmp_path):
         edit = lambda d: d["metal_plates"][0].update(label="load_1.5ohm")  # noqa: E731
@@ -200,12 +247,7 @@ class TestScenarioValidation:
 
     @staticmethod
     def _curves(tmp_path, edit) -> int:
-        raw = json.loads(
-            __import__("importlib.resources", fromlist=["files"])
-            .files("wptmod.data")
-            .joinpath("paper_repro.json")
-            .read_text()
-        )
+        raw = _bundled()
         edit(raw)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(raw))

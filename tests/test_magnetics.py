@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from wptmod import cli, magnetics, scenario
 from wptmod.magnetics import (
     CoaxialPair,
     SquareLoop,
+    mutual_inductance_coaxial_squares,
     mutual_inductance_coil_coil_closed,
     mutual_inductance_coil_plate,
     mutual_inductance_coil_plate_by_integration,
@@ -50,6 +52,46 @@ class TestNeumann:
         assert far < 1e-5 * near
         farther = mutual_inductance_neumann(CoaxialPair(SquareLoop(a), a, 200 * a))
         assert farther / far == pytest.approx(1.0 / 8.0, rel=0.02)
+
+
+class TestCoaxialSquares:
+    # (a, b, h, N1, N2); each converges at 256 elements/side, so the reference stays small
+    GEOMETRIES = [
+        (0.164, 0.164, 0.2, 1, 1),
+        (0.164, 0.1, 0.01, 3, 1),
+        (0.1, 0.25, 0.05, 2, 3),
+        (0.23, 0.11, 0.17, 1, 4),
+        (0.3, 0.2, 0.4, 3, 3),
+    ]
+
+    @pytest.mark.parametrize("a, b, h, n1, n2", GEOMETRIES)
+    def test_matches_refined_neumann(self, a, b, h, n1, n2):
+        pair = CoaxialPair(SquareLoop(a, n1), b, h, secondary_turns=n2)
+        reference = mutual_inductance_neumann(pair, rel_tol=1e-5, n_max=4096)
+        assert mutual_inductance_coaxial_squares(pair) == pytest.approx(reference, rel=1e-5)
+
+    @pytest.mark.parametrize("a, b, h, n1, n2", GEOMETRIES)
+    def test_swap_exact(self, a, b, h, n1, n2):
+        pair = CoaxialPair(SquareLoop(a, n1), b, h, secondary_turns=n2)
+        assert mutual_inductance_coaxial_squares(pair) == mutual_inductance_coaxial_squares(
+            pair.swapped()
+        )
+
+    def test_turns_scaling_exact(self):
+        base = CoaxialPair(SquareLoop(0.164), 0.1, 0.2)
+        scaled = CoaxialPair(SquareLoop(0.164, 3), 0.1, 0.2, secondary_turns=5)
+        assert mutual_inductance_coaxial_squares(scaled) == 15.0 * (
+            mutual_inductance_coaxial_squares(base)
+        )
+
+    def test_pipeline_never_reaches_neumann(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline called mutual_inductance_neumann")
+
+        monkeypatch.setattr(magnetics, "mutual_inductance_neumann", refuse)
+        assert scenario.build_sweeps(scenario.load_scenario())
+        for verb in ("couplings", "curves", "fit", "detect"):
+            assert cli.main([verb, "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 class TestClosedForms:
