@@ -206,9 +206,10 @@ class TestScenarioValidation:
             (lambda d: d.update(transmitter=5), "transmitter must be an object"),
             (lambda d: d.update(metal_plates={"a": 1}), "metal_plates must be a list"),
             (lambda d: d.update(receiver_coils="coil"), "receiver_coils must be a list"),
+            (lambda d: d["detection"].update(test_currents_a=3.0), "test_currents_a must be a list"),
         ],
         ids=["dup_coil", "dup_plate", "comma", "newline", "label_int", "material_int", "tx_int",
-             "plates_object", "coils_str"],
+             "plates_object", "coils_str", "currents_float"],
     )
     def test_bad_name_or_section_rejected(self, tmp_path, capsys, edit, message):
         code = self._curves(tmp_path, edit)
