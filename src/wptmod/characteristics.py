@@ -10,7 +10,6 @@ P-I curve the parabola p = r_in*I^2.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -96,38 +95,95 @@ def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
     return CharacteristicCurve(label=spec.label, i_tx=currents, u_tx=u, p_in=p)
 
 
+_HEADER = "label,i_tx_A,u_tx_V,p_in_W"
+_COLUMNS = _HEADER.split(",")
+
+
 def curves_to_csv(curves: list[CharacteristicCurve]) -> str:
-    """Render curves in the interchange CSV layout, one row per point."""
-    out = io.StringIO()
-    out.write("label,i_tx_A,u_tx_V,p_in_W\n")
+    """Render curves in the interchange CSV layout, one row per point.
+
+    Each curve is one %-format of its row template repeated once per point;
+    %.12f gives a float the same text as the format spec .12f.
+    """
+    parts = [_HEADER + "\n"]
     for curve in curves:
-        for i, u, p in zip(curve.i_tx, curve.u_tx, curve.p_in):
-            out.write(f"{curve.label},{i:.12f},{u:.12f},{p:.12f}\n")
-    return out.getvalue()
+        row = curve.label.replace("%", "%%") + ",%.12f,%.12f,%.12f\n"
+        values = np.column_stack([curve.i_tx, curve.u_tx, curve.p_in]).ravel().tolist()
+        parts.append((row * len(curve.i_tx)) % tuple(values))
+    return "".join(parts)
 
 
 def curves_from_csv(text: str) -> list[CharacteristicCurve]:
-    """Parse the interchange CSV layout back into curves (grouped by label)."""
+    """Parse the interchange CSV layout back into curves.
+
+    Blank lines are skipped.  Curves come in first-seen label order, and the
+    rows of one label are merged in file order even where labels interleave.
+    A data row that is not a label and three finite numbers raises
+    ValueError naming its line number (and column).
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "label,i_tx_A,u_tx_V,p_in_W":
+    if not lines or lines[0] != _HEADER:
         raise ValueError("missing or malformed curve CSV header")
-    grouped: dict[str, list[tuple[float, float, float]]] = {}
-    order: list[str] = []
-    for ln in lines[1:]:
-        label, i, u, p = ln.split(",")
-        if label not in grouped:
-            grouped[label] = []
-            order.append(label)
-        grouped[label].append((float(i), float(u), float(p)))
+    rows = lines[1:]
+    if not rows:
+        return []
+    runs: list[tuple[str, int]] = []
+    try:
+        # numpy parses the numbers in C, correctly rounded like float()
+        data = np.loadtxt(_numbers(rows, runs), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _row_error(text) from exc
+    if data.shape != (len(rows), 3) or not np.isfinite(data).all():
+        raise _row_error(text)
+    columns = np.ascontiguousarray(data.T)
+    blocks: dict[str, list[np.ndarray]] = {}
+    for (label, start), (_, stop) in zip(runs, runs[1:] + [("", len(rows))]):
+        blocks.setdefault(label, []).append(columns[:, start:stop])
     curves = []
-    for label in order:
-        pts = grouped[label]
-        curves.append(
-            CharacteristicCurve(
-                label=label,
-                i_tx=np.array([p[0] for p in pts]),
-                u_tx=np.array([p[1] for p in pts]),
-                p_in=np.array([p[2] for p in pts]),
-            )
-        )
+    for label, parts in blocks.items():
+        i, u, p = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        try:
+            curves.append(CharacteristicCurve(label=label, i_tx=i, u_tx=u, p_in=p))
+        except ValueError as exc:
+            raise ValueError(f"curves.csv curve {label!r}: {exc}") from exc
     return curves
+
+
+def _numbers(rows: list[str], runs: list[tuple[str, int]]):
+    """Yield each row's text after its label; record (label, first row) per run."""
+    current = None
+    for n, row in enumerate(rows):
+        label, _, rest = row.partition(",")
+        if label != current:
+            runs.append((label, n))
+            current = label
+        # loadtxt skips an empty line (and warns when all are); make it fail instead
+        yield rest or "<missing>"
+
+
+def _row_error(text: str) -> ValueError:
+    """The error naming the first bad data row of a curve CSV."""
+    rows = ((n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip())
+    next(rows)  # the header
+    for lineno, line in rows:
+        fields = line.split(",")
+        if len(fields) != len(_COLUMNS):
+            return ValueError(
+                f"curves.csv line {lineno}: expected {len(_COLUMNS)} comma-separated "
+                f"fields, got {len(fields)}"
+            )
+        for column, field in zip(_COLUMNS[1:], fields[1:]):
+            try:
+                # loadtxt takes neither the underscores nor the non-ASCII digits of float()
+                if not field.isascii() or "_" in field:
+                    raise ValueError(field)
+                value = float(field)
+            except ValueError:
+                return ValueError(
+                    f"curves.csv line {lineno}, column {column}: not a number: {field!r}"
+                )
+            if not math.isfinite(value):
+                return ValueError(
+                    f"curves.csv line {lineno}, column {column}: non-finite value {field!r}"
+                )
+    return ValueError("curves.csv: a data row does not parse as a label and three numbers")

@@ -75,7 +75,11 @@ class ThresholdModel:
         return self.u_slope * i_tx + self.u_intercept
 
     def p_threshold(self, i_tx: float) -> float:
-        return float(np.polynomial.polynomial.polyval(i_tx, self.p_poly))
+        # Horner's rule in polyval's order, so the result is bit-identical
+        acc = 0.0
+        for coeff in reversed(self.p_poly):
+            acc = acc * i_tx + coeff
+        return acc
 
     def to_json(self) -> str:
         return json.dumps(

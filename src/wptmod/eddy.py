@@ -221,14 +221,21 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     """Load the material database, keyed by lowercase name and aliases.
 
     With no path, the bundled database seeded from standard metal
-    properties (Cu, Al, Fe) is used.
+    properties (Cu, Al, Fe) is used.  A file that cannot be read or is not
+    JSON raises ValueError naming the path.
     """
     if path is None:
         text = resources.files("wptmod.data").joinpath("materials.json").read_text()
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    entries = json.loads(text)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read material database {path!r}: {exc}") from exc
+    try:
+        entries = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"material database {path!r} is not valid JSON: {exc}") from exc
     db: dict[str, MetalMaterial] = {}
     for entry in entries:
         rng = entry.get("mu_r_range")

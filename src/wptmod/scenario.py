@@ -70,6 +70,14 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     return _finite(_require(section, key, where), f"{where}.{key}", integer)
 
 
+def _positive(section: dict, key: str, where: str) -> float:
+    """A required number that must be strictly positive."""
+    value = _number(section, key, where)
+    if not value > 0:
+        raise ScenarioError(f"{where}.{key} must be > 0, got {value!r}")
+    return value
+
+
 def _label(entry: dict, where: str, seen: set[str]) -> str:
     """Receiver label, unique within its class and safe as a curves.csv field."""
     label = _require(entry, "label", where)
@@ -177,9 +185,10 @@ def parse_scenario(raw: dict) -> Scenario:
         },
         "scenario",
     )
-    freq = _number(raw, "frequency_hz", "scenario")
-    if not freq > 0.0:
-        raise ScenarioError("frequency_hz must be > 0")
+    freq = _positive(raw, "frequency_hz", "scenario")
+    materials_db = raw.get("materials_db")
+    if materials_db is not None and not isinstance(materials_db, str):
+        raise ScenarioError(f"scenario.materials_db must be a string, got {materials_db!r}")
 
     tx_raw = _require(raw, "transmitter", "scenario")
     _check_keys(
@@ -188,7 +197,7 @@ def parse_scenario(raw: dict) -> Scenario:
         "transmitter",
     )
     tx = TransmitterSpec(
-        half_side_m=_number(tx_raw, "half_side_m", "transmitter"),
+        half_side_m=_positive(tx_raw, "half_side_m", "transmitter"),
         turns=_number(tx_raw, "turns", "transmitter", integer=True),
         resistance_ohm=_number(tx_raw, "resistance_ohm", "transmitter"),
         inductance_h=_number(tx_raw, "inductance_h", "transmitter"),
@@ -216,11 +225,11 @@ def parse_scenario(raw: dict) -> Scenario:
             ReceiverCoilSpec(
                 label=_label(entry, where, seen),
                 load_ohm=_number(entry, "load_ohm", where),
-                half_side_m=_number(entry, "half_side_m", where),
+                half_side_m=_positive(entry, "half_side_m", where),
                 turns=_number(entry, "turns", where, integer=True),
                 resistance_ohm=_number(entry, "resistance_ohm", where),
                 inductance_h=_number(entry, "inductance_h", where),
-                distance_m=_number(entry, "distance_m", where),
+                distance_m=_positive(entry, "distance_m", where),
                 capacitance_f=_number(entry, "capacitance_f", where, None),
             )
         )
@@ -239,8 +248,8 @@ def parse_scenario(raw: dict) -> Scenario:
             MetalPlateSpec(
                 label=label,
                 material=material,
-                half_side_m=_number(entry, "half_side_m", where),
-                distance_m=_number(entry, "distance_m", where),
+                half_side_m=_positive(entry, "half_side_m", where),
+                distance_m=_positive(entry, "distance_m", where),
                 mu_r=_number(entry, "mu_r", where, None),
             )
         )
@@ -284,7 +293,7 @@ def parse_scenario(raw: dict) -> Scenario:
             sweep=sweep,
             noise=noise,
             detection=detection,
-            materials_db=raw.get("materials_db"),
+            materials_db=materials_db,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

@@ -1,5 +1,7 @@
+import io
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -188,6 +190,39 @@ class TestNoise:
             assert sample.p_in == max(p * (1.0 + eps_p), 0.0)
 
 
+HEADER = "label,i_tx_A,u_tx_V,p_in_W"
+
+
+def reference_to_csv(curves):
+    """The row-by-row writer the bulk one must match byte for byte."""
+    out = io.StringIO()
+    out.write(HEADER + "\n")
+    for curve in curves:
+        for i, u, p in zip(curve.i_tx, curve.u_tx, curve.p_in):
+            out.write(f"{curve.label},{i:.12f},{u:.12f},{p:.12f}\n")
+    return out.getvalue()
+
+
+def reference_from_csv(text):
+    """The row-by-row parser: (label, i, u, p) per label in first-seen order."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    assert lines[0] == HEADER
+    grouped: dict[str, list[tuple[float, float, float]]] = {}
+    for ln in lines[1:]:
+        label, i, u, p = ln.split(",")
+        grouped.setdefault(label, []).append((float(i), float(u), float(p)))
+    return [(label, *(np.array(col) for col in zip(*pts))) for label, pts in grouped.items()]
+
+
+def assert_matches_reference(curves, text):
+    ref = reference_from_csv(text)
+    assert [c.label for c in curves] == [r[0] for r in ref]
+    for curve, (_, i, u, p) in zip(curves, ref):
+        for got, want in ((curve.i_tx, i), (curve.u_tx, u), (curve.p_in, p)):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
 class TestCsv:
     def test_header_and_format(self):
         curve = CharacteristicCurve("coil:a", [1.0, 2.0], [0.5, 1.0], [0.25, 1.0])
@@ -211,3 +246,138 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             curves_from_csv("nope\n1,2,3,4\n")
+
+    def test_matches_reference_on_repro_curves(self, repro_curves):
+        text = curves_to_csv(repro_curves)
+        assert text == reference_to_csv(repro_curves)
+        assert_matches_reference(curves_from_csv(text), text)
+
+    def test_header_only(self):
+        assert curves_from_csv(HEADER + "\n") == []
+        assert curves_from_csv("\n  \n" + HEADER) == []
+
+    def test_interleaved_labels_merge_in_first_seen_order(self):
+        text = "\n".join(
+            [HEADER, "b,0,1,2", "a,0,3,4", "b,1,5,6", "b,2,7,8", "a,1,9,10", "c,0,0,0", "a,2,1,1"]
+        )
+        curves = curves_from_csv(text)
+        assert [c.label for c in curves] == ["b", "a", "c"]
+        assert curves[0].u_tx.tolist() == [1.0, 5.0, 7.0]
+        assert curves[1].p_in.tolist() == [4.0, 10.0, 1.0]
+        assert_matches_reference(curves, text)
+
+    def test_blank_and_whitespace_lines_skipped(self):
+        text = f"\n \t\n{HEADER}\r\nx,0,1,2\n\n   \nx,1,2,3\r\n\t\ny,0,0,0\n"
+        curves = curves_from_csv(text)
+        assert [(c.label, len(c.i_tx)) for c in curves] == [("x", 2), ("y", 1)]
+        assert_matches_reference(curves, text)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,1,2,nan", "line 4, column p_in_W: non-finite value 'nan'"),
+            ("a,1,-inf,2", "line 4, column u_tx_V: non-finite value '-inf'"),
+            ("a,inf,2,3", "line 4, column i_tx_A: non-finite value 'inf'"),
+            ("a,1,2,3e999", "line 4, column p_in_W: non-finite value '3e999'"),
+            ("a,1,2,x", "line 4, column p_in_W: not a number: 'x'"),
+            ("a,1,,3", "line 4, column u_tx_V: not a number: ''"),
+            ("a,1_0,2,3", "line 4, column i_tx_A: not a number: '1_0'"),
+            ("a,1,2", "line 4: expected 4 comma-separated fields, got 3"),
+            ("a,1,2,3,4", "line 4: expected 4 comma-separated fields, got 5"),
+            ("a,1,2,3,4,5", "line 4: expected 4 comma-separated fields, got 6"),
+            ("a", "line 4: expected 4 comma-separated fields, got 1"),
+            ("a,", "line 4: expected 4 comma-separated fields, got 2"),
+        ],
+        ids=["nan", "neg_inf", "inf", "overflow", "word", "empty", "underscore", "three",
+             "five", "six", "label_only", "label_comma"],
+    )
+    def test_bad_row_names_line_and_column(self, row, message):
+        # the bad row is the fourth line of the file: header, a row, a blank line
+        text = "\n".join([HEADER, "a,0,1,1", "", row, "a,9,1,1"]) + "\n"
+        with pytest.raises(ValueError, match=f"^curves.csv {message}$"):
+            curves_from_csv(text)
+
+    def test_rows_without_numbers_rejected_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on input with no data
+            with pytest.raises(ValueError, match="line 2: expected 4 comma-separated fields"):
+                curves_from_csv("\n".join([HEADER, "a", "b,"]))
+
+    def test_every_row_with_five_fields_rejected(self):
+        text = "\n".join([HEADER, "a,0,1,1,1", "a,1,1,1,1"])
+        with pytest.raises(ValueError, match="line 2: expected 4 comma-separated fields, got 5"):
+            curves_from_csv(text)
+
+    def test_bad_curve_names_label(self):
+        with pytest.raises(ValueError, match="curve 'a': i_tx must be strictly increasing"):
+            curves_from_csv("\n".join([HEADER, "a,1,1,1", "a,1,1,1"]))
+
+
+def _hypothesis():
+    """hypothesis and its strategies; skips the calling test when not installed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis, hypothesis.strategies
+
+
+def _curve_lists(st):
+    """Finite curves with strictly increasing currents under distinct labels."""
+    # curves.csv labels hold no commas and no characters str.splitlines breaks on
+    labels = st.builds(
+        lambda head, tail: head + tail,
+        st.sampled_from(["coil:", "metal:", "%", "%s ", "%(x)d", " é", "µ%%", "ünï ", ""]),
+        st.text(
+            st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters=","),
+            max_size=8,
+        ),
+    )
+    unit = st.floats(0.0, 1e6)
+
+    @st.composite
+    def curve(draw, label):
+        n = draw(st.integers(1, 12))
+        steps = draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n))
+        i = np.cumsum(steps) - steps[0] + draw(unit)
+        u = draw(st.lists(unit, min_size=n, max_size=n))
+        p = draw(st.lists(st.floats(0.0, 1e9) | st.floats(0.0, 1e-9), min_size=n, max_size=n))
+        return CharacteristicCurve(label, i, u, p)
+
+    @st.composite
+    def curves(draw):
+        names = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+        return [draw(curve(label)) for label in names]
+
+    return curves()
+
+
+def test_csv_matches_row_by_row_reference():
+    hypothesis, st = _hypothesis()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(_curve_lists(st))
+    def check(curves):
+        text = curves_to_csv(curves)
+        assert text == reference_to_csv(curves)
+        assert_matches_reference(curves_from_csv(text), text)
+
+    check()
+
+
+def test_parse_is_correctly_rounded():
+    # any ASCII spelling of a float parses to the bits float() gives it
+    hypothesis, st = _hypothesis()
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.lists(st.floats(0.0, 1e300), min_size=2, max_size=60),
+        st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:.20f}", "{:.0f}"]),
+    )
+    def check(values, spelling):
+        half = len(values) // 2
+        rows = [
+            ",".join(["m", str(k), spelling.format(u), spelling.format(p)])
+            for k, (u, p) in enumerate(zip(values[:half], values[half:]))
+        ]
+        text = "\n".join([HEADER, *rows])
+        assert_matches_reference(curves_from_csv(text), text)
+
+    check()

@@ -42,6 +42,18 @@ class TestMaterials:
         assert cli.main(["materials", "unobtainium"]) == cli.EXIT_VALIDATION
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content", [None, "[{", IsADirectoryError], ids=["missing", "not_json", "directory"]
+    )
+    def test_bad_db_names_path(self, tmp_path, capsys, content):
+        db = tmp_path / "db.json"
+        if content is IsADirectoryError:
+            db.mkdir()
+        elif content is not None:
+            db.write_text(content)
+        assert cli.main(["materials", "--db", str(db)]) == cli.EXIT_VALIDATION
+        assert f"material database {str(db)!r}" in capsys.readouterr().err
+
 
 class TestCouplingsCommand:
     def test_artifact(self, tmp_path, capsys):
@@ -107,6 +119,24 @@ class TestCurvesFitDetect:
         assert data["degree"] == 2
         assert data["i_min_gate_A"] == 3.0
         assert len(data["p_poly_W_per_A_n"]) == 3
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("nan", "line 4, column p_in_W: non-finite value 'nan'"),
+            ("1e", "line 4, column p_in_W: not a number: '1e'"),
+            ("0.5,0.5", "line 4: expected 4 comma-separated fields, got 5"),
+        ],
+        ids=["nan", "unparsable", "extra_field"],
+    )
+    def test_fit_rejects_bad_curve_row(self, pipeline_out, tmp_path, capsys, cell, message):
+        lines = (pipeline_out / "curves.csv").read_text().splitlines()
+        label, i, u, _ = lines[3].split(",")
+        lines[3] = ",".join([label, i, u, cell])
+        (tmp_path / "curves.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["fit", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "threshold.json").exists()
 
     def test_fit_requires_curves(self, tmp_path, capsys):
         assert cli.main(["fit", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
@@ -185,9 +215,31 @@ class TestScenarioValidation:
             (lambda d: d["noise"].update(relative_sigma=float("nan")), "noise.relative_sigma"),
             (lambda d: d["sweep"].update(i_max_a=10**400), "sweep.i_max_a"),
             (lambda d: d["detection"]["test_currents_a"].append("9"), "test_currents_a[3]"),
+            (
+                lambda d: d["receiver_coils"][0].update(distance_m=0),
+                "receiver_coils[0].distance_m must be > 0, got 0",
+            ),
+            (
+                lambda d: d["metal_plates"][0].update(distance_m=-0.1),
+                "metal_plates[0].distance_m must be > 0, got -0.1",
+            ),
+            (
+                lambda d: d["receiver_coils"][1].update(half_side_m=0.0),
+                "receiver_coils[1].half_side_m must be > 0, got 0.0",
+            ),
+            (
+                lambda d: d["metal_plates"][2].update(half_side_m=-1),
+                "metal_plates[2].half_side_m must be > 0, got -1",
+            ),
+            (
+                lambda d: d["transmitter"].update(half_side_m=0),
+                "transmitter.half_side_m must be > 0, got 0",
+            ),
+            (lambda d: d.update(frequency_hz=-5), "scenario.frequency_hz must be > 0, got -5"),
         ],
         ids=["steps_float", "freq_str", "turns_str", "load_bool", "gate_null", "sigma_nan",
-             "huge_int", "current_str"],
+             "huge_int", "current_str", "coil_distance_zero", "plate_distance_negative",
+             "coil_side_zero", "plate_side_negative", "tx_side_zero", "freq_negative"],
     )
     def test_bad_number_names_key(self, tmp_path, capsys, edit, key):
         code = self._curves(tmp_path, edit)
@@ -207,9 +259,10 @@ class TestScenarioValidation:
             (lambda d: d.update(metal_plates={"a": 1}), "metal_plates must be a list"),
             (lambda d: d.update(receiver_coils="coil"), "receiver_coils must be a list"),
             (lambda d: d["detection"].update(test_currents_a=3.0), "test_currents_a must be a list"),
+            (lambda d: d.update(materials_db=5), "scenario.materials_db must be a string, got 5"),
         ],
         ids=["dup_coil", "dup_plate", "comma", "newline", "label_int", "material_int", "tx_int",
-             "plates_object", "coils_str", "currents_float"],
+             "plates_object", "coils_str", "currents_float", "materials_db_int"],
     )
     def test_bad_name_or_section_rejected(self, tmp_path, capsys, edit, message):
         code = self._curves(tmp_path, edit)
@@ -241,6 +294,11 @@ class TestScenarioValidation:
         path.write_text(json.dumps(raw))
         for verb in ("impedance", "couplings"):
             assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_missing_materials_db_names_path(self, tmp_path, capsys):
+        db = str(tmp_path / "nope.json")
+        assert self._curves(tmp_path, lambda d: d.update(materials_db=db)) == cli.EXIT_VALIDATION
+        assert f"cannot read material database {db!r}" in capsys.readouterr().err
 
     def test_same_label_across_classes_allowed(self, tmp_path):
         edit = lambda d: d["metal_plates"][0].update(label="load_1.5ohm")  # noqa: E731

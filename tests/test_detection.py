@@ -180,6 +180,16 @@ class TestBatch:
             evaluate_batch([], model)
 
 
+def test_p_threshold_matches_polyval_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        degree = int(rng.integers(1, 7))
+        coeffs = rng.normal(0.0, 1.0, degree + 1) * 10.0 ** rng.uniform(-9.0, 3.0, degree + 1)
+        model = ThresholdModel(1.0, 0.0, tuple(coeffs), degree)
+        for i in np.concatenate([[0.0, 3.0], rng.uniform(0.0, 50.0, 30)]).tolist():
+            assert model.p_threshold(i) == float(np.polynomial.polynomial.polyval(i, coeffs))
+
+
 class TestModelSerialization:
     def test_round_trip_bit_exact(self):
         metal, coil = separable_training()
