@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_power, transmitter_voltages
+from .schema import finite, integer, key, keyed
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,13 @@ class CharacteristicCurve:
             raise ValueError("u_tx and p_in must be nonnegative")
 
 
+@keyed
 @dataclass(frozen=True)
 class NoiseSpec:
     """Multiplicative relative Gaussian noise, reproducible from the seed."""
 
-    relative_sigma: float = 0.01
-    seed: int = 0
+    relative_sigma: float = key(finite, 0.01, ge=0)
+    seed: int = key(integer, 0, ge=0)
 
     def __post_init__(self):
         if self.relative_sigma < 0.0:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import characteristics, detection, eddy, magnetics, scenario
 from .errors import ConvergenceError, NonSeparableDataError, ScenarioError
+from .schema import read_key
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -25,6 +27,17 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _override(args, name: str, section, default):
+    """The flag overriding key `name` of the spec class section, or default.
+
+    The flag is read with that key's kind and bounds, and errors name the flag.
+    """
+    value = getattr(args, name)
+    if value is None:
+        return default
+    return read_key(section, name, value, "--" + name.replace("_", "-"))
 
 
 def cmd_materials(args) -> int:
@@ -102,8 +115,8 @@ def cmd_fit(args) -> int:
     curves = characteristics.curves_from_csv(curves_path.read_text())
     metal = [c for c in curves if c.label.startswith("metal:")]
     coil = [c for c in curves if c.label.startswith("coil:")]
-    degree = args.degree if args.degree is not None else sc.detection.degree
-    gate = args.gate_amps if args.gate_amps is not None else sc.detection.gate_amps
+    degree = _override(args, "degree", scenario.DetectionSection, sc.detection.degree)
+    gate = _override(args, "gate_amps", scenario.DetectionSection, sc.detection.gate_amps)
     model = detection.fit_thresholds(metal, coil, degree=degree, i_min_gate=gate)
     path = _out_dir(args) / "threshold.json"
     path.write_text(model.to_json() + "\n")
@@ -132,11 +145,10 @@ def cmd_detect(args) -> int:
         )
         return EXIT_VALIDATION
     model = detection.ThresholdModel.from_json(threshold_path.read_text())
-    if args.gate_amps is not None:
-        model = detection.ThresholdModel(
-            model.u_slope, model.u_intercept, model.p_poly, model.degree, args.gate_amps
-        )
-    triples = scenario.generate_test_samples(sc, seed=args.seed)
+    gate = _override(args, "gate_amps", scenario.DetectionSection, model.i_min_gate)
+    model = replace(model, i_min_gate=gate)
+    seed = _override(args, "seed", characteristics.NoiseSpec, sc.noise.seed)
+    triples = scenario.generate_test_samples(sc, seed=seed)
     labeled = [(true, sample) for true, _, sample in triples]
     report = detection.evaluate_batch(labeled, model)
     for row, (_, name, _) in zip(report["samples"], triples):

@@ -67,8 +67,8 @@ class ThresholdModel:
             raise ValueError("degree must be >= 1")
         if len(self.p_poly) != self.degree + 1:
             raise ValueError("p_poly must have degree + 1 coefficients")
-        if not self.i_min_gate > 0.0:
-            raise ValueError("i_min_gate must be > 0")
+        if not 0.0 < self.i_min_gate < math.inf:
+            raise ValueError(f"i_min_gate must be finite and > 0, got {self.i_min_gate!r}")
         object.__setattr__(self, "p_poly", tuple(float(c) for c in self.p_poly))
 
     def u_threshold(self, i_tx: float) -> float:
@@ -182,11 +182,14 @@ def fit_thresholds(
     upper envelope and the coil lower envelope: a least-squares line in the
     U-I plane and a polynomial of the given degree in the P-I plane.
     Raises NonSeparableDataError when the class envelopes overlap at 10% or
-    more of the grid points above the gate.
+    more of the grid points above the gate, and ValueError when the degree
+    is not below the grid's point count (an underdetermined fit).
     """
     if not metal_curves or not coil_curves:
         raise ValueError("need at least one metal and one coil curve")
     grid = _common_grid(metal_curves, coil_curves)
+    if not degree < grid.size:
+        raise ValueError(f"degree must be < {grid.size}, the grid's point count, got {degree}")
     u_metal, p_metal = _resample(metal_curves, grid)
     u_coil, p_coil = _resample(coil_curves, grid)
     u_hi = u_metal.max(axis=0)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .magnetics import MU0
+from .schema import finite, key, keyed, read, string
 
 # max of |J1| on the real line, used for the truncation tail bound
 _J1_SUP = 0.5819
@@ -217,12 +218,25 @@ def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> EddyImpedance:
     return EddyImpedance(r_m=w * math.pi * MU0 * raw.imag, l_m=math.pi * MU0 * raw.real)
 
 
+@keyed
+@dataclass(frozen=True)
+class _Entry:
+    """One material database entry, keyed as the JSON file spells it."""
+
+    name: str = key(string)
+    conductivity_S_per_m: float = key(finite, gt=0)
+    mu_r: float = key(finite, 1.0, ge=1)
+    mu_r_range: tuple[float, float] | None = key((finite, finite), None, ge=1)
+    aliases: tuple[str, ...] = key([string], ())
+
+
 def load_materials(path=None) -> dict[str, MetalMaterial]:
     """Load the material database, keyed by lowercase name and aliases.
 
     With no path, the bundled database seeded from standard metal
-    properties (Cu, Al, Fe) is used.  A file that cannot be read or is not
-    JSON raises ValueError naming the path.
+    properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
+    JSON or holds a malformed entry raises ValueError naming the path (and
+    the entry's key).
     """
     if path is None:
         text = resources.files("wptmod.data").joinpath("materials.json").read_text()
@@ -237,14 +251,8 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"material database {path!r} is not valid JSON: {exc}") from exc
     db: dict[str, MetalMaterial] = {}
-    for entry in entries:
-        rng = entry.get("mu_r_range")
-        mat = MetalMaterial(
-            name=entry["name"],
-            conductivity=entry["conductivity_S_per_m"],
-            rel_permeability=entry.get("mu_r", 1.0),
-            rel_permeability_range=tuple(rng) if rng else None,
-        )
-        for key in [entry["name"], *entry.get("aliases", [])]:
-            db[key.lower()] = mat
+    for entry in read([_Entry], entries, f"material database {path!r}: entry"):
+        mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)
+        for name in (entry.name, *entry.aliases):
+            db[name.lower()] = mat
     return db

@@ -1,7 +1,9 @@
 """Scenario files: human-editable JSON binding geometry to the pipeline.
 
 Keys carry explicit units in their names; unknown keys are rejected so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default.  Each spec class below
+declares its keys once, as fields with their kind, default and bounds
+(wptmod.schema), and parse_scenario reads them all in one pass.
 """
 
 from __future__ import annotations
@@ -19,134 +21,75 @@ from .characteristics import NoiseSpec, SweepSpec, evaluate_point
 from .circuit import DriveSpec, MetalReceiver, TxCoil, couplings_from_coaxial
 from .detection import Sample
 from .errors import ScenarioError
+from .schema import finite, integer, key, keyed, read, string, unique_label
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{where} must be an object, got {section!r}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
+# the most points one sweep may hold: each point is a curves.csv row of
+# about 60 bytes per receiver, so this bounds the sweep arrays and the file
+MAX_STEPS = 100_000
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ScenarioError(f"missing key {key!r} in {where}")
-    return section[key]
-
-
-def _finite(value, where: str, integer: bool = False):
-    """value as a finite number (an integer if asked); bools are rejected."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not abs(value) <= sys.float_info.max  # also rejects nan and huge ints
-        or (integer and value != int(value))
-    ):
-        kind = "an integer" if integer else "a finite number"
-        raise ScenarioError(f"{where} must be {kind}, got {value!r}")
-    return int(value) if integer else value
-
-
-def _list(section: dict, key: str, where: str, default=()) -> list:
-    """section[key], which must be a list; an absent key gives the default."""
-    value = section.get(key, list(default))
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}.{key} must be a list, got {value!r}")
-    return value
-
-
-_REQUIRED = object()
-
-
-def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
-    """section[key] read by _finite; an absent optional key gives the default.
-
-    Keys whose default is None also take an explicit null.
-    """
-    optional = default is not _REQUIRED
-    if optional and (key not in section or (default is None and section[key] is None)):
-        return default
-    return _finite(_require(section, key, where), f"{where}.{key}", integer)
-
-
-def _positive(section: dict, key: str, where: str) -> float:
-    """A required number that must be strictly positive."""
-    value = _number(section, key, where)
-    if not value > 0:
-        raise ScenarioError(f"{where}.{key} must be > 0, got {value!r}")
-    return value
-
-
-def _label(entry: dict, where: str, seen: set[str]) -> str:
-    """Receiver label, unique within its class and safe as a curves.csv field."""
-    label = _require(entry, "label", where)
-    # curves.csv splits rows on line boundaries and fields on commas
-    if not isinstance(label, str) or "," in label or "".join(label.splitlines()) != label:
-        raise ScenarioError(
-            f"{where}.label must be a string without commas or line breaks, got {label!r}"
-        )
-    if label in seen:
-        raise ScenarioError(f"duplicate label {label!r} at {where}")
-    seen.add(label)
-    return label
-
-
+@keyed
 @dataclass(frozen=True)
 class TransmitterSpec:
-    half_side_m: float
-    turns: int
-    resistance_ohm: float
-    inductance_h: float
-    capacitance_f: float | None = None
+    half_side_m: float = key(finite, gt=0)
+    turns: int = key(integer, ge=1)
+    resistance_ohm: float = key(finite, gt=0)
+    inductance_h: float = key(finite, gt=0)
+    capacitance_f: float | None = key(finite, None, gt=0)
 
 
+@keyed
 @dataclass(frozen=True)
 class ReceiverCoilSpec:
-    label: str
-    load_ohm: float
-    half_side_m: float
-    turns: int
-    resistance_ohm: float
-    inductance_h: float
-    distance_m: float
-    capacitance_f: float | None = None
+    label: str = key(unique_label)
+    load_ohm: float = key(finite, gt=0)
+    half_side_m: float = key(finite, gt=0)
+    turns: int = key(integer, ge=1)
+    resistance_ohm: float = key(finite, gt=0)
+    inductance_h: float = key(finite, gt=0)
+    distance_m: float = key(finite, gt=0)
+    capacitance_f: float | None = key(finite, None, gt=0)
 
 
+@keyed
 @dataclass(frozen=True)
 class MetalPlateSpec:
-    label: str
-    material: str
-    half_side_m: float
-    distance_m: float
-    mu_r: float | None = None
+    label: str = key(unique_label)
+    material: str = key(string)
+    half_side_m: float = key(finite, gt=0)
+    distance_m: float = key(finite, gt=0)
+    mu_r: float | None = key(finite, None, ge=1)
 
 
+@keyed
 @dataclass(frozen=True)
 class SweepSection:
-    i_min_a: float
-    i_max_a: float
-    steps: int
-    azimuth_rad: float
+    i_min_a: float = key(finite, ge=0)
+    i_max_a: float = key(finite)  # > i_min_a, checked by parse_scenario
+    steps: int = key(integer, ge=2, le=MAX_STEPS)
+    azimuth_rad: float = key(finite)
 
 
+@keyed
 @dataclass(frozen=True)
 class DetectionSection:
-    degree: int = 2
-    gate_amps: float = 3.0
-    test_currents_a: tuple[float, ...] = (3.0, 6.0, 9.0)
+    degree: int = key(integer, 2, ge=1)
+    gate_amps: float = key(finite, 3.0, gt=0)
+    test_currents_a: tuple[float, ...] = key([finite], (3.0, 6.0, 9.0), ge=0)
 
 
-@dataclass(frozen=True)
+@keyed
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    frequency_hz: float
-    transmitter: TransmitterSpec
-    receiver_coils: tuple[ReceiverCoilSpec, ...]
-    metal_plates: tuple[MetalPlateSpec, ...]
-    sweep: SweepSection
-    noise: NoiseSpec
-    detection: DetectionSection
-    materials_db: str | None = None
+    frequency_hz: float = key(finite, gt=0)
+    transmitter: TransmitterSpec = key(TransmitterSpec)
+    receiver_coils: tuple[ReceiverCoilSpec, ...] = key([ReceiverCoilSpec], ())
+    metal_plates: tuple[MetalPlateSpec, ...] = key([MetalPlateSpec], ())
+    sweep: SweepSection = key(SweepSection)
+    noise: NoiseSpec = key(NoiseSpec, NoiseSpec())
+    detection: DetectionSection = key(DetectionSection, DetectionSection())
+    materials_db: str | None = key(string, None)
 
     @property
     def omega(self) -> float:
@@ -171,153 +114,39 @@ def load_scenario(path=None) -> Scenario:
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    _check_keys(
-        raw,
-        {
-            "frequency_hz",
-            "transmitter",
-            "receiver_coils",
-            "metal_plates",
-            "sweep",
-            "noise",
-            "detection",
-            "materials_db",
-        },
-        "scenario",
-    )
-    freq = _positive(raw, "frequency_hz", "scenario")
-    materials_db = raw.get("materials_db")
-    if materials_db is not None and not isinstance(materials_db, str):
-        raise ScenarioError(f"scenario.materials_db must be a string, got {materials_db!r}")
-
-    tx_raw = _require(raw, "transmitter", "scenario")
-    _check_keys(
-        tx_raw,
-        {"half_side_m", "turns", "resistance_ohm", "inductance_h", "capacitance_f"},
-        "transmitter",
-    )
-    tx = TransmitterSpec(
-        half_side_m=_positive(tx_raw, "half_side_m", "transmitter"),
-        turns=_number(tx_raw, "turns", "transmitter", integer=True),
-        resistance_ohm=_number(tx_raw, "resistance_ohm", "transmitter"),
-        inductance_h=_number(tx_raw, "inductance_h", "transmitter"),
-        capacitance_f=_number(tx_raw, "capacitance_f", "transmitter", None),
-    )
-
-    coils, seen = [], set()
-    for idx, entry in enumerate(_list(raw, "receiver_coils", "scenario")):
-        where = f"receiver_coils[{idx}]"
-        _check_keys(
-            entry,
-            {
-                "label",
-                "load_ohm",
-                "half_side_m",
-                "turns",
-                "resistance_ohm",
-                "inductance_h",
-                "distance_m",
-                "capacitance_f",
-            },
-            where,
+    """Validate a scenario dict; ScenarioError names the first bad key path."""
+    sc = read(Scenario, raw, "scenario")
+    if not sc.sweep.i_max_a > sc.sweep.i_min_a:
+        raise ScenarioError(
+            f"scenario.sweep.i_max_a must be > i_min_a {sc.sweep.i_min_a!r}, "
+            f"got {sc.sweep.i_max_a!r}"
         )
-        coils.append(
-            ReceiverCoilSpec(
-                label=_label(entry, where, seen),
-                load_ohm=_number(entry, "load_ohm", where),
-                half_side_m=_positive(entry, "half_side_m", where),
-                turns=_number(entry, "turns", where, integer=True),
-                resistance_ohm=_number(entry, "resistance_ohm", where),
-                inductance_h=_number(entry, "inductance_h", where),
-                distance_m=_positive(entry, "distance_m", where),
-                capacitance_f=_number(entry, "capacitance_f", where, None),
-            )
-        )
-
-    plates, seen = [], set()
-    for idx, entry in enumerate(_list(raw, "metal_plates", "scenario")):
-        where = f"metal_plates[{idx}]"
-        _check_keys(
-            entry, {"label", "material", "half_side_m", "distance_m", "mu_r"}, where
-        )
-        label = _label(entry, where, seen)
-        material = _require(entry, "material", where)
-        if not isinstance(material, str):
-            raise ScenarioError(f"{where}.material must be a string, got {material!r}")
-        plates.append(
-            MetalPlateSpec(
-                label=label,
-                material=material,
-                half_side_m=_positive(entry, "half_side_m", where),
-                distance_m=_positive(entry, "distance_m", where),
-                mu_r=_number(entry, "mu_r", where, None),
-            )
-        )
-
-    sweep_raw = _require(raw, "sweep", "scenario")
-    _check_keys(sweep_raw, {"i_min_a", "i_max_a", "steps", "azimuth_rad"}, "sweep")
-    sweep = SweepSection(
-        i_min_a=_number(sweep_raw, "i_min_a", "sweep"),
-        i_max_a=_number(sweep_raw, "i_max_a", "sweep"),
-        steps=_number(sweep_raw, "steps", "sweep", integer=True),
-        azimuth_rad=_number(sweep_raw, "azimuth_rad", "sweep"),
-    )
-
-    noise_raw = raw.get("noise", {})
-    _check_keys(noise_raw, {"relative_sigma", "seed"}, "noise")
-    try:
-        noise = NoiseSpec(
-            relative_sigma=_number(noise_raw, "relative_sigma", "noise", 0.01),
-            seed=_number(noise_raw, "seed", "noise", 0, integer=True),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    det_raw = raw.get("detection", {})
-    _check_keys(det_raw, {"degree", "gate_amps", "test_currents_a"}, "detection")
-    currents = _list(det_raw, "test_currents_a", "detection", (3.0, 6.0, 9.0))
-    detection = DetectionSection(
-        degree=_number(det_raw, "degree", "detection", 2, integer=True),
-        gate_amps=_number(det_raw, "gate_amps", "detection", 3.0),
-        test_currents_a=tuple(
-            _finite(v, f"detection.test_currents_a[{j}]") for j, v in enumerate(currents)
-        ),
-    )
-
-    try:
-        return Scenario(
-            frequency_hz=freq,
-            transmitter=tx,
-            receiver_coils=tuple(coils),
-            metal_plates=tuple(plates),
-            sweep=sweep,
-            noise=noise,
-            detection=detection,
-            materials_db=materials_db,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return sc
 
 
 # -- builders binding a scenario to the physics modules ----------------------
 
 
+def _capacitance(sc: Scenario, part: TransmitterSpec | ReceiverCoilSpec) -> float:
+    """part's capacitance_f, or the one resonant with its inductance_h at the frequency."""
+    if part.capacitance_f is not None:
+        return part.capacitance_f
+    # 1 / (w^2 L) is finite and nonzero only while w^2 L neither underflows nor overflows
+    if not 1.0 / sys.float_info.max < sc.omega * sc.omega * part.inductance_h < math.inf:
+        raise ScenarioError(
+            f"scenario.frequency_hz {sc.frequency_hz!r} leaves no finite resonant "
+            f"capacitance for inductance_h {part.inductance_h!r}; give capacitance_f"
+        )
+    return circuit.resonant_capacitance(part.inductance_h, sc.omega)
+
+
 def build_tx_coil(sc: Scenario) -> TxCoil:
     t = sc.transmitter
-    cap = t.capacitance_f
-    if cap is None:
-        cap = circuit.resonant_capacitance(t.inductance_h, sc.omega)
-    try:
-        return TxCoil(t.resistance_ohm, t.inductance_h, cap)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
 
 
 def tx_loop(sc: Scenario) -> magnetics.SquareLoop:
-    try:
-        return magnetics.SquareLoop(sc.transmitter.half_side_m, sc.transmitter.turns)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return magnetics.SquareLoop(sc.transmitter.half_side_m, sc.transmitter.turns)
 
 
 def coil_pair(sc: Scenario, spec: ReceiverCoilSpec) -> magnetics.CoaxialPair:
@@ -342,10 +171,9 @@ def plate_coupling(sc: Scenario, spec: MetalPlateSpec) -> float:
 
 def plate_material(sc: Scenario, spec: MetalPlateSpec) -> eddy.MetalMaterial:
     db = eddy.load_materials(sc.materials_db)
-    key = spec.material.lower()
-    if key not in db:
+    mat = db.get(spec.material.lower())
+    if mat is None:
         raise ScenarioError(f"unknown material {spec.material!r}")
-    mat = db[key]
     if spec.mu_r is not None:
         mat = eddy.MetalMaterial(mat.name, mat.conductivity, spec.mu_r)
     return mat
@@ -368,18 +196,12 @@ def plate_receiver(sc: Scenario, spec: MetalPlateSpec) -> MetalReceiver:
 
 
 def coil_receiver(sc: Scenario, spec: ReceiverCoilSpec) -> circuit.CoilReceiver:
-    cap = spec.capacitance_f
-    if cap is None:
-        cap = circuit.resonant_capacitance(spec.inductance_h, sc.omega)
-    try:
-        return circuit.CoilReceiver(
-            resistance=spec.resistance_ohm,
-            inductance=spec.inductance_h,
-            capacitance=cap,
-            load=spec.load_ohm,
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return circuit.CoilReceiver(
+        resistance=spec.resistance_ohm,
+        inductance=spec.inductance_h,
+        capacitance=_capacitance(sc, spec),
+        load=spec.load_ohm,
+    )
 
 
 def build_sweeps(sc: Scenario) -> list[SweepSpec]:

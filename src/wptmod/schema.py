@@ -1,0 +1,120 @@
+"""Frozen dataclasses as the schema of the JSON they are read from.
+
+Each field of a spec class is declared once, by `key`: its JSON kind, its
+default (a field without one is a required key; a None default also takes
+an explicit null) and its bounds.  `read` walks those declarations in one
+pass and raises ScenarioError naming the key path of the first value that
+is unknown, missing, of the wrong kind, out of bounds or a repeated label.
+
+A kind is one of the reader functions below, a spec class (an object),
+[kind] (a list of any length) or (kind, kind) (a list of exactly two).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import operator
+import sys
+
+from .errors import ScenarioError
+
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le)}
+
+
+def key(kind, default=dataclasses.MISSING, **bounds):
+    """A spec field: its kind, its default (none: required) and gt/ge/le bounds.
+
+    The bounds of a list hold for each of its items.
+    """
+    checks = tuple((*_BOUNDS[op], limit) for op, limit in bounds.items())
+    return dataclasses.field(default=default, metadata={"kind": kind, "bounds": checks})
+
+
+def keyed(cls):
+    """Class decorator, outside @dataclass: build the key table of cls once."""
+    cls._keys = {
+        f.name: (f.metadata["kind"], f.default, f.metadata["bounds"])
+        for f in dataclasses.fields(cls)
+    }
+    return cls
+
+
+def _number(value) -> bool:
+    # bools are not numbers; also rejects nan, infinities and huge ints
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def finite(value, where: str):
+    if not _number(value):
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def integer(value, where: str) -> int:
+    if not (_number(value) and value == int(value)):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def unique_label(value, where: str) -> str:
+    """A string unique within its list and safe as a curves.csv field."""
+    # curves.csv splits rows on line boundaries and fields on commas
+    if not isinstance(value, str) or "," in value or "".join(value.splitlines()) != value:
+        raise ScenarioError(
+            f"{where} must be a string without commas or line breaks, got {value!r}"
+        )
+    return value
+
+
+def read(kind, value, where: str, bounds=(), seen=None):
+    """value read as kind and checked against bounds; where names it in errors.
+
+    seen holds the labels already read from the enclosing list.
+    """
+    if isinstance(kind, (list, tuple)):
+        if not isinstance(value, list) or isinstance(kind, tuple) and len(value) != len(kind):
+            size = f" of {len(kind)}" if isinstance(kind, tuple) else ""
+            raise ScenarioError(f"{where} must be a list{size}, got {value!r}")
+        seen = set()
+        return tuple(read(kind[0], v, f"{where}[{i}]", bounds, seen) for i, v in enumerate(value))
+    value = _object(kind, value, where, seen) if isinstance(kind, type) else kind(value, where)
+    for symbol, holds, limit in bounds:
+        if not holds(value, limit):
+            raise ScenarioError(f"{where} must be {symbol} {limit}, got {value!r}")
+    return value
+
+
+def read_key(cls, name: str, value, where: str):
+    """value read with the kind and bounds of key `name` of the spec class cls."""
+    kind, _, bounds = cls._keys[name]
+    return read(kind, value, where, bounds)
+
+
+def _object(cls, obj, where: str, seen):
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {obj!r}")
+    unknown = obj.keys() - cls._keys.keys()
+    if unknown:
+        raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
+    values = {}
+    for name, (kind, default, bounds) in cls._keys.items():
+        if name not in obj:
+            if default is dataclasses.MISSING:
+                raise ScenarioError(f"{where}.{name} is missing")
+        elif obj[name] is not None or default is not None:
+            value = values[name] = read(kind, obj[name], f"{where}.{name}", bounds)
+            if kind is unique_label:
+                if value in seen:
+                    raise ScenarioError(f"duplicate label {value!r} at {where}")
+                seen.add(value)
+    return cls(**values)

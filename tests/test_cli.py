@@ -43,16 +43,37 @@ class TestMaterials:
         assert "not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "content", [None, "[{", IsADirectoryError], ids=["missing", "not_json", "directory"]
+        "content, key",
+        [
+            (None, ""),
+            ("[{", ""),
+            (IsADirectoryError, ""),
+            ("[{}]", "entry[0].name is missing"),
+            ('{"a": 1}', "entry must be a list, got {'a': 1}"),
+            ('[{"name": "x", "conductivity_S_per_m": "5"}]', "entry[0].conductivity_S_per_m"),
+            ('[{"name": 3, "conductivity_S_per_m": 5}]', "entry[0].name must be a string"),
+            (
+                '[{"name": "x", "conductivity_S_per_m": 5, "aliases": "xy"}]',
+                "entry[0].aliases must be a list, got 'xy'",
+            ),
+            (
+                '[{"name": "x", "conductivity_S_per_m": 5, "mu_r_range": [300]}]',
+                "entry[0].mu_r_range must be a list of 2, got [300]",
+            ),
+        ],
+        ids=["missing", "not_json", "directory", "entry_empty", "object", "sigma_str",
+             "name_int", "aliases_str", "range_short"],
     )
-    def test_bad_db_names_path(self, tmp_path, capsys, content):
+    def test_bad_db_names_path(self, tmp_path, capsys, content, key):
         db = tmp_path / "db.json"
         if content is IsADirectoryError:
             db.mkdir()
         elif content is not None:
             db.write_text(content)
         assert cli.main(["materials", "--db", str(db)]) == cli.EXIT_VALIDATION
-        assert f"material database {str(db)!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"material database {str(db)!r}" in err
+        assert key in err
 
 
 class TestCouplingsCommand:
@@ -164,6 +185,29 @@ class TestCurvesFitDetect:
         assert cli.main(["detect", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--gate-amps", "inf"], "--gate-amps must be a finite number, got inf"),
+            (["fit", "--gate-amps", "0"], "--gate-amps must be > 0, got 0.0"),
+            (["fit", "--degree", "40"], "degree must be < 21, the grid's point count, got 40"),
+            (["fit", "--degree", "0"], "--degree must be >= 1, got 0"),
+            (["detect", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["detect", "--gate-amps", "nan"], "--gate-amps must be a finite number, got nan"),
+        ],
+        ids=["fit_gate_inf", "fit_gate_zero", "fit_degree_40", "fit_degree_zero",
+             "detect_seed_negative", "detect_gate_nan"],
+    )
+    def test_bad_flag_names_flag(self, pipeline_out, tmp_path, capsys, argv, message):
+        for name in ("curves.csv", "threshold.json"):
+            (tmp_path / name).write_bytes((pipeline_out / name).read_bytes())
+        assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "threshold.json").read_bytes() == (
+            pipeline_out / "threshold.json"
+        ).read_bytes()
+        assert not (tmp_path / "report.json").exists()
+
     def test_detect_report(self, pipeline_out, capsys):
         assert cli.main(["detect", "--out", str(pipeline_out)]) == cli.EXIT_OK
         out_text = capsys.readouterr().out
@@ -236,10 +280,18 @@ class TestScenarioValidation:
                 "transmitter.half_side_m must be > 0, got 0",
             ),
             (lambda d: d.update(frequency_hz=-5), "scenario.frequency_hz must be > 0, got -5"),
+            # w^2 L underflows to 0, so the resonant capacitance 1 / (w^2 L) does not exist
+            (lambda d: d.update(frequency_hz=1e-300), "scenario.frequency_hz 1e-300"),
+            # 10**9 points would ask for gigabytes
+            (
+                lambda d: d["sweep"].update(steps=10**9),
+                "sweep.steps must be <= 100000, got 1000000000",
+            ),
         ],
         ids=["steps_float", "freq_str", "turns_str", "load_bool", "gate_null", "sigma_nan",
              "huge_int", "current_str", "coil_distance_zero", "plate_distance_negative",
-             "coil_side_zero", "plate_side_negative", "tx_side_zero", "freq_negative"],
+             "coil_side_zero", "plate_side_negative", "tx_side_zero", "freq_negative",
+             "freq_underflow", "steps_huge"],
     )
     def test_bad_number_names_key(self, tmp_path, capsys, edit, key):
         code = self._curves(tmp_path, edit)

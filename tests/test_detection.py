@@ -90,6 +90,13 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_thresholds(metal, [])
 
+    def test_degree_below_grid_points(self):
+        # 21 grid points determine a polynomial of degree 20 at most
+        metal, coil = separable_training()
+        assert fit_thresholds(metal, coil, degree=20).degree == 20
+        with pytest.raises(ValueError, match="degree must be < 21, the grid's point count"):
+            fit_thresholds(metal, coil, degree=21)
+
     def test_mismatched_grids_resampled(self):
         metal = [
             curve("metal:a", lambda i: 0.5 * i, lambda i: 0.05 * i**2,
@@ -209,6 +216,11 @@ class TestModelSerialization:
             ThresholdModel(1.0, 0.0, (1.0, 2.0), degree=0)
         with pytest.raises(ValueError):
             ThresholdModel(1.0, 0.0, (1.0, 2.0), degree=1, i_min_gate=0.0)
+
+    @pytest.mark.parametrize("gate", [float("inf"), float("nan")])
+    def test_non_finite_gate_rejected(self, gate):
+        with pytest.raises(ValueError, match="i_min_gate must be finite and > 0"):
+            ThresholdModel(1.0, 0.0, (1.0, 2.0), degree=1, i_min_gate=gate)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
