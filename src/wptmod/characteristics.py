@@ -29,7 +29,7 @@ class SweepSpec:
     drive: DriveSpec  # template; amplitude is overridden per sweep point
     receiver: Receiver
     couplings: Couplings
-    tx: TxCoil | None = None
+    tx: TxCoil
     label: str = ""
 
     def __post_init__(self):

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import EquivalenceViolationError, SingularityError
 
-DEFAULT_FREQUENCY_HZ = 20e3
-DEFAULT_OMEGA = 2.0 * math.pi * DEFAULT_FREQUENCY_HZ
+DEFAULT_OMEGA = 2.0 * math.pi * 20e3  # [rad/s], the 20 kHz operating frequency
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,11 @@ class TxCoil:
     def reactance(self, omega: float) -> float:
         return omega * self.inductance - 1.0 / (omega * self.capacitance)
 
-    def is_resonant(self, omega: float, rel_tol: float = 1e-9) -> bool:
-        return abs(self.reactance(omega)) <= rel_tol * omega * self.inductance
-
     def impedance(self, omega: float) -> complex:
         return self.resistance + 1j * self.reactance(omega)
 
 
-def resonant_capacitance(inductance: float, omega: float = DEFAULT_OMEGA) -> float:
+def resonant_capacitance(inductance: float, omega: float) -> float:
     """Series capacitance that nulls the branch reactance at omega."""
     return 1.0 / (omega * omega * inductance)
 
@@ -90,6 +86,8 @@ class MetalReceiver:
     l_m: float  # [H]
 
     def __post_init__(self):
+        if not (math.isfinite(self.r_m) and math.isfinite(self.l_m)):
+            raise ValueError("r_m and l_m must be finite")
         if self.r_m < 0.0:
             raise ValueError("r_m must be >= 0")
 
@@ -111,7 +109,6 @@ class DriveSpec:
     angular_frequency: float = DEFAULT_OMEGA
     amplitude: float = 0.0  # [A], composite current I
     steering: float = 0.0  # [rad]
-    phase_offset: float = 0.0  # [rad]
 
     def __post_init__(self):
         if self.amplitude < 0.0:
@@ -168,7 +165,7 @@ class PhasorSolution:
     u_a: complex
     u_b: complex
     p_in: float
-    omega: float = DEFAULT_OMEGA
+    omega: float
     drive: DriveSpec | None = None
     couplings: Couplings | None = None
     receiver: Receiver | None = None
@@ -184,8 +181,8 @@ def current_decomposition(drive: DriveSpec) -> tuple[float, float]:
     )
 
 
-def _receiver_branch(drive: DriveSpec, couplings: Couplings, rx: Receiver):
-    z2 = rx.impedance(drive.angular_frequency)
+def _receiver_impedance(rx: Receiver, omega: float) -> complex:
+    z2 = rx.impedance(omega)
     if z2 == 0.0:
         raise SingularityError("receiver impedance is zero")
     return z2
@@ -193,8 +190,8 @@ def _receiver_branch(drive: DriveSpec, couplings: Couplings, rx: Receiver):
 
 def receiver_current(drive: DriveSpec, couplings: Couplings, rx: Receiver) -> complex:
     """Receiver current phasor induced by the steered transmitter drive."""
-    z2 = _receiver_branch(drive, couplings, rx)
     w = drive.angular_frequency
+    z2 = _receiver_impedance(rx, w)
     eff = couplings.magnitude * math.sin(drive.steering + couplings.axis_angle)
     return 1j * w * drive.amplitude * eff / z2
 
@@ -203,10 +200,9 @@ def input_power(
     drive: DriveSpec,
     couplings: Couplings,
     rx: Receiver,
-    tx: TxCoil | None = None,
+    tx: TxCoil,
 ) -> float:
     """Total input power: transmitter copper loss plus receiver dissipation."""
-    tx = tx or default_tx_coil(omega=drive.angular_frequency)
     i_c = receiver_current(drive, couplings, rx)
     return (
         drive.amplitude**2 * tx.resistance
@@ -218,12 +214,11 @@ def transmitter_voltages(
     drive: DriveSpec,
     couplings: Couplings,
     rx: Receiver,
-    tx: TxCoil | None = None,
+    tx: TxCoil,
 ) -> tuple[complex, complex]:
     """Source voltage phasors on both transmitter coils, reflected term included."""
-    tx = tx or default_tx_coil(omega=drive.angular_frequency)
     w = drive.angular_frequency
-    z2 = _receiver_branch(drive, couplings, rx)
+    z2 = _receiver_impedance(rx, w)
     z_tx = tx.impedance(w)
     proj = couplings.projection(drive.steering)
     s, c = math.sin(drive.steering), math.cos(drive.steering)
@@ -236,10 +231,9 @@ def solve_from_drive(
     drive: DriveSpec,
     couplings: Couplings,
     rx: Receiver,
-    tx: TxCoil | None = None,
+    tx: TxCoil,
 ) -> PhasorSolution:
     """Current-driven operating point of the full two-transmitter system."""
-    tx = tx or default_tx_coil(omega=drive.angular_frequency)
     i_a, i_b = current_decomposition(drive)
     i_c = receiver_current(drive, couplings, rx)
     u_a, u_b = transmitter_voltages(drive, couplings, rx, tx)
@@ -264,22 +258,18 @@ def solve_full_system(
     u_b: complex,
     couplings: Couplings,
     rx: Receiver,
-    tx: TxCoil | tuple[TxCoil, TxCoil] | None = None,
-    omega: float = DEFAULT_OMEGA,
+    tx: TxCoil,
+    omega: float,
 ) -> PhasorSolution:
     """Voltage-driven exact solve of the 3x3 coupled KVL system."""
-    if tx is None:
-        tx = default_tx_coil(omega=omega)
-    tx_a, tx_b = tx if isinstance(tx, tuple) else (tx, tx)
     w = omega
-    z_a = tx_a.impedance(w)
-    z_b = tx_b.impedance(w)
+    z_tx = tx.impedance(w)
     z_c = rx.impedance(w)
     m_ac, m_bc = couplings.m_ac, couplings.m_bc
     a = np.array(
         [
-            [z_a, 0.0, -1j * w * m_ac],
-            [0.0, z_b, -1j * w * m_bc],
+            [z_tx, 0.0, -1j * w * m_ac],
+            [0.0, z_tx, -1j * w * m_bc],
             [1j * w * m_ac, 1j * w * m_bc, -z_c],
         ],
         dtype=complex,
@@ -299,17 +289,17 @@ def solve_full_system(
         omega=omega,
         couplings=couplings,
         receiver=rx,
-        tx=tx_a,
+        tx=tx,
     )
 
 
 def solve_single_coil(
     m: float,
     rx: Receiver,
-    tx: TxCoil | None = None,
+    tx: TxCoil,
+    omega: float,
     u_i: complex | None = None,
     i_1: complex | None = None,
-    omega: float = DEFAULT_OMEGA,
 ) -> PhasorSolution:
     """Operating point of the reduced single-coil model.
 
@@ -319,11 +309,8 @@ def solve_single_coil(
     """
     if (u_i is None) == (i_1 is None):
         raise ValueError("specify exactly one of u_i or i_1")
-    tx = tx or default_tx_coil(omega=omega)
     w = omega
-    z2 = rx.impedance(w)
-    if z2 == 0.0:
-        raise SingularityError("receiver impedance is zero")
+    z2 = _receiver_impedance(rx, w)
     z1 = tx.impedance(w)
     z_total = z1 + (w * m) ** 2 / z2
     if i_1 is None:
@@ -438,17 +425,3 @@ def energy_balance_residual(sol: PhasorSolution) -> float:
     scale = max(abs(sol.p_in), dissipated, 1e-300)
     return abs(sol.p_in - dissipated) / scale
 
-
-def resonant_coil_receiver(
-    resistance: float,
-    load: float,
-    inductance: float = 10e-6,
-    omega: float = DEFAULT_OMEGA,
-) -> CoilReceiver:
-    """Receiver coil resonated at omega with the given copper loss and load."""
-    return CoilReceiver(
-        resistance=resistance,
-        inductance=inductance,
-        capacitance=resonant_capacitance(inductance, omega),
-        load=load,
-    )

@@ -13,6 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import characteristics, detection, eddy, magnetics, scenario
 from .errors import ConvergenceError, NonSeparableDataError, ScenarioError
 from .schema import read_key
@@ -83,10 +85,8 @@ def cmd_couplings(args) -> int:
 def cmd_impedance(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,material,mu_r,half_side_m,distance_m,r_m_ohm,l_m_H"]
-    for spec in sc.metal_plates:
-        mat = scenario.plate_material(sc, spec)
-        geom = scenario.plate_eddy_geometry(sc, spec)
-        imp = eddy.plate_impedance(geom, mat)
+    for spec, mat in zip(sc.metal_plates, scenario.plate_materials(sc)):
+        imp = eddy.plate_impedance(scenario.plate_eddy_geometry(sc, spec), mat)
         rows.append(
             f"{spec.label},{mat.name},{mat.rel_permeability:g},"
             f"{spec.half_side_m:g},{spec.distance_m:g},{imp.r_m:.12e},{imp.l_m:.12e}"
@@ -99,7 +99,13 @@ def cmd_impedance(args) -> int:
 
 def cmd_curves(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    curves = [characteristics.sweep_curve(spec) for spec in scenario.build_sweeps(sc)]
+    sweeps = scenario.build_sweeps(sc)
+    # overflow is detected below, by key, instead of warned about
+    with np.errstate(over="ignore"):
+        curves = [characteristics.sweep_curve(spec) for spec in sweeps]
+    # u = z_u*I and p = r_in*I^2 are largest at the last, highest current
+    if not all(np.isfinite(c.u_tx[-1]) and np.isfinite(c.p_in[-1]) for c in curves):
+        raise ScenarioError(f"scenario.sweep.i_max_a {sc.sweep.i_max_a!r} A overflows the curves")
     path = _out_dir(args) / "curves.csv"
     path.write_text(characteristics.curves_to_csv(curves))
     print(f"wrote {path}")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import CharacteristicCurve
-from .errors import NonSeparableDataError
+from .errors import NonSeparableDataError, ScenarioError
+from .schema import finite, integer, key, keyed, read
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,24 @@ class Verdict:
     u_below: bool | None
     p_below: bool | None
     gated: bool
+
+
+@keyed
+@dataclass(frozen=True)
+class _ULine:
+    slope_V_per_A: float = key(finite)
+    intercept_V: float = key(finite)
+
+
+@keyed
+@dataclass(frozen=True)
+class _ThresholdFile:
+    """threshold.json, keyed as ThresholdModel.to_json writes it."""
+
+    u_line: _ULine = key(_ULine)
+    p_poly_W_per_A_n: tuple[float, ...] = key([finite])
+    degree: int = key(integer, ge=1)
+    i_min_gate_A: float = key(finite, gt=0)
 
 
 @dataclass(frozen=True)
@@ -94,51 +113,16 @@ class ThresholdModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ThresholdModel":
-        """Parse threshold.json; a missing or mistyped key raises ValueError naming it."""
-        data = json.loads(text)
-
-        def get(*path):
-            value = data
-            for depth, key in enumerate(path):
-                if not isinstance(value, dict) or key not in value:
-                    raise ValueError(
-                        f"threshold.json: missing key {'.'.join(path[: depth + 1])!r}"
-                    )
-                value = value[key]
-            return value
-
-        def number(*path):
-            value = get(*path)
-            if not _is_number(value):
-                raise ValueError(
-                    f"threshold.json: {'.'.join(path)!r} must be a finite number, got {value!r}"
-                )
-            return value
-
-        p_poly = get("p_poly_W_per_A_n")
-        if not (isinstance(p_poly, list) and all(_is_number(c) for c in p_poly)):
-            raise ValueError(
-                f"threshold.json: 'p_poly_W_per_A_n' must be a list of finite numbers, "
-                f"got {p_poly!r}"
-            )
-        degree = get("degree")
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise ValueError(f"threshold.json: 'degree' must be an integer, got {degree!r}")
+        """Parse threshold.json; ScenarioError names the first bad key path."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"threshold.json is not valid JSON: {exc}") from exc
+        f = read(_ThresholdFile, data, "threshold.json")
+        line = f.u_line
         return cls(
-            u_slope=number("u_line", "slope_V_per_A"),
-            u_intercept=number("u_line", "intercept_V"),
-            p_poly=tuple(p_poly),
-            degree=degree,
-            i_min_gate=number("i_min_gate_A"),
+            line.slope_V_per_A, line.intercept_V, f.p_poly_W_per_A_n, f.degree, f.i_min_gate_A
         )
-
-
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 def _resample(curves: list[CharacteristicCurve], grid: np.ndarray):

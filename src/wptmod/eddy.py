@@ -23,6 +23,7 @@ from importlib import resources
 
 import numpy as np
 
+from .circuit import MetalReceiver
 from .errors import ConvergenceError
 from .magnetics import MU0
 from .schema import finite, key, keyed, read, string
@@ -73,23 +74,6 @@ class EddyGeometry:
             and self.angular_frequency > 0.0
         ):
             raise ValueError("all EddyGeometry fields must be strictly positive")
-
-
-@dataclass(frozen=True)
-class EddyImpedance:
-    """Equivalent series resistance and inductance of a plate."""
-
-    r_m: float  # [ohm]
-    l_m: float  # [H]
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r_m) and math.isfinite(self.l_m)):
-            raise ValueError("EddyImpedance entries must be finite")
-        if self.r_m < 0.0:
-            raise ValueError("r_m must be >= 0")
-
-    def impedance(self, omega: float) -> complex:
-        return self.r_m + 1j * omega * self.l_m
 
 
 def phi_k(k, geom: EddyGeometry, mat: MetalMaterial):
@@ -199,7 +183,7 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
     return value
 
 
-def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> EddyImpedance:
+def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> MetalReceiver:
     """Evaluate the plate's equivalent (R_m, L_m) by fixed Gauss-Legendre.
 
     The semi-infinite integral is truncated at a k_max certified by the
@@ -215,7 +199,7 @@ def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> EddyImpedance:
     k_need = max(_tail_k_max(geom, raw.imag, floor), _tail_k_max(geom, raw.real, floor))
     if k_need > k_max:
         raw = _spectral_integral(geom, mat, k_need)
-    return EddyImpedance(r_m=w * math.pi * MU0 * raw.imag, l_m=math.pi * MU0 * raw.real)
+    return MetalReceiver(r_m=w * math.pi * MU0 * raw.imag, l_m=math.pi * MU0 * raw.real)
 
 
 @keyed

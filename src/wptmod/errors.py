@@ -22,4 +22,10 @@ class NonSeparableDataError(WptError, ValueError):
 
 
 class ScenarioError(WptError, ValueError):
-    """Scenario file is malformed or violates module invariants."""
+    """An input file is malformed or a value in it is out of bounds.
+
+    Raised for scenario files, the material database and threshold.json, for
+    the flags that override their keys, and for scenario values whose results
+    overflow; the message names the key path.  curves.csv rows raise plain
+    ValueError naming the line.
+    """

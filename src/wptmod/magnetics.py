@@ -50,15 +50,6 @@ class CoaxialPair:
         if int(self.secondary_turns) != self.secondary_turns or self.secondary_turns < 1:
             raise ValueError("secondary_turns must be a positive integer")
 
-    def swapped(self) -> "CoaxialPair":
-        """Same geometry with the roles of the two loops exchanged."""
-        return CoaxialPair(
-            primary=SquareLoop(self.secondary_half_side, self.secondary_turns),
-            secondary_half_side=self.primary.half_side,
-            separation=self.separation,
-            secondary_turns=self.primary.turns,
-        )
-
 
 def _square_contour(half_side: float, z: float, n_per_side: int):
     """Midpoints and directed element vectors of a square contour, n per side."""
@@ -151,16 +142,14 @@ def mutual_inductance_coil_coil_closed(pair: CoaxialPair) -> float:
     consistent form whose radius integral reproduces the plate closed form.
     This is a labeled approximation: it overshoots the exact value of
     mutual_inductance_coaxial_squares by roughly 1.5-2.2x on desk-scale
-    geometry.
+    geometry.  The half-logs are taken of hypot(a +- b, h), which neither
+    underflows nor overflows for any positive h.
     """
     a = pair.primary.half_side
     b = pair.secondary_half_side
     h = pair.separation
-    num = (a + b) ** 2 + h * h
-    den = (a - b) ** 2 + h * h
-    if den == 0.0:
-        raise ZeroDivisionError("singular log: equal loops at zero separation")
-    m = 4.0 * MU0 * b / math.pi * 0.5 * math.log(num / den)
+    log_ratio = math.log(math.hypot(a + b, h)) - math.log(math.hypot(a - b, h))
+    m = 4.0 * MU0 * b / math.pi * log_ratio
     return m * pair.primary.turns * pair.secondary_turns
 
 
@@ -180,14 +169,15 @@ def mutual_inductance_coil_plate(
     a = primary.half_side
     b = plate_half_side
     h = separation
-    log_m = math.log(a * a - 2.0 * a * b + b * b + h * h)
-    log_p = math.log(a * a + 2.0 * a * b + b * b + h * h)
+    # half of log((a -+ b)^2 + h^2), without squaring a tiny h into underflow
+    log_m = math.log(math.hypot(a - b, h))
+    log_p = math.log(math.hypot(a + b, h))
     bracket = (
         a * b
         + a * h * math.atan((a - b) / h)
         - a * h * math.atan((a + b) / h)
-        + (a * a - b * b - h * h) * log_m / 4.0
-        - (a * a - b * b - h * h) * log_p / 4.0
+        + (a * a - b * b - h * h) * log_m / 2.0
+        - (a * a - b * b - h * h) * log_p / 2.0
     )
     return 4.0 * MU0 / math.pi * bracket * primary.turns
 

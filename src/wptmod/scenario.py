@@ -18,7 +18,7 @@ import numpy as np
 
 from . import circuit, eddy, magnetics
 from .characteristics import NoiseSpec, SweepSpec, evaluate_point
-from .circuit import DriveSpec, MetalReceiver, TxCoil, couplings_from_coaxial
+from .circuit import DriveSpec, TxCoil, couplings_from_coaxial
 from .detection import Sample
 from .errors import ScenarioError
 from .schema import finite, integer, key, keyed, read, string, unique_label
@@ -169,14 +169,18 @@ def plate_coupling(sc: Scenario, spec: MetalPlateSpec) -> float:
     )
 
 
-def plate_material(sc: Scenario, spec: MetalPlateSpec) -> eddy.MetalMaterial:
+def plate_materials(sc: Scenario) -> list[eddy.MetalMaterial]:
+    """The material of each metal plate, from one read of the database."""
     db = eddy.load_materials(sc.materials_db)
-    mat = db.get(spec.material.lower())
-    if mat is None:
-        raise ScenarioError(f"unknown material {spec.material!r}")
-    if spec.mu_r is not None:
-        mat = eddy.MetalMaterial(mat.name, mat.conductivity, spec.mu_r)
-    return mat
+    mats = []
+    for spec in sc.metal_plates:
+        mat = db.get(spec.material.lower())
+        if mat is None:
+            raise ScenarioError(f"unknown material {spec.material!r}")
+        if spec.mu_r is not None:
+            mat = eddy.MetalMaterial(mat.name, mat.conductivity, spec.mu_r)
+        mats.append(mat)
+    return mats
 
 
 def plate_eddy_geometry(sc: Scenario, spec: MetalPlateSpec) -> eddy.EddyGeometry:
@@ -188,11 +192,6 @@ def plate_eddy_geometry(sc: Scenario, spec: MetalPlateSpec) -> eddy.EddyGeometry
         plate_distance=spec.distance_m,
         angular_frequency=sc.omega,
     )
-
-
-def plate_receiver(sc: Scenario, spec: MetalPlateSpec) -> MetalReceiver:
-    imp = eddy.plate_impedance(plate_eddy_geometry(sc, spec), plate_material(sc, spec))
-    return MetalReceiver(r_m=imp.r_m, l_m=imp.l_m)
 
 
 def coil_receiver(sc: Scenario, spec: ReceiverCoilSpec) -> circuit.CoilReceiver:
@@ -218,8 +217,12 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
         (f"coil:{spec.label}", coil_coupling(sc, spec), coil_receiver(sc, spec))
         for spec in sc.receiver_coils
     ] + [
-        (f"metal:{spec.label}", plate_coupling(sc, spec), plate_receiver(sc, spec))
-        for spec in sc.metal_plates
+        (
+            f"metal:{spec.label}",
+            plate_coupling(sc, spec),
+            eddy.plate_impedance(plate_eddy_geometry(sc, spec), mat),
+        )
+        for spec, mat in zip(sc.metal_plates, plate_materials(sc))
     ]
     return [
         SweepSpec(
@@ -245,17 +248,27 @@ def generate_test_samples(
     by independent (1 + eps) factors, clipped at 0; one draw of shape
     (receivers, currents, 2) fixes the receiver-major, current-minor order,
     so a seed pins the whole batch.  Pass precomputed sweeps to skip
-    rebuilding couplings and impedances.
+    rebuilding couplings and impedances.  Raises ScenarioError naming the
+    test currents or the noise level when a test point overflows.
     """
     sweeps = build_sweeps(sc) if sweeps is None else sweeps
     currents = sc.detection.test_currents_a
     rng = np.random.default_rng(sc.noise.seed if seed is None else seed)
     eps = rng.normal(0.0, sc.noise.relative_sigma, (len(sweeps), len(currents), 2))
+    # overflow is detected below, by key, instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = np.array([evaluate_point(sweep, currents) for sweep in sweeps])
+        noisy = np.maximum(clean * (1.0 + eps.transpose(0, 2, 1)), 0.0)
+    if not np.isfinite(clean).all():
+        raise ScenarioError(
+            f"scenario.detection.test_currents_a {max(currents)!r} A overflows the test points"
+        )
+    if not np.isfinite(noisy).all():
+        raise ScenarioError(
+            f"scenario.noise.relative_sigma {sc.noise.relative_sigma!r} overflows the test points"
+        )
     samples = []
-    for sweep, eps_r in zip(sweeps, eps):
+    for sweep, (u, p) in zip(sweeps, noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)
-        u, p = evaluate_point(sweep, currents)
-        u = np.maximum(u * (1.0 + eps_r[:, 0]), 0.0).tolist()
-        p = np.maximum(p * (1.0 + eps_r[:, 1]), 0.0).tolist()
         samples += [(true_label, name, Sample(*row)) for row in zip(currents, u, p)]
     return samples

@@ -17,17 +17,23 @@ from wptmod.characteristics import (
     sweep_curve,
 )
 from wptmod.circuit import (
+    CoilReceiver,
     Couplings,
     DriveSpec,
     MetalReceiver,
     default_tx_coil,
-    resonant_coil_receiver,
+    resonant_capacitance,
     solve_from_drive,
     transmitter_voltages,
 )
 from wptmod.scenario import generate_test_samples, load_scenario
 
 OMEGA = 2.0 * math.pi * 20e3
+
+
+def resonant_coil_receiver(resistance, load):
+    """10 uH receiver coil resonated at OMEGA with the given copper loss and load."""
+    return CoilReceiver(resistance, 10e-6, resonant_capacitance(10e-6, OMEGA), load)
 
 
 def make_spec(m_ac=0.0, m_bc=0.0, theta=math.pi / 4, r_tx=0.1, label="x"):
@@ -131,6 +137,7 @@ class TestSweepShapes:
                 drive=DriveSpec(OMEGA, 1.0, 0.0),
                 receiver=resonant_coil_receiver(0.1, 4.5),
                 couplings=Couplings(0.0, 0.0),
+                tx=default_tx_coil(),
             )
         with pytest.raises(ValueError):
             CharacteristicCurve("x", [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])

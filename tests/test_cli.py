@@ -168,22 +168,53 @@ class TestCurvesFitDetect:
         assert "missing upstream artifact" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit, key",
+        "edit, message",
         [
-            (lambda d: d.pop("p_poly_W_per_A_n"), "p_poly_W_per_A_n"),
-            (lambda d: d["u_line"].pop("intercept_V"), "u_line.intercept_V"),
-            (lambda d: d.update(degree="2"), "degree"),
-            (lambda d: d.update(i_min_gate_A=None), "i_min_gate_A"),
-            (lambda d: d.update(u_line=[1.0, 2.0]), "u_line.slope_V_per_A"),
+            (lambda d: d.pop("p_poly_W_per_A_n"), "threshold.json.p_poly_W_per_A_n is missing"),
+            (lambda d: d["u_line"].pop("intercept_V"), "threshold.json.u_line.intercept_V is missing"),
+            (lambda d: d.update(degree="2"), "threshold.json.degree must be an integer, got '2'"),
+            (
+                lambda d: d.update(i_min_gate_A=None),
+                "threshold.json.i_min_gate_A must be a finite number, got None",
+            ),
+            (
+                lambda d: d.update(u_line=[1.0, 2.0]),
+                "threshold.json.u_line must be an object, got [1.0, 2.0]",
+            ),
         ],
         ids=["no_p_poly", "no_intercept", "degree_str", "gate_null", "u_line_list"],
     )
-    def test_detect_bad_threshold_names_key(self, pipeline_out, tmp_path, capsys, edit, key):
+    def test_detect_bad_threshold_names_key(self, pipeline_out, tmp_path, capsys, edit, message):
         data = json.loads((pipeline_out / "threshold.json").read_text())
         edit(data)
         (tmp_path / "threshold.json").write_text(json.dumps(data))
         assert cli.main(["detect", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
-        assert repr(key) in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["detection"].update(test_currents_a=[1e308]),
+                "scenario.detection.test_currents_a 1e+308 A overflows the test points",
+            ),
+            (
+                lambda d: d["noise"].update(relative_sigma=1e308),
+                "scenario.noise.relative_sigma 1e+308 overflows the test points",
+            ),
+        ],
+        ids=["currents_1e308", "sigma_1e308"],
+    )
+    def test_detect_overflow_names_key(self, pipeline_out, tmp_path, capsys, edit, message):
+        raw = _bundled()
+        edit(raw)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        (tmp_path / "threshold.json").write_bytes((pipeline_out / "threshold.json").read_bytes())
+        code = cli.main(["detect", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -364,6 +395,13 @@ class TestScenarioValidation:
         path.write_text(json.dumps(raw))
         return cli.main(["curves", "--scenario", str(path), "--out", str(tmp_path / "o")])
 
+    def test_curves_overflow_names_i_max(self, tmp_path, capsys):
+        # the P-I column r_in * I^2 overflows long before I itself does
+        code = self._curves(tmp_path, lambda d: d["sweep"].update(i_max_a=1e308))
+        assert code == cli.EXIT_VALIDATION
+        assert "scenario.sweep.i_max_a 1e+308 A overflows the curves" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "curves.csv").exists()
+
     def test_missing_file(self, tmp_path):
         code = cli.main(
             ["curves", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -385,6 +423,17 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, wptmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    # the package root re-exports nothing, so a verb may import only what it needs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, wptmod; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from wptmod import cli, eddy
+from wptmod.circuit import MetalReceiver
 from wptmod.eddy import (
     EddyGeometry,
-    EddyImpedance,
     MetalMaterial,
     bessel_j1,
     geometry_factor,
@@ -259,9 +259,9 @@ class TestTypesAndDatabase:
 
     def test_impedance_invariants(self):
         with pytest.raises(ValueError):
-            EddyImpedance(-1e-6, 1e-9)
+            MetalReceiver(-1e-6, 1e-9)
         with pytest.raises(ValueError):
-            EddyImpedance(float("nan"), 1e-9)
+            MetalReceiver(float("nan"), 1e-9)
 
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):

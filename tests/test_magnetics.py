@@ -1,3 +1,7 @@
+import json
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -21,8 +25,9 @@ class TestNeumann:
 
     def test_reciprocity(self):
         pair = CoaxialPair(SquareLoop(0.23, 2), 0.11, 0.17, secondary_turns=4)
+        swapped = CoaxialPair(SquareLoop(0.11, 4), 0.23, 0.17, secondary_turns=2)
         m1 = mutual_inductance_neumann(pair)
-        m2 = mutual_inductance_neumann(pair.swapped())
+        m2 = mutual_inductance_neumann(swapped)
         assert m1 == pytest.approx(m2, rel=1e-3)
 
     def test_turns_scaling_exact(self):
@@ -73,9 +78,8 @@ class TestCoaxialSquares:
     @pytest.mark.parametrize("a, b, h, n1, n2", GEOMETRIES)
     def test_swap_exact(self, a, b, h, n1, n2):
         pair = CoaxialPair(SquareLoop(a, n1), b, h, secondary_turns=n2)
-        assert mutual_inductance_coaxial_squares(pair) == mutual_inductance_coaxial_squares(
-            pair.swapped()
-        )
+        swapped = CoaxialPair(SquareLoop(b, n2), a, h, secondary_turns=n1)
+        assert mutual_inductance_coaxial_squares(pair) == mutual_inductance_coaxial_squares(swapped)
 
     def test_turns_scaling_exact(self):
         base = CoaxialPair(SquareLoop(0.164), 0.1, 0.2)
@@ -113,6 +117,19 @@ class TestClosedForms:
     def test_singular_log(self):
         with pytest.raises(ValueError):
             CoaxialPair(SquareLoop(0.1), 0.1, 0.0)
+
+    @pytest.mark.parametrize("distance", [1e-160, 1e-300])
+    def test_couplings_finite_for_equal_loops_almost_touching(self, tmp_path, distance):
+        # (a - b)^2 + h^2 is subnormal at 1e-160 and 0 at 1e-300; hypot(a - b, h) is neither
+        raw = json.loads(resources.files("wptmod.data").joinpath("paper_repro.json").read_text())
+        assert raw["receiver_coils"][0]["half_side_m"] == raw["transmitter"]["half_side_m"]
+        raw["receiver_coils"][0]["distance_m"] = distance
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["couplings", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "couplings.csv").read_text().splitlines()]
+        values = [float(v) for row in rows[1:] for v in row[2:4]]
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
 
     def test_plate_closed_vs_integration(self):
         for a in (0.05, 0.1, 0.2, 0.35, 0.5):

@@ -1,9 +1,9 @@
 """Validation cases generated from the declared keys of every spec class.
 
-For each field of each spec class, reached through the bundled scenario (or
-the bundled material database), a value of the wrong kind, the removal of a
-required key and a value just past each declared bound must exit 2 with a
-message naming the key path.
+For each field of each spec class, reached through the bundled scenario, the
+bundled material database or a fitted threshold.json, a value of the wrong
+kind, the removal of a required key and a value just past each declared
+bound must exit 2 with a message naming the key path.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ from importlib import resources
 
 import pytest
 
-from wptmod import cli, eddy, schema
+from wptmod import cli, detection, eddy, schema
 from wptmod.scenario import Scenario
 
 _REMOVE = object()
@@ -113,6 +113,15 @@ _ROADMAP = [
 
 SCENARIO_CASES = [*_cases(Scenario, ("scenario",)), *_ROADMAP]
 MATERIAL_CASES = list(_cases(eddy._Entry, ("entry", 0)))
+THRESHOLD_CASES = [
+    *_cases(detection._ThresholdFile, ("threshold.json",)),
+    (
+        "threshold.json-unknown",
+        ("threshold.json", "extra"),
+        1,
+        "unknown keys in threshold.json: ['extra']",
+    ),
+]
 
 
 def _edit(raw, path, value):
@@ -150,3 +159,30 @@ def test_material_key_named(tmp_path, capsys, path, value, message):
     assert cli.main(["materials", "--db", str(db)]) == cli.EXIT_VALIDATION
     assert f"material database {str(db)!r}: {message}" in capsys.readouterr().err
 
+
+
+def _detect(tmp_path, text: str) -> int:
+    """detect on the bundled scenario with threshold.json holding text."""
+    (tmp_path / "threshold.json").write_text(text)
+    return cli.main(["detect", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "path, value, message", [c[1:] for c in THRESHOLD_CASES], ids=[c[0] for c in THRESHOLD_CASES]
+)
+def test_threshold_key_named(tmp_path, capsys, repro_curves, path, value, message):
+    model = detection.fit_thresholds(
+        [c for c in repro_curves if c.label.startswith("metal:")],
+        [c for c in repro_curves if c.label.startswith("coil:")],
+    )
+    raw = {"threshold.json": json.loads(model.to_json())}
+    _edit(raw, path, value)
+    assert _detect(tmp_path, json.dumps(raw["threshold.json"])) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_threshold_not_json(tmp_path, capsys):
+    assert _detect(tmp_path, '{"degree": 2,') == cli.EXIT_VALIDATION
+    assert "threshold.json is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
