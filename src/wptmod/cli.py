@@ -85,8 +85,8 @@ def cmd_couplings(args) -> int:
 def cmd_impedance(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,material,mu_r,half_side_m,distance_m,r_m_ohm,l_m_H"]
-    for spec, mat in zip(sc.metal_plates, scenario.plate_materials(sc)):
-        imp = eddy.plate_impedance(scenario.plate_eddy_geometry(sc, spec), mat)
+    for index, (spec, mat) in enumerate(zip(sc.metal_plates, scenario.plate_materials(sc))):
+        imp = scenario.plate_impedance(sc, index, mat)
         rows.append(
             f"{spec.label},{mat.name},{mat.rel_permeability:g},"
             f"{spec.half_side_m:g},{spec.distance_m:g},{imp.r_m:.12e},{imp.l_m:.12e}"

@@ -4,6 +4,9 @@ Training takes labeled characteristic curves for both classes, fits a line
 in the U-I plane and a polynomial in the P-I plane through the midpoints
 between the metal upper envelope and the coil lower envelope, and gates
 verdicts below a minimum transmitter current where noise dominates.
+
+One decision rule, classify_arrays, classifies (I, U, P) points held in
+arrays; classify and evaluate_batch are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -11,13 +14,18 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .characteristics import CharacteristicCurve
 from .errors import NonSeparableDataError, ScenarioError
 from .schema import finite, integer, key, keyed, read
+
+
+_SAMPLE_RANGE = "sample values must be finite and >= 0"
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,24 @@ class Sample:
     p_in: float
 
     def __post_init__(self):
-        if self.i_tx < 0.0 or self.u_tx < 0.0 or self.p_in < 0.0:
-            raise ValueError("sample values must be >= 0")
+        # NaN fails every comparison, so it fails this too
+        if not (
+            0.0 <= self.i_tx < math.inf
+            and 0.0 <= self.u_tx < math.inf
+            and 0.0 <= self.p_in < math.inf
+        ):
+            raise ValueError(_SAMPLE_RANGE)
+
+    @classmethod
+    def prechecked(cls, i_tx: float, u_tx: float, p_in: float) -> "Sample":
+        """A Sample without the per-object check, for values the caller has
+        already checked to be finite and >= 0 (as a whole array, say)."""
+        sample = object.__new__(cls)
+        fields = sample.__dict__
+        fields["i_tx"] = i_tx
+        fields["u_tx"] = u_tx
+        fields["p_in"] = p_in
+        return sample
 
 
 class Label(enum.Enum):
@@ -90,10 +114,15 @@ class ThresholdModel:
             raise ValueError(f"i_min_gate must be finite and > 0, got {self.i_min_gate!r}")
         object.__setattr__(self, "p_poly", tuple(float(c) for c in self.p_poly))
 
-    def u_threshold(self, i_tx: float) -> float:
+    def u_threshold(self, i_tx):
+        """The U-I threshold at i_tx, a float or a float array.
+
+        numpy rounds each element as Python rounds one float, so a point's
+        threshold does not depend on the batch it is in; likewise p_threshold.
+        """
         return self.u_slope * i_tx + self.u_intercept
 
-    def p_threshold(self, i_tx: float) -> float:
+    def p_threshold(self, i_tx):
         # Horner's rule in polyval's order, so the result is bit-identical
         acc = 0.0
         for coeff in reversed(self.p_poly):
@@ -119,6 +148,11 @@ class ThresholdModel:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"threshold.json is not valid JSON: {exc}") from exc
         f = read(_ThresholdFile, data, "threshold.json")
+        if len(f.p_poly_W_per_A_n) != f.degree + 1:
+            raise ScenarioError(
+                f"threshold.json.p_poly_W_per_A_n must have degree + 1 = {f.degree + 1} "
+                f"entries, got {len(f.p_poly_W_per_A_n)}"
+            )
         line = f.u_line
         return cls(
             line.slope_V_per_A, line.intercept_V, f.p_poly_W_per_A_n, f.degree, f.i_min_gate_A
@@ -203,23 +237,57 @@ def fit_thresholds(
     )
 
 
-def classify(sample: Sample, model: ThresholdModel) -> Verdict:
-    """Classify one sample; strictly below both thresholds means metal.
+class Decisions(NamedTuple):
+    """The decision rule's outcome for an array of points, one entry per point.
 
-    On-threshold values count as the coil side; samples under the current
-    gate or with disagreeing sub-tests come back indeterminate.
+    label holds Label values ("metal", "coil", "indeterminate").  u_below and
+    p_below are computed for every point, but a gated point's label ignores
+    them.
     """
-    if sample.i_tx < model.i_min_gate:
+
+    label: np.ndarray
+    gated: np.ndarray
+    u_below: np.ndarray
+    p_below: np.ndarray
+
+
+# the label of a point whose two sub-tests agree, indexed by u_below
+_AGREED = np.array([Label.COIL.value, Label.METAL.value])
+
+
+def classify_arrays(i_tx, u_tx, p_in, model: ThresholdModel) -> Decisions:
+    """The decision rule, over arrays of measured points.
+
+    Strictly below both threshold curves means metal, on or above both means
+    coil (an on-threshold value counts as the coil side), and disagreeing
+    sub-tests or a current under the gate give indeterminate.  The thresholds
+    come from ThresholdModel.u_threshold and p_threshold applied to the whole
+    array, which round as they do for one float.  Raises ValueError unless
+    every value is finite and >= 0.
+    """
+    i, u, p = (np.asarray(a, dtype=float) for a in (i_tx, u_tx, p_in))
+    for a in (i, u, p):
+        if not np.all((a >= 0.0) & (a < math.inf)):
+            raise ValueError(_SAMPLE_RANGE)
+    # a threshold that overflows compares as the scalar float one does
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_below = u < model.u_threshold(i)
+        p_below = p < model.p_threshold(i)
+    gated = i < model.i_min_gate
+    undecided = gated | (u_below != p_below)
+    label = np.where(undecided, Label.INDETERMINATE.value, _AGREED[u_below.astype(int)])
+    return Decisions(label, gated, u_below, p_below)
+
+
+def classify(sample: Sample, model: ThresholdModel) -> Verdict:
+    """Classify one sample by classify_arrays' rule.
+
+    A gated sample reports None for u_below and p_below.
+    """
+    d = classify_arrays(sample.i_tx, sample.u_tx, sample.p_in, model)
+    if d.gated:
         return Verdict(Label.INDETERMINATE, None, None, gated=True)
-    u_below = bool(sample.u_tx < model.u_threshold(sample.i_tx))
-    p_below = bool(sample.p_in < model.p_threshold(sample.i_tx))
-    if u_below and p_below:
-        label = Label.METAL
-    elif not u_below and not p_below:
-        label = Label.COIL
-    else:
-        label = Label.INDETERMINATE
-    return Verdict(label, u_below, p_below, gated=False)
+    return Verdict(Label(d.label[()]), bool(d.u_below), bool(d.p_below), gated=False)
 
 
 def evaluate_batch(
@@ -227,35 +295,40 @@ def evaluate_batch(
 ) -> dict:
     """Aggregate verdict statistics for (true_label, sample) pairs.
 
-    Accuracy is computed over decidable (non-indeterminate) samples;
-    indeterminate verdicts are counted separately.
+    The whole batch is classified in one classify_arrays call.  Accuracy is
+    computed over decidable (non-indeterminate) samples; indeterminate
+    verdicts are counted separately.
     """
     if not samples:
         raise ValueError("sample batch must be non-empty")
-    counts: dict[str, dict[str, int]] = {}
-    detail = []
-    correct = 0
-    decidable = 0
-    for true_label, sample in samples:
-        verdict = classify(sample, model)
-        per_class = counts.setdefault(true_label, {lab.value: 0 for lab in Label})
-        per_class[verdict.label.value] += 1
-        if verdict.label is not Label.INDETERMINATE:
-            decidable += 1
-            if verdict.label.value == true_label:
-                correct += 1
-        detail.append(
-            {
-                "true_label": true_label,
-                "i_tx_A": sample.i_tx,
-                "u_tx_V": sample.u_tx,
-                "p_in_W": sample.p_in,
-                "verdict": verdict.label.value,
-                "u_below": verdict.u_below,
-                "p_below": verdict.p_below,
-                "gated": verdict.gated,
-            }
-        )
+    true = [t for t, _ in samples]
+    i = [s.i_tx for _, s in samples]
+    u = [s.u_tx for _, s in samples]
+    p = [s.p_in for _, s in samples]
+    d = classify_arrays(i, u, p, model)
+    verdicts = d.label.tolist()
+    gated = d.gated.tolist()
+    # a gated sample has no sub-test result
+    u_below = np.where(d.gated, None, d.u_below).tolist()
+    p_below = np.where(d.gated, None, d.p_below).tolist()
+    pairs = Counter(zip(true, verdicts))
+    counts = {t: {lab.value: pairs[t, lab.value] for lab in Label} for t in dict.fromkeys(true)}
+    undecided = sum(c[Label.INDETERMINATE.value] for c in counts.values())
+    decidable = len(samples) - undecided
+    correct = sum(pairs[lab.value, lab.value] for lab in (Label.METAL, Label.COIL))
+    detail = [
+        {
+            "true_label": t,
+            "i_tx_A": ii,
+            "u_tx_V": uu,
+            "p_in_W": pp,
+            "verdict": v,
+            "u_below": ub,
+            "p_below": pb,
+            "gated": g,
+        }
+        for t, ii, uu, pp, v, ub, pb, g in zip(true, i, u, p, verdicts, u_below, p_below, gated)
+    ]
     return {
         "counts": counts,
         "total": len(samples),

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .circuit import MetalReceiver
-from .errors import ConvergenceError
+from .errors import ConvergenceError, WorkLimitError
 from .magnetics import MU0
 from .schema import finite, key, keyed, read, string
 
@@ -39,6 +39,11 @@ _PANEL_PHASE = 24.0
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHECK_NODES, _CHECK_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate([_FINE_NODES, _CHECK_NODES])
+# cap on the J1 sine evaluations (points x trapezoid nodes) of one quadrature
+# pass: about 40 s at the 2.5e7 per second measured on a 2-core Xeon host.
+# It admits a/d up to about 1000 for coil half side a and plate distance d;
+# a/d = 50 takes 2.5e6
+_MAX_J1_WORK = 1e9
 
 
 @dataclass(frozen=True)
@@ -148,10 +153,21 @@ def _panel_edges(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> np.nda
     material response has a pole at |k| = k_s / sqrt(mur^2 - 1) and branch
     points at |k| = k_s.  Below the first uniform edge, panels grow
     geometrically by at most 2x from a quarter of k_s / mur, so that no
-    panel is wide against its distance to either.
+    panel is wide against its distance to either.  Raises WorkLimitError,
+    before any table is allocated, when the J1 work of the panels would pass
+    _MAX_J1_WORK.
     """
-    n = max(_PANELS, math.ceil(2.0 * geom.coil_half_side * k_max / _PANEL_PHASE))
-    edges = np.linspace(0.0, k_max, n + 1)
+    x_max = geom.coil_half_side * k_max
+    n = 2.0 * x_max / _PANEL_PHASE
+    # bessel_j1's node count for x_max, as a float that may be inf
+    work = max(_PANELS, n) * _NODES.size * (x_max + 16.0 + 12.0 * x_max ** (1.0 / 3.0)) / 4.0
+    if not work <= _MAX_J1_WORK:
+        amount = f"about {work:.2g}" if math.isfinite(work) else "over 1e+308"
+        raise WorkLimitError(
+            f"the plate quadrature needs {amount} J1 sine evaluations, "
+            f"over its cap of {_MAX_J1_WORK:.0e}"
+        )
+    edges = np.linspace(0.0, k_max, max(_PANELS, math.ceil(n)) + 1)
     k_s = math.sqrt(
         geom.angular_frequency * mat.conductivity * MU0 * mat.rel_permeability
     )
@@ -188,7 +204,9 @@ def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> MetalReceiver:
 
     The semi-infinite integral is truncated at a k_max certified by the
     exponential tail bound; the truncation point is re-derived once from a
-    first-pass estimate so the tail stays below 1e-12 of the result.
+    first-pass estimate so the tail stays below 1e-12 of the result.  The
+    work grows as (a/d)^2; a plate so close that either pass would pass
+    _MAX_J1_WORK raises WorkLimitError.
     """
     d = geom.plate_distance
     w = geom.angular_frequency

@@ -17,6 +17,10 @@ class EquivalenceViolationError(WptError):
     """Full and reduced circuit solutions are not related by consistent constants."""
 
 
+class WorkLimitError(WptError, ValueError):
+    """A computation would pass a fixed cap on its work; refused before it starts."""
+
+
 class NonSeparableDataError(WptError, ValueError):
     """Training curves overlap too much for a separating threshold fit."""
 

@@ -20,7 +20,7 @@ from . import circuit, eddy, magnetics
 from .characteristics import NoiseSpec, SweepSpec, evaluate_point
 from .circuit import DriveSpec, TxCoil, couplings_from_coaxial
 from .detection import Sample
-from .errors import ScenarioError
+from .errors import ScenarioError, WorkLimitError
 from .schema import finite, integer, key, keyed, read, string, unique_label
 
 
@@ -194,6 +194,23 @@ def plate_eddy_geometry(sc: Scenario, spec: MetalPlateSpec) -> eddy.EddyGeometry
     )
 
 
+def plate_impedance(
+    sc: Scenario, index: int, mat: eddy.MetalMaterial
+) -> circuit.MetalReceiver:
+    """The equivalent series R-L branch of metal plate `index` made of mat.
+
+    Raises ScenarioError naming the plate's distance_m when the plate sits so
+    close that its quadrature would pass eddy's work cap.
+    """
+    spec = sc.metal_plates[index]
+    try:
+        return eddy.plate_impedance(plate_eddy_geometry(sc, spec), mat)
+    except WorkLimitError as exc:
+        raise ScenarioError(
+            f"scenario.metal_plates[{index}].distance_m {spec.distance_m!r} m is too small: {exc}"
+        ) from exc
+
+
 def coil_receiver(sc: Scenario, spec: ReceiverCoilSpec) -> circuit.CoilReceiver:
     return circuit.CoilReceiver(
         resistance=spec.resistance_ohm,
@@ -217,12 +234,8 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
         (f"coil:{spec.label}", coil_coupling(sc, spec), coil_receiver(sc, spec))
         for spec in sc.receiver_coils
     ] + [
-        (
-            f"metal:{spec.label}",
-            plate_coupling(sc, spec),
-            eddy.plate_impedance(plate_eddy_geometry(sc, spec), mat),
-        )
-        for spec, mat in zip(sc.metal_plates, plate_materials(sc))
+        (f"metal:{spec.label}", plate_coupling(sc, spec), plate_impedance(sc, index, mat))
+        for index, (spec, mat) in enumerate(zip(sc.metal_plates, plate_materials(sc)))
     ]
     return [
         SweepSpec(
@@ -267,8 +280,12 @@ def generate_test_samples(
         raise ScenarioError(
             f"scenario.noise.relative_sigma {sc.noise.relative_sigma!r} overflows the test points"
         )
+    # the currents are read as >= 0 and noisy is clipped at 0 and checked finite
+    # above, so each Sample skips its own check
     samples = []
     for sweep, (u, p) in zip(sweeps, noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)
-        samples += [(true_label, name, Sample(*row)) for row in zip(currents, u, p)]
+        samples += [
+            (true_label, name, Sample.prechecked(*row)) for row in zip(currents, u, p)
+        ]
     return samples

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -107,6 +109,24 @@ class TestImpedanceCommand:
         fe = float(rows["fe_0.2m"][5])
         cu = float(rows["cu_0.2m"][5])
         assert fe > 5.0 * cu
+
+    @pytest.mark.parametrize("distance", [1e-6, 1e-300])
+    def test_too_close_plate_refused_at_once(self, tmp_path, capsys, distance):
+        # 1e-6 passes the > 0 bound but needs ~9e12 J1 sine evaluations; 1e-300 overflows
+        raw = _bundled()
+        raw["metal_plates"][1]["distance_m"] = distance
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(raw))
+        start = time.perf_counter()
+        for verb in ("impedance", "curves"):
+            code = cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"scenario.metal_plates[1].distance_m {distance!r} m is too small" in err
+            assert "over its cap of 1e+09" in err
+        assert time.perf_counter() - start < 1.0
+        assert not (tmp_path / "o" / "impedance.csv").exists()
+        assert not (tmp_path / "o" / "curves.csv").exists()
 
 
 class TestCurvesFitDetect:
@@ -267,6 +287,43 @@ class TestCurvesFitDetect:
         assert report["no_decidable_samples"]
         assert report["accuracy"] is None
         assert all(row["gated"] for row in report["samples"])
+
+
+# sha256 of report.json from `detect --seed k`, k = 0..19, on the bundled
+# scenario, as written before evaluate_batch classified a batch in one array
+# call; the float values in a report depend on numpy's float64 arithmetic
+REPORT_SHA256 = [
+    "d657b6935d2413a99704fa614368efb38e936202f009757e6ff0bfbbe3b7d61c",
+    "8841f9418a951e08a4b9bb345dbf5a3b9a31075db0b6759c2ba27f896d3277eb",
+    "d301e0afb3ee6fbcdef58f3311de597e081478e113b33cd372b078e039ed4f0d",
+    "b2bd896bc94d4b1d078ab2cf7e2d25aefd68a6649c48238a51acaa1641901b1a",
+    "b034c43e74e165980f7526ba8e63c39e2a7e3ae646662ddc63b3c655c39e062c",
+    "8069304db5b88b01d37e7c7f98f350a1eaa195bc1c110d202ff3dfea35ad6786",
+    "b87cf285663952686aec4fec21811e97a4e57595a51461a0d77a8c4645002a41",
+    "161c4e34f82426657fd649b426a29ffbd897d71aa8013ecd83b62944b4e0655f",
+    "61b5f206da562b07d57d8370277f0a43eef39d32972d29f14dc3c393d627bcaa",
+    "070be430d25a48be782ba88e293f06d6d8751ba50b8f3bc85491ac7a50422c60",
+    "55bfd321c2226b44c082f1d75f677a98e1212c0c7e4907726df1cb663aa2dc04",
+    "bc55353616e4629318917ed2d28b79f468cd7f0596e50244c0714432fd0d57d9",
+    "ad68ce7319226d4f86f065f320446a6d5a7980f8f6931d3629fbc4374f3d9570",
+    "8b6aebbdb0241a88df17a860412c1c38958baf0f44509b714f858686c56ad01b",
+    "2687125f1fe535f601ba49facb107da87f146b038df8e38eb757804b3412962a",
+    "0ee5221f919c5b46ee10d5abb1cc7a489acad594067cf33bdda9a82e64cf435f",
+    "1f0cc0cf222abe792807d08408d238abfdc7e6b258a2a372044a57927403d89a",
+    "9adfe51eaf7774f2191ccd2c052e0b4cf46ba037ca0b232afb21af5e1d9fa7f4",
+    "faf3b330e53acb8dd9c62f8cf6a70b888db966f34cd1e1a302708d8fc44342a8",
+    "b6b71a0fbdc60cba5ebd7939251ea83ad636f4688bf9dd6df07b0071ade23c3d",
+]
+
+
+def test_detect_reports_byte_identical(tmp_path, capsys):
+    out = str(tmp_path)
+    assert cli.main(["curves", "--out", out]) == cli.EXIT_OK
+    assert cli.main(["fit", "--out", out]) == cli.EXIT_OK
+    for seed, digest in enumerate(REPORT_SHA256):
+        assert cli.main(["detect", "--out", out, "--seed", str(seed)]) == cli.EXIT_OK
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+    capsys.readouterr()
 
 
 class TestScenarioValidation:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,12 @@ from wptmod.detection import (
     Sample,
     ThresholdModel,
     classify,
+    classify_arrays,
     evaluate_batch,
     fit_thresholds,
 )
 from wptmod.errors import NonSeparableDataError
+from wptmod.scenario import generate_test_samples
 
 GRID = np.linspace(0.0, 10.0, 21)
 
@@ -225,3 +230,117 @@ class TestModelSerialization:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             Sample(-1.0, 0.0, 0.0)
+
+
+def scalar_rule(i: float, u: float, p: float, model: ThresholdModel):
+    """The per-sample rule classify applied before the array rule, as the oracle.
+
+    Returns (verdict, u_below, p_below, gated) as a report row holds them.
+    """
+    if i < model.i_min_gate:
+        return "indeterminate", None, None, True
+    u_below = bool(u < model.u_threshold(i))
+    p_below = bool(p < model.p_threshold(i))
+    if u_below and p_below:
+        label = "metal"
+    elif not u_below and not p_below:
+        label = "coil"
+    else:
+        label = "indeterminate"
+    return label, u_below, p_below, False
+
+
+def _row(row: dict):
+    return row["verdict"], row["u_below"], row["p_below"], row["gated"]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "values",
+        [(6.0, math.nan, math.nan), (math.nan, 1.0, 1.0), (6.0, math.inf, 1.0), (6.0, 1.0, -0.5)],
+    )
+    def test_sample_rejects(self, values):
+        with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
+            Sample(*values)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_array_rule_rejects(self, column):
+        model = fit_thresholds(*separable_training())
+        points = [[6.0, 6.0], [1.0, 1.0], [1.0, 1.0]]
+        points[column][1] = math.nan
+        with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
+            classify_arrays(*points, model)
+        # a batch built from prechecked Samples meets the same check
+        batch = [("coil", Sample.prechecked(*point)) for point in zip(*points)]
+        with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
+            evaluate_batch(batch, model)
+
+
+@pytest.mark.parametrize("gate", [None, 6.0])
+def test_batch_matches_scalar_rule_on_acceptance_seeds(
+    repro_scenario, repro_sweeps, repro_curves, gate
+):
+    # the 100 seeds of acceptance criterion 7; a 6 A gate also gates the 3 A points
+    sc = repro_scenario
+    model = fit_thresholds(
+        [c for c in repro_curves if c.label.startswith("metal:")],
+        [c for c in repro_curves if c.label.startswith("coil:")],
+        degree=sc.detection.degree,
+        i_min_gate=sc.detection.gate_amps,
+    )
+    if gate is not None:
+        model = replace(model, i_min_gate=gate)
+    gated = 0
+    for seed in range(100):
+        triples = generate_test_samples(sc, seed=seed, sweeps=repro_sweeps)
+        samples = [s for _, _, s in triples]
+        expected = [scalar_rule(s.i_tx, s.u_tx, s.p_in, model) for s in samples]
+        report = evaluate_batch([(t, s) for t, _, s in triples], model)
+        assert [_row(row) for row in report["samples"]] == expected
+        d = classify_arrays(*zip(*((s.i_tx, s.u_tx, s.p_in) for s in samples)), model)
+        for k, (label, u_below, p_below, is_gated) in enumerate(expected):
+            assert (d.label[k], bool(d.gated[k])) == (label, is_gated)
+            if not is_gated:
+                assert (bool(d.u_below[k]), bool(d.p_below[k])) == (u_below, p_below)
+        gated += sum(e[3] for e in expected)
+    assert gated == (900 if gate else 0)
+
+
+def test_threshold_ties_and_gate_agree_with_scalar_rule():
+    # points exactly on u_threshold(i) and p_threshold(i), one ulp either side,
+    # and at i == i_min_gate: every path gives the scalar rule's verdict
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # nonnegative coefficients keep both thresholds >= 0, where samples live
+    coeff = st.floats(0.0, 2.0)
+
+    @st.composite
+    def models(draw):
+        degree = draw(st.integers(1, 4))
+        coeffs = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+        return ThresholdModel(
+            draw(coeff), draw(coeff), tuple(coeffs), degree, i_min_gate=draw(st.floats(0.01, 20.0))
+        )
+
+    nudge = st.sampled_from([-math.inf, 0.0, math.inf])
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(models(), st.floats(0.0, 50.0), st.booleans(), nudge, nudge)
+    def check(model, i, at_gate, du, dp):
+        i = model.i_min_gate if at_gate else i
+        u_thr, p_thr = model.u_threshold(i), model.p_threshold(i)
+        u = u_thr if du == 0.0 else math.nextafter(u_thr, du)
+        p = p_thr if dp == 0.0 else math.nextafter(p_thr, dp)
+        hypothesis.assume(u >= 0.0 and p >= 0.0)
+        expected = scalar_rule(i, u, p, model)
+        v = classify(Sample(i, u, p), model)
+        assert (v.label.value, v.u_below, v.p_below, v.gated) == expected
+        report = evaluate_batch([("coil", Sample(i, u, p))], model)
+        assert _row(report["samples"][0]) == expected
+        if at_gate:
+            assert not v.gated
+        if not v.gated and du == 0.0 and dp == 0.0:
+            assert v.label is Label.COIL
+
+    check()

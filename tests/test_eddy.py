@@ -15,7 +15,7 @@ from wptmod.eddy import (
     phi_k,
     plate_impedance,
 )
-from wptmod.errors import ConvergenceError
+from wptmod.errors import ConvergenceError, WorkLimitError
 from wptmod.magnetics import MU0
 
 CU = MetalMaterial("cuprum", 5.88e7, 1.0)
@@ -235,6 +235,13 @@ class TestPlateImpedance:
             plate_impedance(geom(), FE)
         assert cli.main(["impedance", "--out", str(tmp_path)]) == cli.EXIT_CONVERGENCE
         assert "quadrature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [1e-6, 1e-300, 5e-324])
+    def test_too_close_refused_before_allocating(self, monkeypatch, d):
+        # the cap is checked before the panel table exists, so nothing is evaluated
+        monkeypatch.setattr(eddy, "bessel_j1", None)
+        with pytest.raises(WorkLimitError, match="J1 sine evaluations, over its cap of 1e"):
+            plate_impedance(geom(d=d), FE)
 
     def test_bit_identical_reproducibility(self):
         a = plate_impedance(geom(), FE)

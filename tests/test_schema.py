@@ -121,6 +121,12 @@ THRESHOLD_CASES = [
         1,
         "unknown keys in threshold.json: ['extra']",
     ),
+    (
+        "threshold.json-p_poly-length",
+        ("threshold.json", "degree"),
+        3,
+        "threshold.json.p_poly_W_per_A_n must have degree + 1 = 4 entries, got 3",
+    ),
 ]
 
 
