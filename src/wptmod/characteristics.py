@@ -26,7 +26,7 @@ class SweepSpec:
     i_min: float
     i_max: float
     steps: int
-    drive: DriveSpec  # template; amplitude is overridden per sweep point
+    drive: DriveSpec  # steering and frequency; evaluate_point solves once at 1 A
     receiver: Receiver
     couplings: Couplings
     tx: TxCoil

@@ -298,27 +298,16 @@ def solve_single_coil(
     rx: Receiver,
     tx: TxCoil,
     omega: float,
-    u_i: complex | None = None,
-    i_1: complex | None = None,
+    i_1: complex,
 ) -> PhasorSolution:
-    """Operating point of the reduced single-coil model.
+    """Operating point of the reduced single-coil model driven by primary current i_1.
 
-    Exactly one of u_i (voltage-driven) or i_1 (current-driven) must be
-    given.  The reflected impedance w^2 M^2 / Z2 appears in series with the
+    The reflected impedance w^2 M^2 / Z2 appears in series with the
     primary branch.
     """
-    if (u_i is None) == (i_1 is None):
-        raise ValueError("specify exactly one of u_i or i_1")
     w = omega
     z2 = _receiver_impedance(rx, w)
-    z1 = tx.impedance(w)
-    z_total = z1 + (w * m) ** 2 / z2
-    if i_1 is None:
-        if z_total == 0.0:
-            raise SingularityError("total primary impedance is zero")
-        i_1 = u_i / z_total
-    else:
-        u_i = i_1 * z_total
+    u_i = i_1 * (tx.impedance(w) + (w * m) ** 2 / z2)
     i_2 = 1j * w * m * i_1 / z2
     p_in = (u_i * np.conj(i_1)).real
     return PhasorSolution(
@@ -411,17 +400,3 @@ def reduced_counterpart(full: PhasorSolution) -> PhasorSolution:
         i_1=full.drive.amplitude,
         omega=full.omega,
     )
-
-
-def energy_balance_residual(sol: PhasorSolution) -> float:
-    """Relative mismatch between source power and resistive dissipation."""
-    rx = sol.receiver
-    tx = sol.tx
-    dissipated = (
-        abs(sol.i_a) ** 2 * tx.resistance
-        + abs(sol.i_b) ** 2 * tx.resistance
-        + abs(sol.i_c) ** 2 * rx.dissipative_resistance
-    )
-    scale = max(abs(sol.p_in), dissipated, 1e-300)
-    return abs(sol.p_in - dissipated) / scale
-

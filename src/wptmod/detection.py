@@ -15,7 +15,7 @@ import enum
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,36 +25,15 @@ from .errors import NonSeparableDataError, ScenarioError
 from .schema import finite, integer, key, keyed, read
 
 
-_SAMPLE_RANGE = "sample values must be finite and >= 0"
+class Sample(NamedTuple):
+    """One measurement triple taken at a fixed transmitter current.
 
-
-@dataclass(frozen=True)
-class Sample:
-    """One measurement triple taken at a fixed transmitter current."""
+    A plain record: classify and evaluate_batch check its values.
+    """
 
     i_tx: float
     u_tx: float
     p_in: float
-
-    def __post_init__(self):
-        # NaN fails every comparison, so it fails this too
-        if not (
-            0.0 <= self.i_tx < math.inf
-            and 0.0 <= self.u_tx < math.inf
-            and 0.0 <= self.p_in < math.inf
-        ):
-            raise ValueError(_SAMPLE_RANGE)
-
-    @classmethod
-    def prechecked(cls, i_tx: float, u_tx: float, p_in: float) -> "Sample":
-        """A Sample without the per-object check, for values the caller has
-        already checked to be finite and >= 0 (as a whole array, say)."""
-        sample = object.__new__(cls)
-        fields = sample.__dict__
-        fields["i_tx"] = i_tx
-        fields["u_tx"] = u_tx
-        fields["p_in"] = p_in
-        return sample
 
 
 class Label(enum.Enum):
@@ -112,7 +91,13 @@ class ThresholdModel:
             raise ValueError("p_poly must have degree + 1 coefficients")
         if not 0.0 < self.i_min_gate < math.inf:
             raise ValueError(f"i_min_gate must be finite and > 0, got {self.i_min_gate!r}")
+        # every comparison with a NaN threshold is false: each decided point would read coil
+        for name in ("u_slope", "u_intercept"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         object.__setattr__(self, "p_poly", tuple(float(c) for c in self.p_poly))
+        if not all(map(math.isfinite, self.p_poly)):
+            raise ValueError(f"p_poly must be finite, got {self.p_poly!r}")
 
     def u_threshold(self, i_tx):
         """The U-I threshold at i_tx, a float or a float array.
@@ -130,15 +115,9 @@ class ThresholdModel:
         return acc
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "u_line": {"slope_V_per_A": self.u_slope, "intercept_V": self.u_intercept},
-                "p_poly_W_per_A_n": list(self.p_poly),
-                "degree": self.degree,
-                "i_min_gate_A": self.i_min_gate,
-            },
-            indent=2,
-        )
+        line = _ULine(self.u_slope, self.u_intercept)
+        f = _ThresholdFile(line, self.p_poly, self.degree, self.i_min_gate)
+        return json.dumps(asdict(f), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ThresholdModel":
@@ -263,12 +242,12 @@ def classify_arrays(i_tx, u_tx, p_in, model: ThresholdModel) -> Decisions:
     sub-tests or a current under the gate give indeterminate.  The thresholds
     come from ThresholdModel.u_threshold and p_threshold applied to the whole
     array, which round as they do for one float.  Raises ValueError unless
-    every value is finite and >= 0.
+    every value is finite and >= 0: the one check of a Sample's values.
     """
     i, u, p = (np.asarray(a, dtype=float) for a in (i_tx, u_tx, p_in))
     for a in (i, u, p):
         if not np.all((a >= 0.0) & (a < math.inf)):
-            raise ValueError(_SAMPLE_RANGE)
+            raise ValueError("sample values must be finite and >= 0")
     # a threshold that overflows compares as the scalar float one does
     with np.errstate(over="ignore", invalid="ignore"):
         u_below = u < model.u_threshold(i)
@@ -284,7 +263,7 @@ def classify(sample: Sample, model: ThresholdModel) -> Verdict:
 
     A gated sample reports None for u_below and p_below.
     """
-    d = classify_arrays(sample.i_tx, sample.u_tx, sample.p_in, model)
+    d = classify_arrays(*sample, model)
     if d.gated:
         return Verdict(Label.INDETERMINATE, None, None, gated=True)
     return Verdict(Label(d.label[()]), bool(d.u_below), bool(d.p_below), gated=False)
@@ -301,10 +280,8 @@ def evaluate_batch(
     """
     if not samples:
         raise ValueError("sample batch must be non-empty")
-    true = [t for t, _ in samples]
-    i = [s.i_tx for _, s in samples]
-    u = [s.u_tx for _, s in samples]
-    p = [s.p_in for _, s in samples]
+    true, points = zip(*samples)
+    i, u, p = zip(*points)
     d = classify_arrays(i, u, p, model)
     verdicts = d.label.tolist()
     gated = d.gated.tolist()

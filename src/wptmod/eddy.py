@@ -16,17 +16,15 @@ Review 56, 2014).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .circuit import MetalReceiver
 from .errors import ConvergenceError, WorkLimitError
 from .magnetics import MU0
-from .schema import finite, key, keyed, read, string
+from .schema import finite, key, keyed, load_json, read, string
 
 # max of |J1| on the real line, used for the truncation tail bound
 _J1_SUP = 0.5819
@@ -237,21 +235,10 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
 
     With no path, the bundled database seeded from standard metal
     properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
-    JSON or holds a malformed entry raises ValueError naming the path (and
+    JSON or holds a malformed entry raises ScenarioError naming the path (and
     the entry's key).
     """
-    if path is None:
-        text = resources.files("wptmod.data").joinpath("materials.json").read_text()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read material database {path!r}: {exc}") from exc
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"material database {path!r} is not valid JSON: {exc}") from exc
+    entries = load_json(path, "materials.json", "material database")
     db: dict[str, MetalMaterial] = {}
     for entry in read([_Entry], entries, f"material database {path!r}: entry"):
         mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)

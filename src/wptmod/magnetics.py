@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ConvergenceError
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability [N/A^2]
+# elements per side of the first Neumann estimate
+_NEUMANN_START = 16
+# Simpson panels of the plate radius integral
+_SIMPSON_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -86,22 +90,20 @@ def _neumann_sum(a: float, b: float, h: float, n_per_side: int) -> float:
 
 
 def mutual_inductance_neumann(
-    pair: CoaxialPair,
-    rel_tol: float = 1e-3,
-    n_start: int = 16,
-    n_max: int = 1024,
+    pair: CoaxialPair, rel_tol: float = 1e-3, n_max: int = 1024
 ) -> float:
     """Mutual inductance of two coaxial square loops by contour discretization.
 
-    Each square is split into straight elements and the double sum of
-    dot(dl1, dl2)/|r1 - r2| is refined (element count doubled) until two
-    successive estimates agree to rel_tol.  Includes the turns product.
+    Each square is split into straight elements, 16 per side at first, and
+    the double sum of dot(dl1, dl2)/|r1 - r2| is refined (element count
+    doubled) until two successive estimates agree to rel_tol.  Includes the
+    turns product.
     """
     a = pair.primary.half_side
     b = pair.secondary_half_side
     h = pair.separation
-    prev = _neumann_sum(a, b, h, n_start)
-    n = n_start * 2
+    prev = _neumann_sum(a, b, h, _NEUMANN_START)
+    n = _NEUMANN_START * 2
     while n <= n_max:
         cur = _neumann_sum(a, b, h, n)
         if abs(cur - prev) <= rel_tol * abs(cur):
@@ -183,26 +185,25 @@ def mutual_inductance_coil_plate(
 
 
 def mutual_inductance_coil_plate_by_integration(
-    primary: SquareLoop, plate_half_side: float, separation: float, panels: int = 64
+    primary: SquareLoop, plate_half_side: float, separation: float
 ) -> float:
     """Numeric radius integral of the coil-coil closed form over the plate.
 
     Independent evaluation path for mutual_inductance_coil_plate; composite
-    Simpson quadrature over plate half sides in (0, plate_half_side].
+    Simpson quadrature on 64 panels over plate half sides in
+    (0, plate_half_side].
     """
     if not plate_half_side > 0.0:
         raise ValueError("plate_half_side must be > 0")
     if not separation > 0.0:
         raise ValueError("separation must be > 0")
-    if panels < 64:
-        raise ValueError("at least 64 panels required")
     a = primary.half_side
     h = separation
-    bp = np.linspace(0.0, plate_half_side, 2 * panels + 1)
+    bp = np.linspace(0.0, plate_half_side, 2 * _SIMPSON_PANELS + 1)
     num = (a + bp) ** 2 + h * h
     den = (a - bp) ** 2 + h * h
     integrand = 4.0 * MU0 * bp / math.pi * 0.5 * np.log(num / den)
-    step = plate_half_side / (2 * panels)
+    step = plate_half_side / (2 * _SIMPSON_PANELS)
     weights = np.ones_like(bp)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

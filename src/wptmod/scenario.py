@@ -8,11 +8,9 @@ declares its keys once, as fields with their kind, default and bounds
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -21,7 +19,7 @@ from .characteristics import NoiseSpec, SweepSpec, evaluate_point
 from .circuit import DriveSpec, TxCoil, couplings_from_coaxial
 from .detection import Sample
 from .errors import ScenarioError, WorkLimitError
-from .schema import finite, integer, key, keyed, read, string, unique_label
+from .schema import finite, integer, key, keyed, load_json, read, string, unique_label
 
 
 # the most points one sweep may hold: each point is a curves.csv row of
@@ -98,19 +96,7 @@ class Scenario:
 
 def load_scenario(path=None) -> Scenario:
     """Load and validate a scenario file; None loads the bundled repro setup."""
-    if path is None:
-        text = resources.files("wptmod.data").joinpath("paper_repro.json").read_text()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return parse_scenario(raw)
+    return parse_scenario(load_json(path, "paper_repro.json", "scenario file"))
 
 
 def parse_scenario(raw: dict) -> Scenario:
@@ -280,12 +266,8 @@ def generate_test_samples(
         raise ScenarioError(
             f"scenario.noise.relative_sigma {sc.noise.relative_sigma!r} overflows the test points"
         )
-    # the currents are read as >= 0 and noisy is clipped at 0 and checked finite
-    # above, so each Sample skips its own check
     samples = []
     for sweep, (u, p) in zip(sweeps, noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)
-        samples += [
-            (true_label, name, Sample.prechecked(*row)) for row in zip(currents, u, p)
-        ]
+        samples += [(true_label, name, Sample(*row)) for row in zip(currents, u, p)]
     return samples

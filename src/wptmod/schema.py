@@ -8,13 +8,16 @@ is unknown, missing, of the wrong kind, out of bounds or a repeated label.
 
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
+`load_json` reads the JSON input files themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import operator
 import sys
+from importlib import resources
 
 from .errors import ScenarioError
 
@@ -37,6 +40,26 @@ def keyed(cls):
         for f in dataclasses.fields(cls)
     }
     return cls
+
+
+def load_json(path, bundled: str, what: str):
+    """The JSON value in the file at path, or in the bundled data file when path is None.
+
+    ScenarioError names what and the path when the file cannot be read, is
+    not UTF-8 or is not JSON.
+    """
+    if path is None:
+        text = resources.files("wptmod.data").joinpath(bundled).read_text()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read {what} {path!r}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
 def _number(value) -> bool:

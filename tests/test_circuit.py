@@ -12,7 +12,6 @@ from wptmod.circuit import (
     couplings_from_coaxial,
     current_decomposition,
     default_tx_coil,
-    energy_balance_residual,
     equivalence_constants,
     input_power,
     receiver_current,
@@ -133,7 +132,6 @@ class TestInputPower:
                 p = input_power(drive, couplings, rx, tx)
                 sol = solve_from_drive(drive, couplings, rx, tx)
                 assert p == pytest.approx(sol.p_in, rel=1e-9)
-                assert energy_balance_residual(sol) < 1e-9
 
 
 class TestTransmitterVoltages:
@@ -186,45 +184,35 @@ class TestFullSolve:
 class TestSingleCoil:
     def test_decoupled(self):
         tx = default_tx_coil(resistance=0.2)
-        sol = solve_single_coil(0.0, resonant_coil_receiver(0.1, 4.5), tx, OMEGA, u_i=1.0)
-        assert sol.i_a == pytest.approx(5.0)
+        sol = solve_single_coil(0.0, resonant_coil_receiver(0.1, 4.5), tx, OMEGA, i_1=5.0)
+        assert sol.u_a == pytest.approx(1.0)
         assert sol.i_c == 0.0
 
     def test_metal_reflected_impedance_passive(self):
         tx = default_tx_coil(resistance=0.2)
         rx = MetalReceiver(r_m=1e-4, l_m=1e-8)
-        sol = solve_single_coil(1e-7, rx, tx, OMEGA, u_i=1.0)
+        sol = solve_single_coil(1e-7, rx, tx, OMEGA, i_1=1.0)
         z_total = sol.u_a / sol.i_a
         assert (z_total - tx.impedance(OMEGA)).real > 0.0
 
     def test_matches_two_by_two_solve(self):
+        # the 2x2 KVL system driven by the source voltage the reduction reports
+        # must give back its primary and secondary currents
         rng = np.random.default_rng(23)
         for _ in range(50):
             tx = default_tx_coil(resistance=rng.uniform(0.01, 1.0))
             rx = resonant_coil_receiver(rng.uniform(0.01, 1.0), rng.uniform(0.5, 20.0))
             m = rng.uniform(1e-8, 1e-6)
-            u_i = complex(rng.normal(), rng.normal())
-            sol = solve_single_coil(m, rx, tx, OMEGA, u_i=u_i)
+            i_1 = complex(rng.normal(), rng.normal())
+            sol = solve_single_coil(m, rx, tx, OMEGA, i_1=i_1)
             w = OMEGA
             a = np.array(
                 [[tx.impedance(w), -1j * w * m], [1j * w * m, -rx.impedance(w)]],
                 dtype=complex,
             )
-            i1, i2 = np.linalg.solve(a, np.array([u_i, 0.0], dtype=complex))
+            i1, i2 = np.linalg.solve(a, np.array([sol.u_a, 0.0], dtype=complex))
             assert sol.i_a == pytest.approx(i1, rel=1e-12)
             assert sol.i_c == pytest.approx(i2, rel=1e-12)
-
-    def test_current_driven_round_trip(self):
-        tx = default_tx_coil()
-        rx = resonant_coil_receiver(0.1, 4.5)
-        sol = solve_single_coil(5e-7, rx, tx, OMEGA, i_1=3.0)
-        sol2 = solve_single_coil(5e-7, rx, tx, OMEGA, u_i=sol.u_a)
-        assert sol2.i_a == pytest.approx(3.0, rel=1e-12)
-
-    def test_exactly_one_drive(self):
-        rx = resonant_coil_receiver(0.1, 4.5)
-        with pytest.raises(ValueError):
-            solve_single_coil(1e-7, rx, default_tx_coil(), OMEGA, u_i=1.0, i_1=1.0)
 
 
 class TestEquivalence:
@@ -244,10 +232,10 @@ class TestEquivalence:
         full = solve_from_drive(drive, couplings, rx, tx)
         reduced = reduced_counterpart(full)
         half = solve_single_coil(
-            reduced.reduced_m, rx, tx, u_i=reduced.u_a / 2.0, omega=full.omega
+            reduced.reduced_m, rx, tx, i_1=reduced.i_a / 2.0, omega=full.omega
         )
         consts = equivalence_constants(full, half)
-        # linear circuit: halving the source doubles the voltage/current ratios
+        # linear circuit: halving the drive doubles the voltage/current ratios
         assert consts.k1 == pytest.approx(2.0, rel=1e-9)
         assert consts.k2 == pytest.approx(2.0, rel=1e-9)
         assert consts.k4 == pytest.approx(2.0, rel=1e-9)
@@ -262,7 +250,7 @@ class TestEquivalence:
         reduced = reduced_counterpart(full)
         other_rx = resonant_coil_receiver(0.3, 1.5)
         bad = solve_single_coil(
-            reduced.reduced_m, other_rx, tx, u_i=reduced.u_a, omega=full.omega
+            reduced.reduced_m, other_rx, tx, i_1=reduced.i_a, omega=full.omega
         )
         with pytest.raises(EquivalenceViolationError):
             equivalence_constants(full, bad)

@@ -465,6 +465,12 @@ class TestScenarioValidation:
         )
         assert code == cli.EXIT_VALIDATION
 
+    def test_missing_file_names_path(self, tmp_path, capsys):
+        path = str(tmp_path / "nope.json")
+        code = cli.main(["couplings", "--scenario", path, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"cannot read scenario file {path!r}" in capsys.readouterr().err
+
     def test_parse_rejects_missing_section(self):
         with pytest.raises(ScenarioError):
             scenario.parse_scenario({"frequency_hz": 20e3})

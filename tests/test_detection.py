@@ -227,9 +227,19 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="i_min_gate must be finite and > 0"):
             ThresholdModel(1.0, 0.0, (1.0, 2.0), degree=1, i_min_gate=gate)
 
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            Sample(-1.0, 0.0, 0.0)
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((math.nan, 0.0, (0.0, 0.0, 0.0)), "u_slope"),
+            ((1.0, math.inf, (0.0, 0.0, 0.0)), "u_intercept"),
+            ((1.0, 0.0, (0.0, 0.0, math.nan)), "p_poly"),
+            ((1.0, 0.0, (-math.inf, 0.0, 0.0)), "p_poly"),
+        ],
+    )
+    def test_non_finite_threshold_rejected(self, fields, name):
+        # a NaN threshold would label every decided point coil, the unsafe answer
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ThresholdModel(*fields, degree=2)
 
 
 def scalar_rule(i: float, u: float, p: float, model: ThresholdModel):
@@ -257,11 +267,21 @@ def _row(row: dict):
 class TestNonFinite:
     @pytest.mark.parametrize(
         "values",
-        [(6.0, math.nan, math.nan), (math.nan, 1.0, 1.0), (6.0, math.inf, 1.0), (6.0, 1.0, -0.5)],
+        [
+            (6.0, math.nan, math.nan),
+            (math.nan, 1.0, 1.0),
+            (6.0, math.inf, 1.0),
+            (6.0, 1.0, -0.5),
+            (-1.0, 0.0, 0.0),
+        ],
     )
     def test_sample_rejects(self, values):
+        # a Sample is a plain record: the decision rule checks its values
+        model = fit_thresholds(*separable_training())
         with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
-            Sample(*values)
+            classify(Sample(*values), model)
+        with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
+            evaluate_batch([("coil", Sample(6.0, 1.0, 1.0)), ("metal", Sample(*values))], model)
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_array_rule_rejects(self, column):
@@ -270,8 +290,8 @@ class TestNonFinite:
         points[column][1] = math.nan
         with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
             classify_arrays(*points, model)
-        # a batch built from prechecked Samples meets the same check
-        batch = [("coil", Sample.prechecked(*point)) for point in zip(*points)]
+        # a batch of the same points meets the same check
+        batch = [("coil", Sample(*point)) for point in zip(*points)]
         with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
             evaluate_batch(batch, model)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wptmod.eddy import (
     phi_k,
     plate_impedance,
 )
-from wptmod.errors import ConvergenceError, WorkLimitError
+from wptmod.errors import ConvergenceError, ScenarioError, WorkLimitError
 from wptmod.magnetics import MU0
 
 CU = MetalMaterial("cuprum", 5.88e7, 1.0)
@@ -273,6 +274,18 @@ class TestTypesAndDatabase:
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):
             EddyGeometry(0.0, 3, 0.2, W20K)
+
+    def test_database_read_errors_are_scenario_errors(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff")
+        for path in (str(tmp_path / "nope.json"), str(binary)):
+            message = re.escape(f"cannot read material database {path!r}")
+            with pytest.raises(ScenarioError, match=message):
+                load_materials(path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("[{")
+        with pytest.raises(ScenarioError, match="is not valid JSON"):
+            load_materials(str(bad))
 
     def test_bundled_database(self):
         db = load_materials()
