@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_power, transmitter_voltages
-from .schema import finite, integer, key, keyed
 
 
 @dataclass(frozen=True)
@@ -57,19 +56,6 @@ class CharacteristicCurve:
             raise ValueError("i_tx must be strictly increasing")
         if np.any(self.u_tx < 0.0) or np.any(self.p_in < 0.0):
             raise ValueError("u_tx and p_in must be nonnegative")
-
-
-@keyed
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Multiplicative relative Gaussian noise, reproducible from the seed."""
-
-    relative_sigma: float = key(finite, 0.01, ge=0)
-    seed: int = key(integer, 0, ge=0)
-
-    def __post_init__(self):
-        if self.relative_sigma < 0.0:
-            raise ValueError("relative_sigma must be >= 0")
 
 
 def evaluate_point(spec: SweepSpec, i_tx):

@@ -73,10 +73,6 @@ class CoilReceiver:
         x = omega * self.inductance - 1.0 / (omega * self.capacitance)
         return self.resistance + self.load + 1j * x
 
-    @property
-    def dissipative_resistance(self) -> float:
-        return self.resistance + self.load
-
 
 @dataclass(frozen=True)
 class MetalReceiver:
@@ -93,10 +89,6 @@ class MetalReceiver:
 
     def impedance(self, omega: float) -> complex:
         return self.r_m + 1j * omega * self.l_m
-
-    @property
-    def dissipative_resistance(self) -> float:
-        return self.r_m
 
 
 Receiver = CoilReceiver | MetalReceiver
@@ -206,7 +198,7 @@ def input_power(
     i_c = receiver_current(drive, couplings, rx)
     return (
         drive.amplitude**2 * tx.resistance
-        + abs(i_c) ** 2 * rx.dissipative_resistance
+        + abs(i_c) ** 2 * rx.impedance(drive.angular_frequency).real
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import characteristics, detection, eddy, magnetics, scenario
 from .errors import ConvergenceError, NonSeparableDataError, ScenarioError
-from .schema import read_key
+from .schema import read_key, read_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -25,10 +25,20 @@ EXIT_CONVERGENCE = 3
 EXIT_NON_SEPARABLE = 4
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _upstream(args, name: str, verb: str) -> str:
+    """The text of artifact `name` in --out, which `verb` writes."""
+    path = Path(args.out) / name
+    if not path.exists():
+        raise ScenarioError(f"missing upstream artifact {path}; run `{verb}` first")
+    return read_text(str(path), name)
+
+
+def _write(args, name: str, text: str) -> None:
+    """Write artifact `name` into --out as UTF-8, creating --out, and say so."""
+    path = Path(args.out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def _override(args, name: str, section, default):
@@ -48,8 +58,7 @@ def cmd_materials(args) -> int:
     if args.name:
         mat = db.get(args.name.lower())
         if mat is None:
-            print(f"material not found: {args.name}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ScenarioError(f"material not found: {args.name}")
         unique = {mat.name: mat}
     print(f"{'name':<10} {'sigma_S_per_m':>14} {'mu_r':>8}  notes")
     for mat in unique.values():
@@ -76,9 +85,7 @@ def cmd_couplings(args) -> int:
             scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
         )
         rows.append(f"{spec.label},plate,{closed:.12e},{reference:.12e},radius_integral")
-    path = _out_dir(args) / "couplings.csv"
-    path.write_text("\n".join(rows) + "\n")
-    print(f"wrote {path}")
+    _write(args, "couplings.csv", "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -91,9 +98,7 @@ def cmd_impedance(args) -> int:
             f"{spec.label},{mat.name},{mat.rel_permeability:g},"
             f"{spec.half_side_m:g},{spec.distance_m:g},{imp.r_m:.12e},{imp.l_m:.12e}"
         )
-    path = _out_dir(args) / "impedance.csv"
-    path.write_text("\n".join(rows) + "\n")
-    print(f"wrote {path}")
+    _write(args, "impedance.csv", "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -106,27 +111,19 @@ def cmd_curves(args) -> int:
     # u = z_u*I and p = r_in*I^2 are largest at the last, highest current
     if not all(np.isfinite(c.u_tx[-1]) and np.isfinite(c.p_in[-1]) for c in curves):
         raise ScenarioError(f"scenario.sweep.i_max_a {sc.sweep.i_max_a!r} A overflows the curves")
-    path = _out_dir(args) / "curves.csv"
-    path.write_text(characteristics.curves_to_csv(curves))
-    print(f"wrote {path}")
+    _write(args, "curves.csv", characteristics.curves_to_csv(curves))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    curves_path = _out_dir(args) / "curves.csv"
-    if not curves_path.exists():
-        print(f"missing upstream artifact {curves_path}; run `curves` first", file=sys.stderr)
-        return EXIT_VALIDATION
-    curves = characteristics.curves_from_csv(curves_path.read_text())
+    curves = characteristics.curves_from_csv(_upstream(args, "curves.csv", "curves"))
     metal = [c for c in curves if c.label.startswith("metal:")]
     coil = [c for c in curves if c.label.startswith("coil:")]
     degree = _override(args, "degree", scenario.DetectionSection, sc.detection.degree)
     gate = _override(args, "gate_amps", scenario.DetectionSection, sc.detection.gate_amps)
     model = detection.fit_thresholds(metal, coil, degree=degree, i_min_gate=gate)
-    path = _out_dir(args) / "threshold.json"
-    path.write_text(model.to_json() + "\n")
-    print(f"wrote {path}")
+    _write(args, "threshold.json", model.to_json() + "\n")
     return EXIT_OK
 
 
@@ -144,25 +141,17 @@ def _print_report_table(report: dict) -> None:
 
 def cmd_detect(args) -> int:
     sc = scenario.load_scenario(args.scenario)
-    threshold_path = _out_dir(args) / "threshold.json"
-    if not threshold_path.exists():
-        print(
-            f"missing upstream artifact {threshold_path}; run `fit` first", file=sys.stderr
-        )
-        return EXIT_VALIDATION
-    model = detection.ThresholdModel.from_json(threshold_path.read_text())
+    model = detection.ThresholdModel.from_json(_upstream(args, "threshold.json", "fit"))
     gate = _override(args, "gate_amps", scenario.DetectionSection, model.i_min_gate)
     model = replace(model, i_min_gate=gate)
-    seed = _override(args, "seed", characteristics.NoiseSpec, sc.noise.seed)
+    seed = _override(args, "seed", scenario.NoiseSpec, sc.noise.seed)
     triples = scenario.generate_test_samples(sc, seed=seed)
     labeled = [(true, sample) for true, _, sample in triples]
     report = detection.evaluate_batch(labeled, model)
     for row, (_, name, _) in zip(report["samples"], triples):
         row["receiver"] = name
-    path = _out_dir(args) / "report.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
     _print_report_table(report)
-    print(f"wrote {path}")
+    _write(args, "report.json", json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -219,7 +208,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ScenarioError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -30,6 +30,7 @@ class ScenarioError(WptError, ValueError):
 
     Raised for scenario files, the material database and threshold.json, for
     the flags that override their keys, and for scenario values whose results
-    overflow; the message names the key path.  curves.csv rows raise plain
-    ValueError naming the line.
+    overflow; the message names the key path.  Any input file that cannot be
+    read or is not UTF-8 raises it naming the file.  curves.csv rows raise
+    plain ValueError naming the line.
     """

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, eddy, magnetics
-from .characteristics import NoiseSpec, SweepSpec, evaluate_point
+from .characteristics import SweepSpec, evaluate_point
 from .circuit import DriveSpec, TxCoil, couplings_from_coaxial
 from .detection import Sample
 from .errors import ScenarioError, WorkLimitError
@@ -67,6 +67,15 @@ class SweepSection:
     i_max_a: float = key(finite)  # > i_min_a, checked by parse_scenario
     steps: int = key(integer, ge=2, le=MAX_STEPS)
     azimuth_rad: float = key(finite)
+
+
+@keyed
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Multiplicative relative Gaussian noise, reproducible from the seed."""
+
+    relative_sigma: float = key(finite, 0.01, ge=0)
+    seed: int = key(integer, 0, ge=0)
 
 
 @keyed

@@ -8,7 +8,7 @@ is unknown, missing, of the wrong kind, out of bounds or a repeated label.
 
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
-`load_json` reads the JSON input files themselves.
+`read_text` opens every input file, and `load_json` reads the JSON ones.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def keyed(cls):
     return cls
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the input file at path; ScenarioError names what and path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def load_json(path, bundled: str, what: str):
     """The JSON value in the file at path, or in the bundled data file when path is None.
 
@@ -49,13 +58,9 @@ def load_json(path, bundled: str, what: str):
     not UTF-8 or is not JSON.
     """
     if path is None:
-        text = resources.files("wptmod.data").joinpath(bundled).read_text()
+        text = resources.files("wptmod.data").joinpath(bundled).read_text(encoding="utf-8")
     else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ScenarioError(f"cannot read {what} {path!r}: {exc}") from exc
+        text = read_text(path, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -9,7 +9,6 @@ import pytest
 
 from wptmod.characteristics import (
     CharacteristicCurve,
-    NoiseSpec,
     SweepSpec,
     curves_from_csv,
     curves_to_csv,
@@ -26,7 +25,7 @@ from wptmod.circuit import (
     solve_from_drive,
     transmitter_voltages,
 )
-from wptmod.scenario import generate_test_samples, load_scenario
+from wptmod.scenario import NoiseSpec, generate_test_samples, load_scenario
 
 OMEGA = 2.0 * math.pi * 20e3
 

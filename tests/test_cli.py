@@ -182,10 +182,36 @@ class TestCurvesFitDetect:
     def test_fit_requires_curves(self, tmp_path, capsys):
         assert cli.main(["fit", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
         assert "missing upstream artifact" in capsys.readouterr().err
+        assert not (tmp_path / "empty").exists()
 
     def test_detect_requires_threshold(self, tmp_path, capsys):
         assert cli.main(["detect", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
         assert "missing upstream artifact" in capsys.readouterr().err
+        assert not (tmp_path / "empty").exists()
+
+    @pytest.mark.parametrize("verb, name", [("fit", "curves.csv"), ("detect", "threshold.json")])
+    @pytest.mark.parametrize("content", [None, b"\xff"], ids=["directory", "not_utf8"])
+    def test_unreadable_artifact_names_it(self, tmp_path, capsys, verb, name, content):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert cli.main([verb, "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert f"cannot read {name} {str(path)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, artifact", [("couplings", ""), ("curves", "curves.csv")],
+        ids=["out_is_file", "artifact_is_directory"],
+    )
+    def test_unusable_output_path_names_it(self, tmp_path, capsys, verb, artifact):
+        out = tmp_path / "d"
+        if artifact:
+            (out / artifact).mkdir(parents=True)
+        else:
+            out.write_text("")
+        assert cli.main([verb, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert str(out / artifact) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -490,6 +516,24 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_verbs_run_with_encoding_warnings_as_errors(tmp_path):
+    # each file the CLI reads or writes is opened as UTF-8, never in the locale encoding
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    verbs = ["materials", "couplings", "impedance", "curves", "fit", "detect"]
+    probe = (
+        "from wptmod import cli; "
+        f"print([cli.main([v] if v == 'materials' else [v, '--out', 'o']) for v in {verbs!r}])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", probe],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str([cli.EXIT_OK] * len(verbs))
 
 
 def test_package_import_loads_no_numpy():
