@@ -1,21 +1,21 @@
 """Characteristic U-I and P-I curves of a receiver under a current sweep.
 
 A sweep holds the steering angle at the receiver azimuth (maximal coupling
-projection) and records, for each transmitter current, the reported coil
-voltage magnitude and the system input power.  A fixed receiver reflects
-one fixed impedance into the transmitter, so both follow from a single
-unit-current operating point: the U-I curve is the line u = z_u*I and the
-P-I curve the parabola p = r_in*I^2.
+projection).  A fixed receiver reflects one fixed impedance, so both curves
+follow from its input impedance Z_in (circuit.input_impedance): the U-I
+curve is the line u = |Z_in|*I, the steering-weighted transmitter voltage
+|u_a*sin(theta) + u_b*cos(theta)|, and the P-I curve the parabola
+p = Re(Z_in)*I^2.  Neither depends on the azimuth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_power, transmitter_voltages
+from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_impedance
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class SweepSpec:
     i_min: float
     i_max: float
     steps: int
-    drive: DriveSpec  # steering and frequency; evaluate_point solves once at 1 A
+    drive: DriveSpec  # steering and frequency; the amplitude is unused
     receiver: Receiver
     couplings: Couplings
     tx: TxCoil
@@ -44,7 +44,7 @@ class CharacteristicCurve:
 
     label: str
     i_tx: np.ndarray  # [A], strictly increasing
-    u_tx: np.ndarray  # [V], reported coil voltage magnitude
+    u_tx: np.ndarray  # [V], |Z_in|*I
     p_in: np.ndarray  # [W]
 
     def __post_init__(self):
@@ -59,21 +59,15 @@ class CharacteristicCurve:
 
 
 def evaluate_point(spec: SweepSpec, i_tx):
-    """Noiseless (u_tx, p_in) of the sweep configuration at current(s) i_tx.
+    """Noiseless (|Z_in|*I, Re(Z_in)*I^2) of the sweep configuration at I = i_tx.
 
-    The circuit is solved once, at 1 A.  The reported voltage is that of the
-    coil carrying the larger share of the drive current at the sweep
-    steering angle (coil A on ties); i_tx may be a scalar or an array.
+    i_tx may be a scalar or an array.
     """
     i_tx = np.asarray(i_tx, dtype=float)
     if np.any(i_tx < 0.0):
         raise ValueError("i_tx must be >= 0")
-    unit = replace(spec.drive, amplitude=1.0)
-    u_a, u_b = transmitter_voltages(unit, spec.couplings, spec.receiver, spec.tx)
-    steering = spec.drive.steering
-    z_u = abs(u_a) if abs(math.sin(steering)) >= abs(math.cos(steering)) else abs(u_b)
-    r_in = input_power(unit, spec.couplings, spec.receiver, spec.tx)
-    return z_u * i_tx, r_in * i_tx * i_tx
+    z_in = input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx)
+    return abs(z_in) * i_tx, z_in.real * i_tx * i_tx
 
 
 def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:

@@ -188,18 +188,19 @@ def receiver_current(drive: DriveSpec, couplings: Couplings, rx: Receiver) -> co
     return 1j * w * drive.amplitude * eff / z2
 
 
-def input_power(
-    drive: DriveSpec,
-    couplings: Couplings,
-    rx: Receiver,
-    tx: TxCoil,
-) -> float:
-    """Total input power: transmitter copper loss plus receiver dissipation."""
-    i_c = receiver_current(drive, couplings, rx)
-    return (
-        drive.amplitude**2 * tx.resistance
-        + abs(i_c) ** 2 * rx.impedance(drive.angular_frequency).real
-    )
+def input_impedance(drive: DriveSpec, couplings: Couplings, rx: Receiver, tx: TxCoil) -> complex:
+    """Impedance z_tx + (w*m)^2/Z2 the drive sees; m is the projection at its steering.
+
+    Z_in*I is u_a*sin(theta) + u_b*cos(theta), the reduced model's source voltage.
+    """
+    w = drive.angular_frequency
+    m = couplings.projection(drive.steering)
+    return tx.impedance(w) + (w * m) ** 2 / _receiver_impedance(rx, w)
+
+
+def input_power(drive: DriveSpec, couplings: Couplings, rx: Receiver, tx: TxCoil) -> float:
+    """Total input power I^2*Re(Z_in): transmitter copper loss plus receiver dissipation."""
+    return drive.amplitude**2 * input_impedance(drive, couplings, rx, tx).real
 
 
 def transmitter_voltages(

@@ -108,7 +108,7 @@ def cmd_curves(args) -> int:
     # overflow is detected below, by key, instead of warned about
     with np.errstate(over="ignore"):
         curves = [characteristics.sweep_curve(spec) for spec in sweeps]
-    # u = z_u*I and p = r_in*I^2 are largest at the last, highest current
+    # u = |Z_in|*I and p = Re(Z_in)*I^2 are largest at the last, highest current
     if not all(np.isfinite(c.u_tx[-1]) and np.isfinite(c.p_in[-1]) for c in curves):
         raise ScenarioError(f"scenario.sweep.i_max_a {sc.sweep.i_max_a!r} A overflows the curves")
     _write(args, "curves.csv", characteristics.curves_to_csv(curves))

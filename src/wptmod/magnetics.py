@@ -21,6 +21,8 @@ MU0 = 4.0e-7 * math.pi  # vacuum permeability [N/A^2]
 _NEUMANN_START = 16
 # Simpson panels of the plate radius integral
 _SIMPSON_PANELS = 64
+# cap on the element pairs of one block of the Neumann double sum
+_NEUMANN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,13 @@ def _square_contour(half_side: float, z: float, n_per_side: int):
 def _neumann_sum(a: float, b: float, h: float, n_per_side: int) -> float:
     p1, d1 = _square_contour(a, 0.0, n_per_side)
     p2, d2 = _square_contour(b, h, n_per_side)
-    diff = p1[:, None, :] - p2[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    dots = d1 @ d2.T
-    return MU0 / (4.0 * math.pi) * float(np.sum(dots / dist))
+    total = 0.0
+    # block the (elements x elements) pair table so its memory stays bounded
+    step = max(1, _NEUMANN_BLOCK // len(p2))
+    for i in range(0, len(p1), step):
+        dist = np.sqrt(sum((p1[i : i + step, k, None] - p2[:, k]) ** 2 for k in range(3)))
+        total += float(np.sum(d1[i : i + step] @ d2.T / dist))
+    return MU0 / (4.0 * math.pi) * total
 
 
 def mutual_inductance_neumann(
@@ -163,6 +168,9 @@ def mutual_inductance_coil_plate(
     The plate is modeled as a stack of square loops with half sides from 0
     to plate_half_side; this is the closed-form evaluation of that radius
     integral.  Includes the primary turn count (the plate counts as one turn).
+    The radius integral adds a length: the result is in H*m and grows as
+    lambda^2 when every length scales by lambda, where the coil-to-coil
+    coupling (Grover) grows as lambda.
     """
     if not plate_half_side > 0.0:
         raise ValueError("plate_half_side must be > 0")

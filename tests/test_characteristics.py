@@ -20,10 +20,11 @@ from wptmod.circuit import (
     Couplings,
     DriveSpec,
     MetalReceiver,
+    couplings_from_coaxial,
     default_tx_coil,
+    reduced_counterpart,
     resonant_capacitance,
     solve_from_drive,
-    transmitter_voltages,
 )
 from wptmod.scenario import NoiseSpec, generate_test_samples, load_scenario
 
@@ -77,15 +78,18 @@ class TestSweepShapes:
         assert np.allclose(curve.p_in[mask], p1 * curve.i_tx[mask] ** 2, rtol=1e-9)
 
     def test_coil_selection_by_steering(self):
-        # the reported voltage is that of the coil carrying more of the drive
-        for theta, coil in ((math.pi / 2 - 0.1, 0), (0.1, 1)):
+        # no coil is selected: at steerings where either coil carries more of
+        # the drive, u is the steering-weighted sum of both coil voltages,
+        # which is the source voltage of the reduced single-coil model
+        for theta in (math.pi / 2 - 0.1, 0.1):
             spec = make_spec(m_ac=5e-7, theta=theta)
             curve = sweep_curve(spec)
             for i, u in zip(curve.i_tx[1:], curve.u_tx[1:]):
                 drive = replace(spec.drive, amplitude=float(i))
-                volts = transmitter_voltages(drive, spec.couplings, spec.receiver, spec.tx)
-                assert u == pytest.approx(abs(volts[coil]), rel=1e-12)
-                assert u != pytest.approx(abs(volts[1 - coil]), rel=1e-3)
+                sol = solve_from_drive(drive, spec.couplings, spec.receiver, spec.tx)
+                weighted = abs(sol.u_a * math.sin(theta) + sol.u_b * math.cos(theta))
+                assert u == pytest.approx(weighted, rel=1e-12)
+                assert u == pytest.approx(abs(reduced_counterpart(sol).u_a), rel=1e-12)
 
     def test_evaluate_point_matches_sweep(self):
         spec = make_spec(m_ac=3e-7, m_bc=-4e-7)
@@ -114,13 +118,14 @@ class TestSweepShapes:
                 tx=default_tx_coil(resistance=rng.uniform(0.005, 0.5)),
             )
             u, p = evaluate_point(spec, currents)
-            use_a = abs(math.sin(spec.drive.steering)) >= abs(math.cos(spec.drive.steering))
+            s, c = math.sin(spec.drive.steering), math.cos(spec.drive.steering)
             for i, u_i, p_i in zip(currents, u, p):
                 sol = solve_from_drive(
                     replace(spec.drive, amplitude=float(i)), spec.couplings, rx, spec.tx
                 )
-                u_ref = abs(sol.u_a if use_a else sol.u_b)
+                u_ref = abs(sol.u_a * s + sol.u_b * c)
                 assert abs(u_i - u_ref) <= 1e-12 * u_ref
+                assert abs(u_i - abs(reduced_counterpart(sol).u_a)) <= 1e-12 * u_ref
                 assert abs(p_i - sol.p_in) <= 1e-12 * sol.p_in
 
     def test_negative_current_rejected(self):
@@ -385,5 +390,27 @@ def test_parse_is_correctly_rounded():
         ]
         text = "\n".join([HEADER, *rows])
         assert_matches_reference(curves_from_csv(text), text)
+
+    check()
+
+
+def test_curves_independent_of_azimuth(repro_sweeps):
+    # the bundled sweeps sit at 45 degrees; turn each receiver to another
+    # azimuth the way build_sweeps does, steering onto it
+    hypothesis, st = _hypothesis()
+    curves = [sweep_curve(spec) for spec in repro_sweeps]
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def check(azimuth):
+        for spec, at_45 in zip(repro_sweeps, curves):
+            turned = replace(
+                spec,
+                drive=replace(spec.drive, steering=azimuth),
+                couplings=couplings_from_coaxial(spec.couplings.magnitude, azimuth),
+            )
+            curve = sweep_curve(turned)
+            assert np.allclose(curve.u_tx, at_45.u_tx, rtol=1e-12, atol=0.0), azimuth
+            assert np.allclose(curve.p_in, at_45.p_in, rtol=1e-12, atol=0.0), azimuth
 
     check()

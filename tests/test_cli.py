@@ -316,29 +316,29 @@ class TestCurvesFitDetect:
 
 
 # sha256 of report.json from `detect --seed k`, k = 0..19, on the bundled
-# scenario, as written before evaluate_batch classified a batch in one array
-# call; the float values in a report depend on numpy's float64 arithmetic
+# scenario, as written once u_tx became |Z_in|*I; the float values in a
+# report depend on numpy's float64 arithmetic
 REPORT_SHA256 = [
-    "d657b6935d2413a99704fa614368efb38e936202f009757e6ff0bfbbe3b7d61c",
-    "8841f9418a951e08a4b9bb345dbf5a3b9a31075db0b6759c2ba27f896d3277eb",
-    "d301e0afb3ee6fbcdef58f3311de597e081478e113b33cd372b078e039ed4f0d",
-    "b2bd896bc94d4b1d078ab2cf7e2d25aefd68a6649c48238a51acaa1641901b1a",
-    "b034c43e74e165980f7526ba8e63c39e2a7e3ae646662ddc63b3c655c39e062c",
-    "8069304db5b88b01d37e7c7f98f350a1eaa195bc1c110d202ff3dfea35ad6786",
-    "b87cf285663952686aec4fec21811e97a4e57595a51461a0d77a8c4645002a41",
-    "161c4e34f82426657fd649b426a29ffbd897d71aa8013ecd83b62944b4e0655f",
-    "61b5f206da562b07d57d8370277f0a43eef39d32972d29f14dc3c393d627bcaa",
-    "070be430d25a48be782ba88e293f06d6d8751ba50b8f3bc85491ac7a50422c60",
-    "55bfd321c2226b44c082f1d75f677a98e1212c0c7e4907726df1cb663aa2dc04",
-    "bc55353616e4629318917ed2d28b79f468cd7f0596e50244c0714432fd0d57d9",
-    "ad68ce7319226d4f86f065f320446a6d5a7980f8f6931d3629fbc4374f3d9570",
-    "8b6aebbdb0241a88df17a860412c1c38958baf0f44509b714f858686c56ad01b",
-    "2687125f1fe535f601ba49facb107da87f146b038df8e38eb757804b3412962a",
-    "0ee5221f919c5b46ee10d5abb1cc7a489acad594067cf33bdda9a82e64cf435f",
-    "1f0cc0cf222abe792807d08408d238abfdc7e6b258a2a372044a57927403d89a",
-    "9adfe51eaf7774f2191ccd2c052e0b4cf46ba037ca0b232afb21af5e1d9fa7f4",
-    "faf3b330e53acb8dd9c62f8cf6a70b888db966f34cd1e1a302708d8fc44342a8",
-    "b6b71a0fbdc60cba5ebd7939251ea83ad636f4688bf9dd6df07b0071ade23c3d",
+    "b51449e4eaf2c5f82661b1c8fb2fddb268538838a1315c0fbd99a3b8c3f6d6a6",
+    "f4223dedae4d5934337cdbba6fa11cbc03e5bc1087f48b27d21e3c361edd7ea3",
+    "ec8d5b2f3d1ca6a5f01b5e9e511733b14b901fe509a9c2b37c743d6ccbae07f1",
+    "7f4b52dcfbb185e00ecb204907f50521feea99d85c1c6f502737699ed526f6bd",
+    "406a22b38f139c9a18f2067f606928752e13f7a1a834d9aebcefdfa119233b83",
+    "a69666244d18a2d2bd28b1ed12160b74311bf7ad32fb21fb8152915fb6fead42",
+    "51e87c4003cd9d271b16d97b62e4ec8d96db3eb62145aae5f62496178b0a187c",
+    "9d42194e267220683175e7d509f135bcfff9d7c22ad5ec4b60570bd61c7967e3",
+    "4f54c40465757675a9a6078e2f7c207865fd9cea39226eeb0416a47383e827a3",
+    "8f56bfbef9919544bc02ade56842e4e038d928e01573a990a165cf7dfd31e4b7",
+    "17854281e8eebda9213eef1f231163f8a7cbb22c89ed90f1b9b97952e9a35fe4",
+    "a53dbe2b86d32cabdef7b5b5dd66a924ec7e2a10d7d5a20e2a6c589e97a60d3a",
+    "5a112a125c9765a3ddecdb54a84d507b82e2e3a4f9292e465e8c99f7a0cf21de",
+    "b0f1ead3cb39167eb99d5c69889401ede3d099ccb98f1cd641533d80d241c061",
+    "2d99ccb0a8426f19c19f17957f7c7b9e9294ea1cce65265fe58540aa4698b822",
+    "02e87204d7beea8b30197f0a31550c8d6aa75f47a59e9ef41fc56be3403ab9ef",
+    "324ac18c696cf6cd80fd2485f7ef85b4a7d8602091b3d867ccb5d83314e10454",
+    "a93bb75c6454b7c5a59c321fcbe9ef4047f27a25b5657a9e9328475744d636e9",
+    "3b9ac6405645fe019aeef78e698fa674067290f89d4e7f0e7bd3aeb5df0b7597",
+    "db4c7be6746a4db651e3568d11ff96198b334e30aa387fd565b1d2c510f80d6b",
 ]
 
 

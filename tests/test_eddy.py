@@ -173,6 +173,74 @@ class TestGeometryFactor:
         assert np.all(geometry_factor(ks, geom()) >= 0.0)
 
 
+def elliptic_ke(m: float) -> tuple[float, float]:
+    """Complete elliptic integrals K(m), E(m) of parameter m = k^2 by the AGM.
+
+    K = pi / (2 AGM(1, sqrt(1 - m))) and E = K (1 - sum 2^(n-1) c_n^2) with
+    c_0 = k and c_(n+1) = (a_n - b_n) / 2.  Twelve steps are past convergence
+    for m <= 0.999 (it is quadratic); a tolerance test could stall where a_n
+    and b_n settle one ulp apart.
+    """
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    total, weight = 0.5 * m, 0.5
+    for _ in range(12):
+        a, b, c = (a + b) / 2.0, math.sqrt(a * b), (a - b) / 2.0
+        weight *= 2.0
+        total += weight * c * c
+    k = math.pi / (2.0 * a)
+    return k, k * (1.0 - total)
+
+
+def coaxial_circles_m(a: float, z: float) -> float:
+    """Maxwell's mutual inductance of two coaxial circles of radius a, z apart."""
+    m = 4.0 * a * a / (4.0 * a * a + z * z)
+    k_int, e_int = elliptic_ke(m)
+    k = math.sqrt(m)
+    return MU0 * a * ((2.0 / k - k) * k_int - 2.0 / k * e_int)
+
+
+class TestStaticImageLimits:
+    """Exact limits of the plate integral, independent of its quadrature.
+
+    pi*mu0*int [N a J1(ka)]^2 exp(-2kd) dk is N^2 times the mutual inductance
+    of two coaxial circles of radius a, 2d apart, so where phi is a constant
+    the plate inductance is that constant times N^2 M_circ(a, 2d): the
+    magnetic image -(mur-1)/(mur+1) as sigma -> 0, and the perfect conductor
+    +1 as sigma -> infinity with mur = 1.
+    """
+
+    @pytest.mark.parametrize("m", [0.01, 0.2, 0.5, 0.9, 0.999])
+    def test_agm_against_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        k_int, e_int = elliptic_ke(m)
+        assert k_int == pytest.approx(float(mpmath.ellipk(m)), rel=1e-15)
+        assert e_int == pytest.approx(float(mpmath.ellipe(m)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, n, d", [(0.05, 1, 0.01), (0.1, 3, 0.2), (0.3, 5, 0.01), (0.2, 2, 0.05)]
+    )
+    def test_magnetic_limit(self, a, n, d):
+        mu_r = 1000.0
+        z = plate_impedance(geom(a, n, d), MetalMaterial("x", 1e-6, mu_r))
+        image = -(mu_r - 1.0) / (mu_r + 1.0) * n * n * coaxial_circles_m(a, 2.0 * d)
+        assert z.l_m == pytest.approx(image, rel=1e-9)
+
+    @pytest.mark.parametrize("a, n, d, track", [(0.1, 3, 0.2, 1e-4), (0.3, 5, 0.01, 2e-3)])
+    def test_conductor_limit(self, a, n, d, track):
+        # the gap to the image closes as sigma^(-1/2), the skin depth, and
+        # equals r_m/(w l_m), the surface-impedance ratio, ever closer
+        full = n * n * coaxial_circles_m(a, 2.0 * d)
+        sigmas = (1e10, 1e12, 1e14, 1e16)
+        gaps = []
+        for sigma in sigmas:
+            z = plate_impedance(geom(a, n, d), MetalMaterial("x", sigma, 1.0))
+            gap = 1.0 - z.l_m / full
+            ratio = z.r_m / (W20K * z.l_m)
+            assert abs(gap / ratio - 1.0) <= track * math.sqrt(1e10 / sigma)
+            gaps.append(gap)
+        assert [g / h for g, h in zip(gaps, gaps[1:])] == pytest.approx([10.0] * 3, rel=1e-4)
+
+
 class TestPlateImpedance:
     def test_low_conductivity_limit(self):
         # response is linear in sigma well below the skin-effect regime

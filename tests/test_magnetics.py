@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -57,6 +58,26 @@ class TestNeumann:
         assert far < 1e-5 * near
         farther = mutual_inductance_neumann(CoaxialPair(SquareLoop(a), a, 200 * a))
         assert farther / far == pytest.approx(1.0 / 8.0, rel=0.02)
+
+    def test_pair_table_memory_bounded(self):
+        # 512 elements/side is 2048 x 2048 element pairs; as one table they
+        # take ~200 MB, and ~770 MB at 1024/side, the n_max cap
+        pair = CoaxialPair(SquareLoop(0.1), 0.07, 0.05)
+        tracemalloc.start()
+        try:
+            value = magnetics._neumann_sum(0.1, 0.07, 0.05, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert value == pytest.approx(mutual_inductance_coaxial_squares(pair), rel=1e-6)
+
+    def test_blocking_keeps_the_sum(self, monkeypatch):
+        sums = []
+        for block in (1, 1000, 1 << 30):  # one row per block, a few rows, one block
+            monkeypatch.setattr(magnetics, "_NEUMANN_BLOCK", block)
+            sums.append(magnetics._neumann_sum(0.164, 0.1, 0.2, 40))
+        assert sums == pytest.approx([sums[0]] * 3, rel=1e-13)
 
 
 class TestCoaxialSquares:
