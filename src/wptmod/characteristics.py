@@ -64,7 +64,7 @@ def evaluate_point(spec: SweepSpec, i_tx):
     i_tx may be a scalar or an array.
     """
     i_tx = np.asarray(i_tx, dtype=float)
-    if np.any(i_tx < 0.0):
+    if not np.all(i_tx >= 0.0):
         raise ValueError("i_tx must be >= 0")
     z_in = input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx)
     return abs(z_in) * i_tx, z_in.real * i_tx * i_tx

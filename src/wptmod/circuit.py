@@ -1,9 +1,11 @@
 """Phasor solution of the two-transmitter WPT circuit and its reduction.
 
-The full model is three coupled KVL loops (coil A, coil B, receiver); the
-reduced model replaces the orthogonal pair with a single coil coaxial to
-the receiver.  Receivers are either a resonant coil with a resistive load
-or a metal plate with equivalent series (R_m, L_m).
+The full model is three coupled KVL loops (coil A, coil B, receiver),
+solved for a current drive by solve_from_drive.  The reduced model replaces
+the orthogonal pair with a single coil coaxial to the receiver; its source
+voltage is I*Z_in, with Z_in from input_impedance, the same impedance the
+U-I and P-I curves use.  Receivers are either a resonant coil with a
+resistive load or a metal plate with equivalent series (R_m, L_m).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class DriveSpec:
     steering: float = 0.0  # [rad]
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
+        if not self.amplitude >= 0.0:
             raise ValueError("amplitude must be >= 0")
         if not self.angular_frequency > 0.0:
             raise ValueError("angular_frequency must be > 0")
@@ -147,8 +149,9 @@ def couplings_from_coaxial(m: float, azimuth: float) -> Couplings:
 class PhasorSolution:
     """One steady-state operating point of the full or reduced circuit.
 
-    For the reduced (single-coil) model, i_a/u_a hold the primary current
-    and source voltage and i_c the secondary current; i_b and u_b are zero.
+    For the reduced (single-coil) point built by reduced_counterpart, i_a/u_a
+    hold the primary current and source voltage, i_c the secondary current and
+    reduced_m the coupling; i_b and u_b are zero.
     """
 
     i_a: complex
@@ -165,27 +168,11 @@ class PhasorSolution:
     reduced_m: float | None = None
 
 
-def current_decomposition(drive: DriveSpec) -> tuple[float, float]:
-    """Split the composite drive amplitude onto the two coils by steering."""
-    return (
-        drive.amplitude * math.sin(drive.steering),
-        drive.amplitude * math.cos(drive.steering),
-    )
-
-
 def _receiver_impedance(rx: Receiver, omega: float) -> complex:
     z2 = rx.impedance(omega)
     if z2 == 0.0:
         raise SingularityError("receiver impedance is zero")
     return z2
-
-
-def receiver_current(drive: DriveSpec, couplings: Couplings, rx: Receiver) -> complex:
-    """Receiver current phasor induced by the steered transmitter drive."""
-    w = drive.angular_frequency
-    z2 = _receiver_impedance(rx, w)
-    eff = couplings.magnitude * math.sin(drive.steering + couplings.axis_angle)
-    return 1j * w * drive.amplitude * eff / z2
 
 
 def input_impedance(drive: DriveSpec, couplings: Couplings, rx: Receiver, tx: TxCoil) -> complex:
@@ -203,33 +190,26 @@ def input_power(drive: DriveSpec, couplings: Couplings, rx: Receiver, tx: TxCoil
     return drive.amplitude**2 * input_impedance(drive, couplings, rx, tx).real
 
 
-def transmitter_voltages(
-    drive: DriveSpec,
-    couplings: Couplings,
-    rx: Receiver,
-    tx: TxCoil,
-) -> tuple[complex, complex]:
-    """Source voltage phasors on both transmitter coils, reflected term included."""
-    w = drive.angular_frequency
-    z2 = _receiver_impedance(rx, w)
-    z_tx = tx.impedance(w)
-    proj = couplings.projection(drive.steering)
-    s, c = math.sin(drive.steering), math.cos(drive.steering)
-    u_a = drive.amplitude * (z_tx * s + w * w * couplings.m_ac * proj / z2)
-    u_b = drive.amplitude * (z_tx * c + w * w * couplings.m_bc * proj / z2)
-    return u_a, u_b
-
-
 def solve_from_drive(
     drive: DriveSpec,
     couplings: Couplings,
     rx: Receiver,
     tx: TxCoil,
 ) -> PhasorSolution:
-    """Current-driven operating point of the full two-transmitter system."""
-    i_a, i_b = current_decomposition(drive)
-    i_c = receiver_current(drive, couplings, rx)
-    u_a, u_b = transmitter_voltages(drive, couplings, rx, tx)
+    """Current-driven operating point of the full two-transmitter system.
+
+    The steering splits I into i_a = I*sin(theta) and i_b = I*cos(theta); the
+    receiver row gives i_c and the two transmitter rows give u_a and u_b.
+    """
+    w = drive.angular_frequency
+    z_tx = tx.impedance(w)
+    i_a = drive.amplitude * math.sin(drive.steering)
+    i_b = drive.amplitude * math.cos(drive.steering)
+    # |m|*sin(theta + axis_angle), not the projection sum: exactly 0 at the null steering
+    eff = couplings.magnitude * math.sin(drive.steering + couplings.axis_angle)
+    i_c = 1j * w * drive.amplitude * eff / _receiver_impedance(rx, w)
+    u_a = z_tx * i_a - 1j * w * couplings.m_ac * i_c
+    u_b = z_tx * i_b - 1j * w * couplings.m_bc * i_c
     p_in = (u_a * np.conj(i_a)).real + (u_b * np.conj(i_b)).real
     return PhasorSolution(
         i_a=i_a,
@@ -238,12 +218,23 @@ def solve_from_drive(
         u_a=u_a,
         u_b=u_b,
         p_in=p_in,
-        omega=drive.angular_frequency,
+        omega=w,
         drive=drive,
         couplings=couplings,
         receiver=rx,
         tx=tx,
     )
+
+
+def transmitter_voltages(
+    drive: DriveSpec,
+    couplings: Couplings,
+    rx: Receiver,
+    tx: TxCoil,
+) -> tuple[complex, complex]:
+    """Source voltage phasors (u_a, u_b) of solve_from_drive's operating point."""
+    sol = solve_from_drive(drive, couplings, rx, tx)
+    return sol.u_a, sol.u_b
 
 
 def solve_full_system(
@@ -283,37 +274,6 @@ def solve_full_system(
         couplings=couplings,
         receiver=rx,
         tx=tx,
-    )
-
-
-def solve_single_coil(
-    m: float,
-    rx: Receiver,
-    tx: TxCoil,
-    omega: float,
-    i_1: complex,
-) -> PhasorSolution:
-    """Operating point of the reduced single-coil model driven by primary current i_1.
-
-    The reflected impedance w^2 M^2 / Z2 appears in series with the
-    primary branch.
-    """
-    w = omega
-    z2 = _receiver_impedance(rx, w)
-    u_i = i_1 * (tx.impedance(w) + (w * m) ** 2 / z2)
-    i_2 = 1j * w * m * i_1 / z2
-    p_in = (u_i * np.conj(i_1)).real
-    return PhasorSolution(
-        i_a=complex(i_1),
-        i_b=0.0,
-        i_c=complex(i_2),
-        u_a=complex(u_i),
-        u_b=0.0,
-        p_in=float(p_in),
-        omega=omega,
-        receiver=rx,
-        tx=tx,
-        reduced_m=m,
     )
 
 
@@ -358,7 +318,7 @@ def equivalence_constants(
     if full.drive is None or full.couplings is None:
         raise ValueError("full solution must carry its drive and couplings")
     if reduced.reduced_m is None:
-        raise ValueError("reduced solution must come from solve_single_coil")
+        raise ValueError("reduced solution must come from reduced_counterpart")
     theta = full.drive.steering
     s, c = math.sin(theta), math.cos(theta)
     w = full.omega
@@ -382,14 +342,27 @@ def equivalence_constants(
 
 
 def reduced_counterpart(full: PhasorSolution) -> PhasorSolution:
-    """Construct the unit-constant reduced operating point of a full solution."""
+    """Unit-constant reduced operating point of a full solution.
+
+    The single primary carries the drive amplitude I and couples to the
+    receiver through m = projection(theta); its source voltage is I*Z_in, with
+    Z_in from input_impedance, and the receiver carries j*w*m*I/Z2.
+    """
     if full.drive is None or full.couplings is None:
         raise ValueError("full solution must carry its drive and couplings")
-    m = full.couplings.projection(full.drive.steering)
-    return solve_single_coil(
-        m=m,
-        rx=full.receiver,
+    drive, rx, w = full.drive, full.receiver, full.omega
+    m = full.couplings.projection(drive.steering)
+    i_1 = drive.amplitude
+    u = i_1 * input_impedance(drive, full.couplings, rx, full.tx)
+    return PhasorSolution(
+        i_a=complex(i_1),
+        i_b=0.0,
+        i_c=1j * w * m * i_1 / _receiver_impedance(rx, w),
+        u_a=u,
+        u_b=0.0,
+        p_in=i_1 * u.real,
+        omega=w,
+        receiver=rx,
         tx=full.tx,
-        i_1=full.drive.amplitude,
-        omega=full.omega,
+        reduced_m=m,
     )

@@ -56,7 +56,7 @@ class MetalMaterial:
     def __post_init__(self):
         if not self.conductivity > 0.0:
             raise ValueError("conductivity must be > 0")
-        if self.rel_permeability < 1.0:
+        if not self.rel_permeability >= 1.0:
             raise ValueError("rel_permeability must be >= 1")
 
 

@@ -26,6 +26,7 @@ from wptmod.circuit import (
     resonant_capacitance,
     solve_from_drive,
 )
+from wptmod.eddy import MetalMaterial
 from wptmod.scenario import NoiseSpec, generate_test_samples, load_scenario
 
 OMEGA = 2.0 * math.pi * 20e3
@@ -131,6 +132,20 @@ class TestSweepShapes:
     def test_negative_current_rejected(self):
         with pytest.raises(ValueError):
             evaluate_point(make_spec(), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DriveSpec(amplitude=math.nan),
+            lambda: evaluate_point(make_spec(), math.nan),
+            lambda: MetalMaterial("x", 1e7, math.nan),
+        ],
+        ids=["drive_amplitude", "evaluate_point_current", "rel_permeability"],
+    )
+    def test_nan_fails_sign_check(self, build):
+        # each sign check reads `not x >= bound`, which NaN fails too
+        with pytest.raises(ValueError):
+            build()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

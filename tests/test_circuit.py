@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wptmod import circuit
 from wptmod.circuit import (
     CoilReceiver,
     Couplings,
@@ -10,16 +12,13 @@ from wptmod.circuit import (
     MetalReceiver,
     TxCoil,
     couplings_from_coaxial,
-    current_decomposition,
     default_tx_coil,
     equivalence_constants,
     input_power,
-    receiver_current,
     reduced_counterpart,
     resonant_capacitance,
     solve_from_drive,
     solve_full_system,
-    solve_single_coil,
     transmitter_voltages,
 )
 from wptmod.errors import EquivalenceViolationError, SingularityError
@@ -52,6 +51,12 @@ def random_operating_point(rng, metal=False):
     return drive, couplings, rx, tx
 
 
+def solve_point(drive, couplings=Couplings(0.0, 0.0), rx=None, tx=None):
+    """solve_from_drive with a default receiver and transmitter coil."""
+    rx = rx or resonant_coil_receiver(0.1, 4.5)
+    return solve_from_drive(drive, couplings, rx, tx or default_tx_coil())
+
+
 class TestDecomposition:
     @pytest.mark.parametrize(
         "theta,expected",
@@ -62,50 +67,46 @@ class TestDecomposition:
         ],
     )
     def test_examples(self, theta, expected):
-        i_a, i_b = current_decomposition(DriveSpec(amplitude=10.0, steering=theta))
-        assert i_a == pytest.approx(expected[0], abs=1e-12)
-        assert i_b == pytest.approx(expected[1], abs=1e-12)
+        sol = solve_point(DriveSpec(amplitude=10.0, steering=theta))
+        assert sol.i_a == pytest.approx(expected[0], abs=1e-12)
+        assert sol.i_b == pytest.approx(expected[1], abs=1e-12)
 
     def test_amplitude_preserved(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             amp = rng.uniform(0.0, 10.0)
-            i_a, i_b = current_decomposition(
-                DriveSpec(amplitude=amp, steering=rng.uniform(0, 7))
-            )
-            assert math.hypot(i_a, i_b) == pytest.approx(amp)
+            sol = solve_point(DriveSpec(amplitude=amp, steering=rng.uniform(0, 7)))
+            assert math.hypot(sol.i_a, sol.i_b) == pytest.approx(amp)
 
 
 class TestReceiverCurrent:
     def test_no_coupling(self):
         drive = DriveSpec(amplitude=5.0, steering=0.3)
-        rx = resonant_coil_receiver(0.1, 4.5)
-        assert receiver_current(drive, Couplings(0.0, 0.0), rx) == 0.0
+        assert solve_point(drive).i_c == 0.0
 
     def test_orthogonal_null(self):
         couplings = Couplings(1e-6, 1e-6)
         theta = -couplings.axis_angle  # sin(theta + offset) = 0
         drive = DriveSpec(amplitude=5.0, steering=theta)
-        rx = resonant_coil_receiver(0.1, 4.5)
-        assert abs(receiver_current(drive, couplings, rx)) < 1e-18
+        assert abs(solve_point(drive, couplings).i_c) < 1e-18
 
     def test_matches_full_solve(self):
         rng = np.random.default_rng(5)
         for metal in (False, True):
             for _ in range(50):
                 drive, couplings, rx, tx = random_operating_point(rng, metal)
-                i_c = receiver_current(drive, couplings, rx)
-                u_a, u_b = transmitter_voltages(drive, couplings, rx, tx)
-                sol = solve_full_system(u_a, u_b, couplings, rx, tx, drive.angular_frequency)
-                i_a, i_b = current_decomposition(drive)
-                assert sol.i_a == pytest.approx(i_a, rel=1e-9, abs=1e-15)
-                assert sol.i_b == pytest.approx(i_b, rel=1e-9, abs=1e-15)
-                assert sol.i_c == pytest.approx(i_c, rel=1e-9, abs=1e-15)
+                ref = solve_from_drive(drive, couplings, rx, tx)
+                sol = solve_full_system(
+                    ref.u_a, ref.u_b, couplings, rx, tx, drive.angular_frequency
+                )
+                assert sol.i_a == pytest.approx(ref.i_a, rel=1e-9, abs=1e-15)
+                assert sol.i_b == pytest.approx(ref.i_b, rel=1e-9, abs=1e-15)
+                assert sol.i_c == pytest.approx(ref.i_c, rel=1e-9, abs=1e-15)
 
     def test_zero_receiver_impedance(self):
         drive = DriveSpec(amplitude=1.0)
         with pytest.raises(SingularityError):
-            receiver_current(drive, Couplings(1e-6, 0.0), MetalReceiver(0.0, 0.0))
+            solve_point(drive, Couplings(1e-6, 0.0), MetalReceiver(0.0, 0.0))
 
 
 class TestInputPower:
@@ -181,17 +182,23 @@ class TestFullSolve:
             assert abs(r3) < 1e-12 * scale
 
 
+def reduced_point(m, rx, tx, amplitude):
+    """Reduced point at coupling m: only coil B couples, and steering 0 drives it alone."""
+    drive = DriveSpec(OMEGA, amplitude, 0.0)
+    return reduced_counterpart(solve_from_drive(drive, Couplings(0.0, m), rx, tx))
+
+
 class TestSingleCoil:
     def test_decoupled(self):
         tx = default_tx_coil(resistance=0.2)
-        sol = solve_single_coil(0.0, resonant_coil_receiver(0.1, 4.5), tx, OMEGA, i_1=5.0)
+        sol = reduced_point(0.0, resonant_coil_receiver(0.1, 4.5), tx, amplitude=5.0)
         assert sol.u_a == pytest.approx(1.0)
         assert sol.i_c == 0.0
 
     def test_metal_reflected_impedance_passive(self):
         tx = default_tx_coil(resistance=0.2)
         rx = MetalReceiver(r_m=1e-4, l_m=1e-8)
-        sol = solve_single_coil(1e-7, rx, tx, OMEGA, i_1=1.0)
+        sol = reduced_point(1e-7, rx, tx, amplitude=1.0)
         z_total = sol.u_a / sol.i_a
         assert (z_total - tx.impedance(OMEGA)).real > 0.0
 
@@ -203,8 +210,7 @@ class TestSingleCoil:
             tx = default_tx_coil(resistance=rng.uniform(0.01, 1.0))
             rx = resonant_coil_receiver(rng.uniform(0.01, 1.0), rng.uniform(0.5, 20.0))
             m = rng.uniform(1e-8, 1e-6)
-            i_1 = complex(rng.normal(), rng.normal())
-            sol = solve_single_coil(m, rx, tx, OMEGA, i_1=i_1)
+            sol = reduced_point(m, rx, tx, amplitude=rng.uniform(0.1, 10.0))
             w = OMEGA
             a = np.array(
                 [[tx.impedance(w), -1j * w * m], [1j * w * m, -rx.impedance(w)]],
@@ -230,10 +236,8 @@ class TestEquivalence:
         rng = np.random.default_rng(31)
         drive, couplings, rx, tx = random_operating_point(rng)
         full = solve_from_drive(drive, couplings, rx, tx)
-        reduced = reduced_counterpart(full)
-        half = solve_single_coil(
-            reduced.reduced_m, rx, tx, i_1=reduced.i_a / 2.0, omega=full.omega
-        )
+        half_drive = replace(drive, amplitude=drive.amplitude / 2.0)
+        half = reduced_counterpart(solve_from_drive(half_drive, couplings, rx, tx))
         consts = equivalence_constants(full, half)
         # linear circuit: halving the drive doubles the voltage/current ratios
         assert consts.k1 == pytest.approx(2.0, rel=1e-9)
@@ -247,13 +251,21 @@ class TestEquivalence:
         rng = np.random.default_rng(41)
         drive, couplings, rx, tx = random_operating_point(rng)
         full = solve_from_drive(drive, couplings, rx, tx)
-        reduced = reduced_counterpart(full)
         other_rx = resonant_coil_receiver(0.3, 1.5)
-        bad = solve_single_coil(
-            reduced.reduced_m, other_rx, tx, i_1=reduced.i_a, omega=full.omega
-        )
+        bad = reduced_counterpart(solve_from_drive(drive, couplings, other_rx, tx))
         with pytest.raises(EquivalenceViolationError):
             equivalence_constants(full, bad)
+
+    def test_reduction_reads_input_impedance(self, monkeypatch):
+        # the reduced source voltage is I*Z_in from input_impedance, so a Z_in
+        # off by 1e-6 must break the equivalence acceptance criterion 2 checks
+        rng = np.random.default_rng(43)
+        drive, couplings, rx, tx = random_operating_point(rng)
+        full = solve_from_drive(drive, couplings, rx, tx)
+        real = circuit.input_impedance
+        monkeypatch.setattr(circuit, "input_impedance", lambda *a: real(*a) * (1 + 1e-6))
+        with pytest.raises(EquivalenceViolationError):
+            equivalence_constants(full, reduced_counterpart(full))
 
     def test_theta_grid(self):
         rng = np.random.default_rng(37)
