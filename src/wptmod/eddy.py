@@ -11,7 +11,9 @@ The integral is evaluated with numpy alone: fixed composite Gauss-Legendre
 (32 nodes per panel, checked by an embedded 16-node rule) on [0, k_max],
 with k_max certified by the exponential tail bound, and J1 by the
 trapezoid rule on its periodic integral (Trefethen and Weideman, SIAM
-Review 56, 2014).
+Review 56, 2014).  On the uniform panels, which share one width, the
+trapezoid sum is split by angle addition into a table over the panel
+centres and one over the node offsets.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .schema import finite, key, keyed, load_json, read, string
 
 # max of |J1| on the real line, used for the truncation tail bound
 _J1_SUP = 0.5819
-# cap on the (points x nodes) table of the J1 trapezoid rule
+# cap on each (points or panels x trapezoid nodes) table of the J1 rule
 _J1_BLOCK = 1 << 20
 # plate integral: minimum panel count, and the most J1(ka)^2 may turn in one panel
 _PANELS = 48
@@ -37,10 +39,10 @@ _PANEL_PHASE = 24.0
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHECK_NODES, _CHECK_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate([_FINE_NODES, _CHECK_NODES])
-# cap on the J1 sine evaluations (points x trapezoid nodes) of one quadrature
-# pass: about 40 s at the 2.5e7 per second measured on a 2-core Xeon host.
-# It admits a/d up to about 1000 for coil half side a and plate distance d;
-# a/d = 50 takes 2.5e6
+# cap on the work of one quadrature pass, counted as the (points x trapezoid
+# nodes) sine table of the direct J1 rule; a/d = 50 counts 2.5e6 for coil half
+# side a and plate distance d, and the cap admits a/d up to about 1000, where
+# a call takes about 1 s on a 2-core Xeon host
 _MAX_J1_WORK = 1e9
 
 
@@ -90,13 +92,22 @@ def phi_k(k, geom: EddyGeometry, mat: MetalMaterial):
     in root - k*mur when k >> k_s.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
+    if not np.all(k >= 0.0):
         raise ValueError("k must be >= 0")
     mur = mat.rel_permeability
     ks2 = geom.angular_frequency * mat.conductivity * MU0 * mur
     root = np.sqrt(k * k + 1j * ks2)
     out = (k * k * (1.0 - mur * mur) + 1j * ks2) / (root + k * mur) ** 2
     return out if out.ndim else complex(out)
+
+
+def _j1_nodes(x_max: float) -> np.ndarray:
+    """sin t at the midpoint trapezoid nodes of the first quarter period.
+
+    Their count leaves J1 at rounding level on [-x_max, x_max]; see bessel_j1.
+    """
+    quarter = (int(x_max) + 16 + math.ceil(12.0 * x_max ** (1.0 / 3.0)) + 3) // 4
+    return np.sin((np.arange(quarter) + 0.5) * (0.5 * math.pi / quarter))
 
 
 def bessel_j1(x):
@@ -112,16 +123,39 @@ def bessel_j1(x):
     J1(0) == 0 and J1(-x) == -J1(x) exactly.
     """
     x = np.asarray(x, dtype=float)
-    x_max = float(np.max(np.abs(x), initial=0.0, where=np.isfinite(x)))
-    quarter = (int(x_max) + 16 + math.ceil(12.0 * x_max ** (1.0 / 3.0)) + 3) // 4
-    s = np.sin((np.arange(quarter) + 0.5) * (0.5 * math.pi / quarter))
+    s = _j1_nodes(float(np.max(np.abs(x), initial=0.0, where=np.isfinite(x))))
     flat = x.ravel()
     out = np.empty_like(flat)
     # block the (points x nodes) table so its memory stays bounded
-    step = max(1, _J1_BLOCK // quarter)
+    step = max(1, _J1_BLOCK // s.size)
     for i in range(0, flat.size, step):
-        out[i : i + step] = np.sin(flat[i : i + step, None] * s) @ s / quarter
+        out[i : i + step] = np.sin(flat[i : i + step, None] * s) @ s / s.size
     return out.reshape(x.shape)[()]
+
+
+def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
+    """bessel_j1(a k) at the rule nodes k of the equal-width panels between edges.
+
+    Row p holds the nodes c_p + h t_j of panel p, with c_p its centre, h the
+    shared half width and t_j the _NODES.  With A = a c_p s_m and
+    B = a h t_j s_m, sin(A + B) = sin A cos B + cos A sin B splits
+    bessel_j1's sum over its trapezoid nodes s_m into a table over the
+    centres times one over the offsets: sines are taken once per panel and
+    once per offset, not once per (node, trapezoid node) pair.
+    """
+    half = np.diff(edges) / 2.0
+    centre = a * (edges[:-1] + half)
+    offset = a * half[0] * _NODES
+    s = _j1_nodes(float(centre[-1] + np.max(offset)))
+    turn = np.outer(offset, s)
+    cos_b, sin_b = (np.cos(turn) * s).T, (np.sin(turn) * s).T
+    out = np.empty((centre.size, _NODES.size))
+    # block the (panels x trapezoid nodes) tables so their memory stays bounded
+    step = max(1, _J1_BLOCK // s.size)
+    for i in range(0, centre.size, step):
+        phase = np.outer(centre[i : i + step], s)
+        out[i : i + step] = np.sin(phase) @ cos_b + np.cos(phase) @ sin_b
+    return out / s.size
 
 
 def geometry_factor(k, geom: EddyGeometry):
@@ -143,7 +177,9 @@ def _tail_k_max(geom: EddyGeometry, estimate: float, floor: float) -> float:
     return math.log(sup_t / (2.0 * d * target)) / (2.0 * d)
 
 
-def _panel_edges(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> np.ndarray:
+def _panel_edges(
+    geom: EddyGeometry, mat: MetalMaterial, k_max: float
+) -> tuple[np.ndarray, int]:
     """Panel edges on [0, k_max] for the composite Gauss-Legendre rule.
 
     Panels are uniform, narrow enough that J1(k a)^2 turns by at most
@@ -151,13 +187,14 @@ def _panel_edges(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> np.nda
     material response has a pole at |k| = k_s / sqrt(mur^2 - 1) and branch
     points at |k| = k_s.  Below the first uniform edge, panels grow
     geometrically by at most 2x from a quarter of k_s / mur, so that no
-    panel is wide against its distance to either.  Raises WorkLimitError,
-    before any table is allocated, when the J1 work of the panels would pass
+    panel is wide against its distance to either.  Returns the edges and the
+    index of the first uniform panel.  Raises WorkLimitError, before any
+    table is allocated, when the J1 work of the panels would pass
     _MAX_J1_WORK.
     """
     x_max = geom.coil_half_side * k_max
     n = 2.0 * x_max / _PANEL_PHASE
-    # bessel_j1's node count for x_max, as a float that may be inf
+    # _j1_nodes' count for x_max, as a float that may be inf
     work = max(_PANELS, n) * _NODES.size * (x_max + 16.0 + 12.0 * x_max ** (1.0 / 3.0)) / 4.0
     if not work <= _MAX_J1_WORK:
         amount = f"about {work:.2g}" if math.isfinite(work) else "over 1e+308"
@@ -170,10 +207,12 @@ def _panel_edges(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> np.nda
         geom.angular_frequency * mat.conductivity * MU0 * mat.rel_permeability
     )
     k_low = k_s / mat.rel_permeability / 4.0
-    if k_low < edges[1]:
-        steps = math.ceil(math.log2(edges[1] / k_low))
-        edges = np.union1d(edges, np.geomspace(k_low, edges[1], steps + 1))
-    return edges
+    if not k_low < edges[1]:
+        return edges, 0
+    # [0, k_low], then `steps` geometric panels up to the first uniform edge
+    steps = math.ceil(math.log2(edges[1] / k_low))
+    graded = np.geomspace(k_low, edges[1], steps + 1)
+    return np.concatenate([[0.0], graded, edges[2:]]), steps + 1
 
 
 def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> complex:
@@ -182,10 +221,14 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
     The 32-node rule gives the value; an embedded 16-node rule on the same
     panels is its error estimate.
     """
-    edges = _panel_edges(geom, mat, k_max)
+    edges, first = _panel_edges(geom, mat, k_max)
     half = np.diff(edges)[:, None] / 2.0
     k = (edges[:-1, None] + half) + half * _NODES
-    f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k) * geometry_factor(k, geom)
+    a = geom.coil_half_side
+    # the graded panels by the direct rule, the uniform ones by angle addition
+    j1 = np.concatenate([bessel_j1(k[:first] * a), _panel_j1(edges[first:], a)])
+    f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
+    f *= (geom.coil_turns * a * j1) ** 2
     f *= half
     value = complex(np.sum(f[:, : _FINE_NODES.size] @ _FINE_WEIGHTS))
     check = complex(np.sum(f[:, _FINE_NODES.size :] @ _CHECK_WEIGHTS))

@@ -352,6 +352,23 @@ def test_detect_reports_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sha256 of the `impedance`, `curves` and `fit` artifacts on the bundled
+# scenario, as written when every panel took the direct J1 rule
+ARTIFACT_SHA256 = {
+    "impedance.csv": "50a8b978c3f99f25100e85a02b27ce5a45e7b6c9ef9b2afcc82afab76f718671",
+    "curves.csv": "ce04ca314db603d053d3d1e6a409cac83cb14fb3cdd3c79129f63d574810857f",
+    "threshold.json": "691eaf03d6dd0dc9f0af4dfdf805a3e1c0be6804b00eb0dc706c41e3016ebc34",
+}
+
+
+def test_artifacts_byte_identical(tmp_path, capsys):
+    for verb in ("impedance", "curves", "fit"):
+        assert cli.main([verb, "--out", str(tmp_path)]) == cli.EXIT_OK
+    for name, digest in ARTIFACT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    capsys.readouterr()
+
+
 class TestScenarioValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         base = _bundled()

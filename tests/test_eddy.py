@@ -121,6 +121,11 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi_k(-1.0, geom(), CU)
 
+    @pytest.mark.parametrize("k", [float("nan"), [1.0, float("nan")]])
+    def test_nan_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            phi_k(k, geom(), CU)
+
 
 class TestBessel:
     def test_zero(self):
@@ -151,6 +156,38 @@ class TestBessel:
     def test_oddness(self):
         xs = np.linspace(0.1, 50.0, 23)
         assert np.allclose(bessel_j1(-xs), -bessel_j1(xs), rtol=0, atol=1e-15)
+
+
+def rule_nodes(g: EddyGeometry, mat: MetalMaterial):
+    """The first-pass panel edges, uniform-panel index and node table k."""
+    edges, first = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)
+    half = np.diff(edges)[:, None] / 2.0
+    return edges, first, (edges[:-1, None] + half) + half * eddy._NODES
+
+
+class TestPanelJ1:
+    """Angle addition on the uniform panels against bessel_j1 on the same nodes."""
+
+    def check(self, g, mat, graded):
+        edges, first, k = rule_nodes(g, mat)
+        assert (first > 0) == graded
+        a = g.coil_half_side
+        got = eddy._panel_j1(edges[first:], a)
+        expected = bessel_j1(k[first:] * a)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+    def test_uniform_panels_only(self):
+        self.check(geom(a=0.15, d=0.03), CU, graded=False)
+
+    def test_beside_graded_panels(self):
+        # sigma = 1e-6 S/m puts k_s / mur below the first uniform edge
+        self.check(geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0), graded=True)
+
+    def test_blocked(self, monkeypatch):
+        # a block of one panel: the loop runs once per panel
+        monkeypatch.setattr(eddy, "_J1_BLOCK", 1)
+        self.check(geom(a=0.15, d=0.01), CU, graded=False)
 
 
 class TestGeometryFactor:
@@ -309,6 +346,7 @@ class TestPlateImpedance:
     def test_too_close_refused_before_allocating(self, monkeypatch, d):
         # the cap is checked before the panel table exists, so nothing is evaluated
         monkeypatch.setattr(eddy, "bessel_j1", None)
+        monkeypatch.setattr(eddy, "_panel_j1", None)
         with pytest.raises(WorkLimitError, match="J1 sine evaluations, over its cap of 1e"):
             plate_impedance(geom(d=d), FE)
 
