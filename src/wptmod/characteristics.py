@@ -10,6 +10,7 @@ p = Re(Z_in)*I^2.  Neither depends on the azimuth.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,19 +81,107 @@ def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
 _HEADER = "label,i_tx_A,u_tx_V,p_in_W"
 _COLUMNS = _HEADER.split(",")
 
+# Fixed-point rendering of %.12f: a value is q + n/10^12 with q and n exact
+# integers.  Values at or above _FIXED_LIMIT keep the template, so q has at
+# most 16 digits, carry included.
+_FIXED_LIMIT = 1e15
+_FRACTION = 10**12
+# Dekker's splitter, and 10^12 split into halves of at most 26 bits each
+_SPLITTER = 2.0**27 + 1.0
+_FRACTION_HI = float(_FRACTION >> 14 << 14)
+_FRACTION_LO = float(_FRACTION - (_FRACTION >> 14 << 14))
+# the four ASCII digits of 0..9999, zero-padded, one uint32 per entry
+_DIGITS = (
+    (np.arange(10_000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+     + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+_POWERS = 10 ** np.arange(1, 16, dtype=np.int64)
+
 
 def curves_to_csv(curves: list[CharacteristicCurve]) -> str:
     """Render curves in the interchange CSV layout, one row per point.
 
-    Each curve is one %-format of its row template repeated once per point;
-    %.12f gives a float the same text as the format spec .12f.
+    Each number is printed as %.12f prints it: the exact decimal of the
+    float rounded to 12 places, ties to even, so both paths below give the
+    same bytes.  A curve whose values all have the sign bit clear and lie
+    below 1e15 is written from exact integers, with no per-value format
+    call: q = floor(v), the remainder r = v - q is exact, and r*10^12 is
+    taken exactly as p + e by Dekker's split product.  np.rint rounds p half
+    to even; where p sits on a tie, e says on which side of it r*10^12 lies,
+    so the digits are those of the exact decimal.  Every other curve (NaN,
+    +-inf, -0.0, a negative current, a value at or above 1e15, or no points)
+    is one %-format of its row template repeated once per point.
     """
     parts = [_HEADER + "\n"]
     for curve in curves:
-        row = curve.label.replace("%", "%%") + ",%.12f,%.12f,%.12f\n"
-        values = np.column_stack([curve.i_tx, curve.u_tx, curve.p_in]).ravel().tolist()
-        parts.append((row * len(curve.i_tx)) % tuple(values))
+        values = np.column_stack([curve.i_tx, curve.u_tx, curve.p_in])
+        if values.size and (values < _FIXED_LIMIT).all() and not np.signbit(values).any():
+            parts.append(_fixed_rows(curve.label, values))
+        else:
+            row = curve.label.replace("%", "%%") + ",%.12f,%.12f,%.12f\n"
+            parts.append((row * len(values)) % tuple(values.ravel().tolist()))
     return "".join(parts)
+
+
+def _fixed_rows(label: str, values: np.ndarray) -> str:
+    """The rows of one curve; values (n, 3) have the sign bit clear and are < _FIXED_LIMIT."""
+    whole = np.floor(values)
+    rest = values - whole
+    # Dekker's split product: rest * 10^12 == p + e exactly
+    p = rest * float(_FRACTION)
+    t = rest * _SPLITTER
+    hi = t - (t - rest)
+    lo = rest - hi
+    e = ((hi * _FRACTION_HI - p) + hi * _FRACTION_LO + lo * _FRACTION_HI) + lo * _FRACTION_LO
+    # p <= 10^12 < 2^40 has a unit in the last place of at most 2^-13, so
+    # every half-integer up to it is a float; rounding being monotone, p + e
+    # rounds to another integer than p only where p is itself a half-integer
+    # and e points away from the integer rint picks
+    n = np.rint(p)
+    off = p - n
+    n += (off == 0.5) & (e > 0.0)
+    n -= (off == -0.5) & (e < 0.0)
+    fraction = n.astype(np.int64)
+    whole = whole.astype(np.int64)
+    carry = fraction == _FRACTION
+    whole += carry
+    fraction[carry] = 0
+    groups = np.empty(values.shape + (7,), dtype=np.int64)
+    _split_groups(whole, groups[..., :4])
+    _split_groups(fraction, groups[..., 4:])
+    digits = _DIGITS[groups].view(np.uint8)
+
+    # each value: comma, as many integer digits as the curve's largest
+    # value has, point, 12 decimals
+    count = np.searchsorted(_POWERS, whole, side="right")  # integer digits less one
+    top = int(count.max())
+    size = top + 15
+    rows, head = len(values), np.frombuffer(label.encode(), dtype=np.uint8)
+    text = np.empty((rows, head.size + 3 * size + 1), dtype=np.uint8)
+    text[:, : head.size] = head
+    text[:, -1] = ord("\n")
+    cells = text[:, head.size : -1].reshape(rows, 3, size)
+    cells[..., 0] = ord(",")
+    cells[..., 1 : top + 2] = digits[..., 15 - top : 16]
+    cells[..., top + 2] = ord(".")
+    cells[..., top + 3 :] = digits[..., 16:]
+    # drop the leading zeros of the shorter integer parts
+    printed = np.ones(text.shape, dtype=bool)
+    leading = printed[:, head.size : -1].reshape(rows, 3, size)[..., 1 : top + 1]
+    leading[...] = np.arange(top) >= top - count[..., None]
+    return text[printed].tobytes().decode()
+
+
+def _split_groups(number: np.ndarray, out: np.ndarray) -> None:
+    """Write the 4-digit groups of `number` (int64 >= 0) into out, most significant first."""
+    for k in range(out.shape[-1] - 1, 0, -1):
+        high = number // 10_000
+        out[..., k] = number - high * 10_000
+        number = high
+    out[..., 0] = number
 
 
 def curves_from_csv(text: str) -> list[CharacteristicCurve]:
@@ -109,18 +198,23 @@ def curves_from_csv(text: str) -> list[CharacteristicCurve]:
     rows = lines[1:]
     if not rows:
         return []
-    runs: list[tuple[str, int]] = []
+    # usecols ignores any field past the fourth, so count the commas: three a line
+    if text.count(",") != 3 * len(lines):
+        raise _row_error(text)
     try:
         # numpy parses the numbers in C, correctly rounded like float()
-        data = np.loadtxt(_numbers(rows, runs), delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", comments=None, usecols=(1, 2, 3), ndmin=2)
     except ValueError as exc:
         raise _row_error(text) from exc
     if data.shape != (len(rows), 3) or not np.isfinite(data).all():
         raise _row_error(text)
     columns = np.ascontiguousarray(data.T)
     blocks: dict[str, list[np.ndarray]] = {}
-    for (label, start), (_, stop) in zip(runs, runs[1:] + [("", len(rows))]):
+    start = 0
+    for label, run in itertools.groupby(row.partition(",")[0] for row in rows):
+        stop = start + len(list(run))
         blocks.setdefault(label, []).append(columns[:, start:stop])
+        start = stop
     curves = []
     for label, parts in blocks.items():
         i, u, p = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -129,18 +223,6 @@ def curves_from_csv(text: str) -> list[CharacteristicCurve]:
         except ValueError as exc:
             raise ValueError(f"curves.csv curve {label!r}: {exc}") from exc
     return curves
-
-
-def _numbers(rows: list[str], runs: list[tuple[str, int]]):
-    """Yield each row's text after its label; record (label, first row) per run."""
-    current = None
-    for n, row in enumerate(rows):
-        label, _, rest = row.partition(",")
-        if label != current:
-            runs.append((label, n))
-            current = label
-        # loadtxt skips an empty line (and warns when all are); make it fail instead
-        yield rest or "<missing>"
 
 
 def _row_error(text: str) -> ValueError:

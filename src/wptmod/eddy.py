@@ -207,7 +207,9 @@ def _panel_edges(
         geom.angular_frequency * mat.conductivity * MU0 * mat.rel_permeability
     )
     k_low = k_s / mat.rel_permeability / 4.0
-    if not k_low < edges[1]:
+    # k_s underflows to 0 for a vanishing conductivity: phi is then the
+    # constant of the magnetic image, and uniform panels integrate it
+    if not 0.0 < k_low < edges[1]:
         return edges, 0
     # [0, k_low], then `steps` geometric panels up to the first uniform edge
     steps = math.ceil(math.log2(edges[1] / k_low))

@@ -27,7 +27,7 @@ from wptmod.circuit import (
     solve_from_drive,
 )
 from wptmod.eddy import MetalMaterial
-from wptmod.scenario import NoiseSpec, generate_test_samples, load_scenario
+from wptmod.scenario import MAX_STEPS, NoiseSpec, generate_test_samples, load_scenario
 
 OMEGA = 2.0 * math.pi * 20e3
 
@@ -334,6 +334,31 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2: expected 4 comma-separated fields, got 5"):
             curves_from_csv(text)
 
+    @pytest.mark.parametrize(
+        "label, i, u, p",
+        [
+            # 9.99...95 and the float below 1 round up and carry into the integer part
+            ("carry", [0.9999999999995, 9.9999999999995], [math.nextafter(1.0, 0.0), 1.0],
+             [99.9999999999995, 0.5]),
+            ("subnormal", [0.0, 5e-324], [5e-324, 2.2250738585072014e-308], [5e-324, 0.0]),
+            ("neg_zero", [-0.0, 1.0], [0.0, -0.0], [-0.0, 2.0]),
+            ("neg_current", [-2.5, -1e-13], [1.0, 2.0], [3.0, 4.0]),
+            ("inf", [0.0, 1.0], [math.inf, 1.0], [1.0, math.inf]),
+            ("empty", [], [], []),
+            ("µ%é", [0.0, 12.5], [0.25, 1e-12], [123456789.0625, 5e-13]),
+        ],
+        ids=["carry", "subnormal", "neg_zero", "neg_current", "inf", "empty", "label"],
+    )
+    def test_writer_edge_cases_match_reference(self, label, i, u, p):
+        curves = [CharacteristicCurve(label, i, u, p), CharacteristicCurve("b", [1.0], [2], [3])]
+        assert curves_to_csv(curves) == reference_to_csv(curves)
+
+    def test_longest_sweep_matches_reference(self):
+        curves = [sweep_curve(replace(make_spec(m_ac=5e-7, label="coil:a"), steps=MAX_STEPS))]
+        text = curves_to_csv(curves)
+        assert text == reference_to_csv(curves)
+        assert_matches_reference(curves_from_csv(text), text)
+
     def test_bad_curve_names_label(self):
         with pytest.raises(ValueError, match="curve 'a': i_tx must be strictly increasing"):
             curves_from_csv("\n".join([HEADER, "a,1,1,1", "a,1,1,1"]))
@@ -356,15 +381,22 @@ def _curve_lists(st):
             max_size=8,
         ),
     )
-    unit = st.floats(0.0, 1e6)
+    # k / 2^13 sits exactly halfway between two 12-place decimals when k is odd
+    ties = st.integers(0, 2**13 * 10**6).map(lambda k: k / 2**13)
+    near_ties = st.builds(math.nextafter, ties, st.sampled_from([0.0, math.inf]))
+    unit = st.floats(0.0, 1e6) | ties | near_ties
+    # at and above 1e15 the writer keeps its row template
+    huge = st.floats(1e15, 1e300)
 
     @st.composite
     def curve(draw, label):
         n = draw(st.integers(1, 12))
-        steps = draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n))
+        steps = draw(st.lists(st.floats(1e-6, 1e3) | ties.filter(bool), min_size=n, max_size=n))
         i = np.cumsum(steps) - steps[0] + draw(unit)
-        u = draw(st.lists(unit, min_size=n, max_size=n))
-        p = draw(st.lists(st.floats(0.0, 1e9) | st.floats(0.0, 1e-9), min_size=n, max_size=n))
+        u = draw(st.lists(unit | huge, min_size=n, max_size=n))
+        p = draw(
+            st.lists(st.floats(0.0, 1e9) | st.floats(0.0, 1e-9) | huge, min_size=n, max_size=n)
+        )
         return CharacteristicCurve(label, i, u, p)
 
     @st.composite

@@ -128,6 +128,25 @@ class TestImpedanceCommand:
         assert not (tmp_path / "o" / "impedance.csv").exists()
         assert not (tmp_path / "o" / "curves.csv").exists()
 
+    def test_vanishing_conductivity_database(self, tmp_path, capsys):
+        # 5e-324 S/m passes the database's > 0 bound; k_s = sqrt(w sigma mu0 mur) is 0
+        db = json.loads(resources.files("wptmod.data").joinpath("materials.json").read_text())
+        for entry in db:
+            entry["conductivity_S_per_m"] = 5e-324
+        (tmp_path / "db.json").write_text(json.dumps(db))
+        raw = _bundled()
+        raw["materials_db"] = str(tmp_path / "db.json")
+        path = tmp_path / "faint.json"
+        path.write_text(json.dumps(raw))
+        out = str(tmp_path / "o")
+        assert cli.main(["impedance", "--scenario", str(path), "--out", out]) == cli.EXIT_OK
+        rows = (tmp_path / "o" / "impedance.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[5]) for row in rows] == [0.0] * len(rows)  # r_m
+        capsys.readouterr()
+        code = cli.main(["curves", "--scenario", str(path), "--out", out])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_OK or (code in (2, 3, 4) and err.startswith("error: "))
+
 
 class TestCurvesFitDetect:
     def test_curves_artifact(self, pipeline_out):

@@ -262,6 +262,17 @@ class TestStaticImageLimits:
         image = -(mu_r - 1.0) / (mu_r + 1.0) * n * n * coaxial_circles_m(a, 2.0 * d)
         assert z.l_m == pytest.approx(image, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "a, n, d", [(0.05, 1, 0.01), (0.1, 3, 0.2), (0.3, 5, 0.01), (0.2, 2, 0.05)]
+    )
+    def test_magnetic_limit_where_skin_wavenumber_underflows(self, a, n, d):
+        # sigma = 5e-324 passes the database's > 0 bound, and k_s underflows to 0
+        mu_r = 1000.0
+        z = plate_impedance(geom(a, n, d), MetalMaterial("x", 5e-324, mu_r))
+        image = -(mu_r - 1.0) / (mu_r + 1.0) * n * n * coaxial_circles_m(a, 2.0 * d)
+        assert z.r_m == 0.0
+        assert z.l_m == pytest.approx(image, rel=1e-9)
+
     @pytest.mark.parametrize("a, n, d, track", [(0.1, 3, 0.2, 1e-4), (0.3, 5, 0.01, 2e-3)])
     def test_conductor_limit(self, a, n, d, track):
         # the gap to the image closes as sigma^(-1/2), the skin depth, and
