@@ -18,6 +18,8 @@ import numpy as np
 from .errors import EquivalenceViolationError, SingularityError
 
 DEFAULT_OMEGA = 2.0 * math.pi * 20e3  # [rad/s], the 20 kHz operating frequency
+# relative tolerance of the equivalence-constant consistency checks
+_EQUIVALENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,9 @@ def resonant_capacitance(inductance: float, omega: float) -> float:
     return 1.0 / (omega * omega * inductance)
 
 
-def default_tx_coil(
-    resistance: float = 0.1,
-    inductance: float = 10e-6,
-    omega: float = DEFAULT_OMEGA,
-) -> TxCoil:
+def default_tx_coil(resistance: float = 0.1) -> TxCoil:
     """10 uH coil resonated at the default 20 kHz operating frequency."""
-    return TxCoil(resistance, inductance, resonant_capacitance(inductance, omega))
+    return TxCoil(resistance, 10e-6, resonant_capacitance(10e-6, DEFAULT_OMEGA))
 
 
 @dataclass(frozen=True)
@@ -292,28 +290,24 @@ class EquivalenceConstants:
         return (self.k1, self.k2, self.k3, self.k4, self.k5, self.k6)
 
 
-def _real_ratio(num: complex, den: complex, tol: float) -> float:
+def _real_ratio(num: complex, den: complex) -> float:
     if den == 0.0:
         raise EquivalenceViolationError("degenerate operating point: zero denominator")
     ratio = num / den
-    if abs(ratio.imag) > tol * max(abs(ratio), 1.0):
+    if abs(ratio.imag) > _EQUIVALENCE_TOL * max(abs(ratio), 1.0):
         raise EquivalenceViolationError(
-            f"equivalence ratio {ratio} is not real within tolerance {tol:g}"
+            f"equivalence ratio {ratio} is not real within tolerance {_EQUIVALENCE_TOL:g}"
         )
     return ratio.real
 
 
-def equivalence_constants(
-    full: PhasorSolution,
-    reduced: PhasorSolution,
-    rel_tol: float = 1e-9,
-) -> EquivalenceConstants:
+def equivalence_constants(full: PhasorSolution, reduced: PhasorSolution) -> EquivalenceConstants:
     """Constants mapping a full-system solution onto a reduced solution.
 
     The voltage relation uses the unambiguous steering-weighted sum
     u_a*sin(theta) + u_b*cos(theta).  Raises EquivalenceViolationError when
     the six ratios are not mutually consistent (k1 = k2*k3 = k4*k5 and
-    k3*k4 = k2*k6 within rel_tol).
+    k3*k4 = k2*k6 within _EQUIVALENCE_TOL).
     """
     if full.drive is None or full.couplings is None:
         raise ValueError("full solution must carry its drive and couplings")
@@ -322,20 +316,18 @@ def equivalence_constants(
     theta = full.drive.steering
     s, c = math.sin(theta), math.cos(theta)
     w = full.omega
-    k1 = _real_ratio(full.u_a * s + full.u_b * c, reduced.u_a, rel_tol)
-    k2 = _real_ratio(full.i_c, reduced.i_c, rel_tol)
+    k1 = _real_ratio(full.u_a * s + full.u_b * c, reduced.u_a)
+    k2 = _real_ratio(full.i_c, reduced.i_c)
     k3 = full.couplings.projection(theta) / reduced.reduced_m
-    k4 = _real_ratio(full.drive.amplitude, reduced.i_a, rel_tol)
-    k5 = _real_ratio(full.tx.impedance(w), reduced.tx.impedance(w), rel_tol)
-    k6 = _real_ratio(
-        full.receiver.impedance(w), reduced.receiver.impedance(reduced.omega), rel_tol
-    )
+    k4 = _real_ratio(full.drive.amplitude, reduced.i_a)
+    k5 = _real_ratio(full.tx.impedance(w), reduced.tx.impedance(w))
+    k6 = _real_ratio(full.receiver.impedance(w), reduced.receiver.impedance(reduced.omega))
     consts = EquivalenceConstants(k1, k2, k3, k4, k5, k6)
     scale = max(abs(v) for v in consts.as_tuple())
     if (
-        abs(k1 - k2 * k3) > rel_tol * max(abs(k1), scale)
-        or abs(k1 - k4 * k5) > rel_tol * max(abs(k1), scale)
-        or abs(k3 * k4 - k2 * k6) > rel_tol * max(abs(k3 * k4), scale)
+        abs(k1 - k2 * k3) > _EQUIVALENCE_TOL * max(abs(k1), scale)
+        or abs(k1 - k4 * k5) > _EQUIVALENCE_TOL * max(abs(k1), scale)
+        or abs(k3 * k4 - k2 * k6) > _EQUIVALENCE_TOL * max(abs(k3 * k4), scale)
     ):
         raise EquivalenceViolationError(f"inconsistent equivalence constants: {consts}")
     return consts

@@ -158,25 +158,6 @@ def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
     return out / s.size
 
 
-def geometry_factor(k, geom: EddyGeometry):
-    """Squared Bessel kernel weight [N * a * J1(k a)]^2."""
-    k = np.asarray(k, dtype=float)
-    a = geom.coil_half_side
-    out = (geom.coil_turns * a * bessel_j1(k * a)) ** 2
-    return out if out.ndim else float(out)
-
-
-def _tail_k_max(geom: EddyGeometry, estimate: float, floor: float) -> float:
-    """Smallest k_max whose truncation tail is below 1e-12 of the estimate.
-
-    |phi| <= 1, so the tail is bounded by sup(T) * exp(-2 k d) / (2 d).
-    """
-    d = geom.plate_distance
-    sup_t = (geom.coil_turns * geom.coil_half_side * _J1_SUP) ** 2
-    target = 1e-12 * max(abs(estimate), floor)
-    return math.log(sup_t / (2.0 * d * target)) / (2.0 * d)
-
-
 def _panel_edges(
     geom: EddyGeometry, mat: MetalMaterial, k_max: float
 ) -> tuple[np.ndarray, int]:
@@ -245,19 +226,21 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
 def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> MetalReceiver:
     """Evaluate the plate's equivalent (R_m, L_m) by fixed Gauss-Legendre.
 
-    The semi-infinite integral is truncated at a k_max certified by the
-    exponential tail bound; the truncation point is re-derived once from a
-    first-pass estimate so the tail stays below 1e-12 of the result.  The
-    work grows as (a/d)^2; a plate so close that either pass would pass
-    _MAX_J1_WORK raises WorkLimitError.
+    The semi-infinite integral is truncated at k_max = 30/d first.  |phi| <= 1,
+    so the tail beyond k is at most sup_t exp(-2 k d) / (2 d), with
+    sup_t = (N a sup|J1|)^2.  A second pass runs at the k where that bound
+    meets 1e-12 of the smaller of |Re| and |Im| of the first, floored at
+    1e-30 sup_t, when that k passes 30/d.  The work grows as (a/d)^2; a
+    plate so close that either pass would pass _MAX_J1_WORK raises
+    WorkLimitError.
     """
     d = geom.plate_distance
     w = geom.angular_frequency
-    # first pass with a generous truncation, then certify
     k_max = 60.0 / (2.0 * d)
     raw = _spectral_integral(geom, mat, k_max)
-    floor = (geom.coil_turns * geom.coil_half_side * _J1_SUP) ** 2 * 1e-30
-    k_need = max(_tail_k_max(geom, raw.imag, floor), _tail_k_max(geom, raw.real, floor))
+    sup_t = (geom.coil_turns * geom.coil_half_side * _J1_SUP) ** 2
+    target = 1e-12 * max(min(abs(raw.real), abs(raw.imag)), sup_t * 1e-30)
+    k_need = math.log(sup_t / (2.0 * d * target)) / (2.0 * d)
     if k_need > k_max:
         raw = _spectral_integral(geom, mat, k_need)
     return MetalReceiver(r_m=w * math.pi * MU0 * raw.imag, l_m=math.pi * MU0 * raw.real)

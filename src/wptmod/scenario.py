@@ -135,11 +135,6 @@ def _capacitance(sc: Scenario, part: TransmitterSpec | ReceiverCoilSpec) -> floa
     return circuit.resonant_capacitance(part.inductance_h, sc.omega)
 
 
-def build_tx_coil(sc: Scenario) -> TxCoil:
-    t = sc.transmitter
-    return TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
-
-
 def tx_loop(sc: Scenario) -> magnetics.SquareLoop:
     return magnetics.SquareLoop(sc.transmitter.half_side_m, sc.transmitter.turns)
 
@@ -178,17 +173,6 @@ def plate_materials(sc: Scenario) -> list[eddy.MetalMaterial]:
     return mats
 
 
-def plate_eddy_geometry(sc: Scenario, spec: MetalPlateSpec) -> eddy.EddyGeometry:
-    # kernel length scale saturates at whichever of plate and coil is smaller
-    scale = min(spec.half_side_m, sc.transmitter.half_side_m)
-    return eddy.EddyGeometry(
-        coil_half_side=scale,
-        coil_turns=sc.transmitter.turns,
-        plate_distance=spec.distance_m,
-        angular_frequency=sc.omega,
-    )
-
-
 def plate_impedance(
     sc: Scenario, index: int, mat: eddy.MetalMaterial
 ) -> circuit.MetalReceiver:
@@ -198,40 +182,53 @@ def plate_impedance(
     close that its quadrature would pass eddy's work cap.
     """
     spec = sc.metal_plates[index]
+    geom = eddy.EddyGeometry(
+        # kernel length scale saturates at whichever of plate and coil is smaller
+        coil_half_side=min(spec.half_side_m, sc.transmitter.half_side_m),
+        coil_turns=sc.transmitter.turns,
+        plate_distance=spec.distance_m,
+        angular_frequency=sc.omega,
+    )
     try:
-        return eddy.plate_impedance(plate_eddy_geometry(sc, spec), mat)
+        return eddy.plate_impedance(geom, mat)
     except WorkLimitError as exc:
         raise ScenarioError(
             f"scenario.metal_plates[{index}].distance_m {spec.distance_m!r} m is too small: {exc}"
         ) from exc
 
 
-def coil_receiver(sc: Scenario, spec: ReceiverCoilSpec) -> circuit.CoilReceiver:
-    return circuit.CoilReceiver(
-        resistance=spec.resistance_ohm,
-        inductance=spec.inductance_h,
-        capacitance=_capacitance(sc, spec),
-        load=spec.load_ohm,
-    )
-
-
 def build_sweeps(sc: Scenario) -> list[SweepSpec]:
     """All labeled sweeps of the scenario; labels carry the class prefix.
 
-    Raises ScenarioError when either receiver class is empty.
+    Raises ScenarioError when either receiver class is empty, or naming the
+    plate when a plate reflects no impedance (r_m = l_m = 0), which leaves
+    its receiver current undefined.
     """
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
             raise ScenarioError(f"{name} is empty; the threshold fit needs both classes")
-    tx = build_tx_coil(sc)
+    t = sc.transmitter
+    tx = TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
     drive = DriveSpec(angular_frequency=sc.omega, amplitude=0.0, steering=sc.sweep.azimuth_rad)
     receivers = [
-        (f"coil:{spec.label}", coil_coupling(sc, spec), coil_receiver(sc, spec))
+        (
+            f"coil:{spec.label}",
+            coil_coupling(sc, spec),
+            circuit.CoilReceiver(
+                spec.resistance_ohm, spec.inductance_h, _capacitance(sc, spec), spec.load_ohm
+            ),
+        )
         for spec in sc.receiver_coils
-    ] + [
-        (f"metal:{spec.label}", plate_coupling(sc, spec), plate_impedance(sc, index, mat))
-        for index, (spec, mat) in enumerate(zip(sc.metal_plates, plate_materials(sc)))
     ]
+    for index, (spec, mat) in enumerate(zip(sc.metal_plates, plate_materials(sc))):
+        m = plate_coupling(sc, spec)
+        rx = plate_impedance(sc, index, mat)
+        if rx.r_m == rx.l_m == 0.0:
+            raise ScenarioError(
+                f"scenario.metal_plates[{index}] {spec.label!r} (material {spec.material!r}) "
+                "reflects no impedance: r_m = l_m = 0"
+            )
+        receivers.append((f"metal:{spec.label}", m, rx))
     return [
         SweepSpec(
             i_min=sc.sweep.i_min_a,
@@ -257,10 +254,13 @@ def generate_test_samples(
     (receivers, currents, 2) fixes the receiver-major, current-minor order,
     so a seed pins the whole batch.  Pass precomputed sweeps to skip
     rebuilding couplings and impedances.  Raises ScenarioError naming the
-    test currents or the noise level when a test point overflows.
+    test currents when there are none, and naming them or the noise level
+    when a test point overflows.
     """
-    sweeps = build_sweeps(sc) if sweeps is None else sweeps
     currents = sc.detection.test_currents_a
+    if not currents:
+        raise ScenarioError("scenario.detection.test_currents_a must not be empty")
+    sweeps = build_sweeps(sc) if sweeps is None else sweeps
     rng = np.random.default_rng(sc.noise.seed if seed is None else seed)
     eps = rng.normal(0.0, sc.noise.relative_sigma, (len(sweeps), len(currents), 2))
     # overflow is detected below, by key, instead of warned about

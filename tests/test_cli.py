@@ -143,9 +143,14 @@ class TestImpedanceCommand:
         rows = (tmp_path / "o" / "impedance.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[5]) for row in rows] == [0.0] * len(rows)  # r_m
         capsys.readouterr()
+        # mu_r = 1 plates reflect nothing there, which leaves their receiver current undefined
         code = cli.main(["curves", "--scenario", str(path), "--out", out])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_OK or (code in (2, 3, 4) and err.startswith("error: "))
+        assert code == cli.EXIT_VALIDATION
+        assert (
+            "scenario.metal_plates[2] 'cu_0.1m' (material 'cuprum') reflects no impedance: "
+            "r_m = l_m = 0" in capsys.readouterr().err
+        )
+        assert not (tmp_path / "o" / "curves.csv").exists()
 
 
 class TestCurvesFitDetect:
@@ -279,6 +284,18 @@ class TestCurvesFitDetect:
         code = cli.main(["detect", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_detect_empty_test_currents_named(self, pipeline_out, tmp_path, capsys):
+        raw = _bundled()
+        raw["detection"]["test_currents_a"] = []
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        for verb in ("curves", "fit"):
+            assert cli.main([verb, "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+        code = cli.main(["detect", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "scenario.detection.test_currents_a must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
