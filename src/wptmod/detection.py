@@ -3,7 +3,12 @@
 Training takes labeled characteristic curves for both classes, fits a line
 in the U-I plane and a polynomial in the P-I plane through the midpoints
 between the metal upper envelope and the coil lower envelope, and gates
-verdicts below a minimum transmitter current where noise dominates.
+verdicts below a minimum transmitter current.  The paper gates them because
+noise dominates at low current, but the scenario's noise is relative only:
+every margin t(I)/u(I) is the same at every current (the fitted intercepts
+are rounding), so the gate changes no error probability and only drops
+points.  It would matter under an absolute noise floor, which the model
+lacks.
 
 One decision rule, classify_arrays, classifies (I, U, P) points held in
 arrays; classify and evaluate_batch are thin wrappers over it.

@@ -11,9 +11,16 @@ The integral is evaluated with numpy alone: fixed composite Gauss-Legendre
 (32 nodes per panel, checked by an embedded 16-node rule) on [0, k_max],
 with k_max certified by the exponential tail bound, and J1 by the
 trapezoid rule on its periodic integral (Trefethen and Weideman, SIAM
-Review 56, 2014).  On the uniform panels, which share one width, the
-trapezoid sum is split by angle addition into a table over the panel
-centres and one over the node offsets.
+Review 56, 2014).  The panels come from two rules: uniform panels across
+which J1(ka)^2 turns by at most 24 rad, at least 12 of them, and panels
+graded toward k_s / (4 mur), where the material response turns.  Those two
+rules, not the floor, resolve the integrand: on passes the floor sets, the
+largest relative gap between the 16- and 32-node values over 4,486 test
+plates was 3e-12 with a floor of 48, 1.3e-11 with 12 and 2.1e-11 with 4,
+against the check's 1e-6 refusal limit.  On the uniform panels, which
+share one width, the trapezoid sum is split by angle addition into a table
+over the panel centres and one over the node offsets; the graded panels,
+when there are any, take the direct rule.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import MetalReceiver
-from .errors import ConvergenceError, WorkLimitError
+from .errors import ConvergenceError, ScenarioError, WorkLimitError
 from .magnetics import MU0
 from .schema import finite, key, keyed, load_json, read, string
 
@@ -32,8 +39,11 @@ from .schema import finite, key, keyed, load_json, read, string
 _J1_SUP = 0.5819
 # cap on each (points or panels x trapezoid nodes) table of the J1 rule
 _J1_BLOCK = 1 << 20
-# plate integral: minimum panel count, and the most J1(ka)^2 may turn in one panel
-_PANELS = 48
+# plate integral: minimum panel count, and the most J1(ka)^2 may turn in one panel.
+# The phase rule (2.5 a/d panels on the first pass) and the grading set what the
+# integrand needs; the floor binds below a/d of about 5, and since each panel is
+# a fixed numpy cost it is kept low
+_PANELS = 12
 _PANEL_PHASE = 24.0
 # 32-node Gauss-Legendre rule per panel, and the 16-node rule that checks it
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -208,8 +218,10 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
     half = np.diff(edges)[:, None] / 2.0
     k = (edges[:-1, None] + half) + half * _NODES
     a = geom.coil_half_side
-    # the graded panels by the direct rule, the uniform ones by angle addition
-    j1 = np.concatenate([bessel_j1(k[:first] * a), _panel_j1(edges[first:], a)])
+    # the uniform panels by angle addition, the graded ones (if any) by the direct rule
+    j1 = _panel_j1(edges[first:], a)
+    if first:
+        j1 = np.concatenate([bessel_j1(k[:first] * a), j1])
     f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
     f *= (geom.coil_turns * a * j1) ** 2
     f *= half
@@ -267,8 +279,14 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     the entry's key).
     """
     entries = load_json(path, "materials.json", "material database")
+    where = f"material database {path!r}: entry"
     db: dict[str, MetalMaterial] = {}
-    for entry in read([_Entry], entries, f"material database {path!r}: entry"):
+    for index, entry in enumerate(read([_Entry], entries, where)):
+        if entry.mu_r_range and entry.mu_r_range[0] > entry.mu_r_range[1]:
+            raise ScenarioError(
+                f"{where}[{index}].mu_r_range must be [low, high] with low <= high, "
+                f"got {list(entry.mu_r_range)!r}"
+            )
         mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)
         for name in (entry.name, *entry.aliases):
             db[name.lower()] = mat

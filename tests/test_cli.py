@@ -62,9 +62,13 @@ class TestMaterials:
                 '[{"name": "x", "conductivity_S_per_m": 5, "mu_r_range": [300]}]',
                 "entry[0].mu_r_range must be a list of 2, got [300]",
             ),
+            (
+                '[{"name": "a", "conductivity_S_per_m": 1e7, "mu_r_range": [5, 1]}]',
+                "entry[0].mu_r_range must be [low, high] with low <= high, got [5, 1]",
+            ),
         ],
         ids=["missing", "not_json", "directory", "entry_empty", "object", "sigma_str",
-             "name_int", "aliases_str", "range_short"],
+             "name_int", "aliases_str", "range_short", "range_inverted"],
     )
     def test_bad_db_names_path(self, tmp_path, capsys, content, key):
         db = tmp_path / "db.json"

@@ -159,9 +159,9 @@ class TestBessel:
         assert np.allclose(bessel_j1(-xs), -bessel_j1(xs), rtol=0, atol=1e-15)
 
 
-def rule_nodes(g: EddyGeometry, mat: MetalMaterial):
-    """The first-pass panel edges, uniform-panel index and node table k."""
-    edges, first = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)
+def rule_nodes(g: EddyGeometry, mat: MetalMaterial, k_max=None):
+    """The panel edges, uniform-panel index and node table k of a pass (default: the first)."""
+    edges, first = eddy._panel_edges(g, mat, k_max or 30.0 / g.plate_distance)
     half = np.diff(edges)[:, None] / 2.0
     return edges, first, (edges[:-1, None] + half) + half * eddy._NODES
 
@@ -189,6 +189,18 @@ class TestPanelJ1:
         # a block of one panel: the loop runs once per panel
         monkeypatch.setattr(eddy, "_J1_BLOCK", 1)
         self.check(geom(a=0.15, d=0.01), CU, graded=False)
+
+    def test_direct_rule_runs_only_on_graded_panels(self, monkeypatch, repro_scenario):
+        calls = []
+        j1 = eddy.bessel_j1
+        monkeypatch.setattr(eddy, "bessel_j1", lambda x: calls.append(x) or j1(x))
+        for index, mat in enumerate(scenario.plate_materials(repro_scenario)):
+            scenario.plate_impedance(repro_scenario, index, mat)
+            assert calls == [], repro_scenario.metal_plates[index].label
+        g, mat = geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0)
+        edges, first, k = rule_nodes(g, mat)
+        eddy._spectral_integral(g, mat, 30.0 / g.plate_distance)
+        assert len(calls) == 1 and calls[0].shape == k[:first].shape
 
 
 def elliptic_ke(m: float) -> tuple[float, float]:
@@ -270,6 +282,30 @@ class TestStaticImageLimits:
         assert [g / h for g, h in zip(gaps, gaps[1:])] == pytest.approx([10.0] * 3, rel=1e-4)
 
 
+def seeded_plates(seed: int, count: int) -> list[tuple[EddyGeometry, MetalMaterial]]:
+    """count plates in the benchmark's range, then count in a wide range."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        # the benchmark's range: Fe/Cu/Al plates at 20 kHz, 3-turn coil
+        sigma, mu_r = [(1.0e7, rng.uniform(200.0, 400.0)), (5.88e7, 1.0), (3.44e7, 1.0)][
+            rng.integers(3)
+        ]
+        g = EddyGeometry(rng.uniform(0.02, 0.15), 3, rng.uniform(0.03, 0.30), W20K)
+        cases.append((g, MetalMaterial("x", sigma, mu_r)))
+    for _ in range(count):
+        # the wide range of test_bounded_and_passive_random, sigma down to 1e-4
+        g = EddyGeometry(
+            coil_half_side=rng.uniform(0.01, 0.5),
+            coil_turns=int(rng.integers(1, 10)),
+            plate_distance=rng.uniform(0.01, 1.0),
+            angular_frequency=rng.uniform(1e3, 1e7),
+        )
+        mat = MetalMaterial("x", 10.0 ** rng.uniform(-4.0, 8.0), rng.uniform(1.0, 500.0))
+        cases.append((g, mat))
+    return cases
+
+
 class TestPlateImpedance:
     def test_low_conductivity_limit(self):
         # response is linear in sigma well below the skin-effect regime
@@ -301,29 +337,41 @@ class TestPlateImpedance:
     # returns its best value, which the bound below then judges
     @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
     def test_matches_adaptive_quad_oracle(self):
-        rng = np.random.default_rng(23)
-        cases = []
-        for _ in range(100):
-            # the benchmark's range: Fe/Cu/Al plates at 20 kHz, 3-turn coil
-            sigma, mu_r = [(1.0e7, rng.uniform(200.0, 400.0)), (5.88e7, 1.0), (3.44e7, 1.0)][
-                rng.integers(3)
-            ]
-            g = EddyGeometry(rng.uniform(0.02, 0.15), 3, rng.uniform(0.03, 0.30), W20K)
-            cases.append((g, MetalMaterial("x", sigma, mu_r)))
-        for _ in range(100):
-            # the wide range of test_bounded_and_passive_random, sigma down to 1e-4
-            g = EddyGeometry(
-                coil_half_side=rng.uniform(0.01, 0.5),
-                coil_turns=int(rng.integers(1, 10)),
-                plate_distance=rng.uniform(0.01, 1.0),
-                angular_frequency=rng.uniform(1e3, 1e7),
-            )
-            mat = MetalMaterial("x", 10.0 ** rng.uniform(-4.0, 8.0), rng.uniform(1.0, 500.0))
-            cases.append((g, mat))
-        for g, mat in cases:
+        for g, mat in seeded_plates(23, 100):
             expected = quad_plate_impedance(g, mat)
             got = plate_impedance(g, mat).impedance(g.angular_frequency)
             assert abs(got - expected) <= 1e-12 * abs(expected), (g, mat)
+
+    def test_panel_floor_margin(self, monkeypatch):
+        # the 16-node check stays 1000x inside its 1e-6 refusal limit on every
+        # pass, so the panel floor is not what keeps the quadrature converged
+        passes = []
+        integral = eddy._spectral_integral
+        monkeypatch.setattr(
+            eddy, "_spectral_integral", lambda *args: passes.append(args) or integral(*args)
+        )
+        cases = [
+            # a tail re-pass plate, and a/d = 25, where the 24-rad phase rule sets the panels
+            (geom(a=0.1, n=3, d=0.2), MetalMaterial("x", 1e-8, 1.0)),
+            (geom(a=0.25, n=2, d=0.01), FE),
+            *seeded_plates(29, 40),
+        ]
+        for g, mat in cases:
+            plate_impedance(g, mat)
+        uniform = []
+        for g, mat, k_max in passes:
+            edges, first, k = rule_nodes(g, mat, k_max)
+            uniform.append(edges.size - 1 - first)
+            f = phi_k(k, g, mat) * np.exp(-2.0 * g.plate_distance * k)
+            f *= (g.coil_turns * g.coil_half_side * bessel_j1(k * g.coil_half_side)) ** 2
+            f *= np.diff(edges)[:, None] / 2.0
+            n = eddy._FINE_NODES.size
+            fine = complex(np.sum(f[:, :n] @ eddy._FINE_WEIGHTS))
+            check = complex(np.sum(f[:, n:] @ eddy._CHECK_WEIGHTS))
+            assert abs(fine - integral(g, mat, k_max)) <= 1e-13 * abs(fine)
+            for part, gap in ((fine.real, (fine - check).real), (fine.imag, (fine - check).imag)):
+                assert abs(gap) <= 1e-9 * abs(part), (g, mat, k_max)
+        assert len(passes) > len(cases) and max(uniform) > eddy._PANELS
 
     def test_second_truncation_pass(self, monkeypatch, repro_scenario):
         calls = []
