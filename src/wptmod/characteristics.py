@@ -1,11 +1,12 @@
 """Characteristic U-I and P-I curves of a receiver under a current sweep.
 
-A sweep holds the steering angle at the receiver azimuth (maximal coupling
-projection).  A fixed receiver reflects one fixed impedance, so both curves
-follow from its input impedance Z_in (circuit.input_impedance): the U-I
-curve is the line u = |Z_in|*I, the steering-weighted transmitter voltage
-|u_a*sin(theta) + u_b*cos(theta)|, and the P-I curve the parabola
-p = Re(Z_in)*I^2.  Neither depends on the azimuth.
+scenario.build_sweeps puts each receiver on coil B's axis and drives coil B
+alone (steering 0).  A fixed receiver reflects one fixed impedance, so both
+curves follow from its input impedance Z_in (circuit.input_impedance): the
+U-I curve is the line u = |Z_in|*I, the steering-weighted transmitter
+voltage |u_a*sin(theta) + u_b*cos(theta)|, and the P-I curve the parabola
+p = Re(Z_in)*I^2.  A receiver at any other azimuth, with the drive steered
+onto it, gives the same curves up to rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class SweepSpec:
     i_min: float
     i_max: float
     steps: int
-    drive: DriveSpec  # steering and frequency; the amplitude is unused
+    drive: DriveSpec  # frequency and steering (0: coil B alone); the amplitude is unused
     receiver: Receiver
     couplings: Couplings
     tx: TxCoil

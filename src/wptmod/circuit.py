@@ -134,15 +134,6 @@ class Couplings:
         return self.m_ac * math.sin(theta) + self.m_bc * math.cos(theta)
 
 
-def couplings_from_coaxial(m: float, azimuth: float) -> Couplings:
-    """Split a coaxial coupling onto the two orthogonal transmitter coils.
-
-    Chosen so the coupling projection is maximal when the drive steering
-    equals the receiver azimuth.
-    """
-    return Couplings(m_ac=m * math.sin(azimuth), m_bc=m * math.cos(azimuth))
-
-
 @dataclass(frozen=True)
 class PhasorSolution:
     """One steady-state operating point of the full or reduced circuit.

@@ -282,10 +282,16 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     where = f"material database {path!r}: entry"
     db: dict[str, MetalMaterial] = {}
     for index, entry in enumerate(read([_Entry], entries, where)):
-        if entry.mu_r_range and entry.mu_r_range[0] > entry.mu_r_range[1]:
+        span = entry.mu_r_range
+        if span and span[0] > span[1]:
             raise ScenarioError(
                 f"{where}[{index}].mu_r_range must be [low, high] with low <= high, "
-                f"got {list(entry.mu_r_range)!r}"
+                f"got {list(span)!r}"
+            )
+        if span and not span[0] <= entry.mu_r <= span[1]:
+            raise ScenarioError(
+                f"{where}[{index}].mu_r must lie in its mu_r_range {list(span)!r}, "
+                f"got {entry.mu_r!r}"
             )
         mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)
         for name in (entry.name, *entry.aliases):

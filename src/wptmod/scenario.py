@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circuit, eddy, magnetics
 from .characteristics import SweepSpec, evaluate_point
-from .circuit import DriveSpec, TxCoil, couplings_from_coaxial
+from .circuit import Couplings, DriveSpec, TxCoil
 from .detection import Sample
 from .errors import ScenarioError, WorkLimitError
 from .schema import finite, integer, key, keyed, load_json, read, string, unique_label
@@ -66,7 +66,6 @@ class SweepSection:
     i_min_a: float = key(finite, ge=0)
     i_max_a: float = key(finite)  # > i_min_a, checked by parse_scenario
     steps: int = key(integer, ge=2, le=MAX_STEPS)
-    azimuth_rad: float = key(finite)
 
 
 @keyed
@@ -160,14 +159,24 @@ def plate_coupling(sc: Scenario, spec: MetalPlateSpec) -> float:
 
 
 def plate_materials(sc: Scenario) -> list[eddy.MetalMaterial]:
-    """The material of each metal plate, from one read of the database."""
+    """The material of each metal plate, from one read of the database.
+
+    Raises ScenarioError naming the plate's mu_r when it lies outside its
+    material's mu_r_range.
+    """
     db = eddy.load_materials(sc.materials_db)
     mats = []
-    for spec in sc.metal_plates:
+    for index, spec in enumerate(sc.metal_plates):
         mat = db.get(spec.material.lower())
         if mat is None:
             raise ScenarioError(f"unknown material {spec.material!r}")
         if spec.mu_r is not None:
+            span = mat.rel_permeability_range
+            if span and not span[0] <= spec.mu_r <= span[1]:
+                raise ScenarioError(
+                    f"scenario.metal_plates[{index}].mu_r must lie in {mat.name}'s "
+                    f"mu_r_range {list(span)!r}, got {spec.mu_r!r}"
+                )
             mat = eddy.MetalMaterial(mat.name, mat.conductivity, spec.mu_r)
         mats.append(mat)
     return mats
@@ -197,31 +206,46 @@ def plate_impedance(
         ) from exc
 
 
+def _reflecting(
+    sc: Scenario, where: str, spec: ReceiverCoilSpec | MetalPlateSpec, m: float
+) -> float:
+    """m, or ScenarioError naming the receiver when (w*m)^2 is not a finite float."""
+    wm = sc.omega * m
+    if not math.isfinite(wm * wm):
+        raise ScenarioError(
+            f"scenario.{where} {spec.label!r} couples to the transmitter by m = {m!r} H, "
+            "whose reflection (w*m)^2 is not a finite number"
+        )
+    return m
+
+
 def build_sweeps(sc: Scenario) -> list[SweepSpec]:
     """All labeled sweeps of the scenario; labels carry the class prefix.
 
-    Raises ScenarioError when either receiver class is empty, or naming the
-    plate when a plate reflects no impedance (r_m = l_m = 0), which leaves
-    its receiver current undefined.
+    Every receiver sits on coil B's axis (coupling m_bc = m, m_ac = 0) and
+    coil B alone carries the drive (steering 0).  Raises ScenarioError when
+    either receiver class is empty, or naming the receiver when its
+    reflection (w*m)^2 is not finite or when a plate reflects no impedance
+    (r_m = l_m = 0), which leaves its receiver current undefined.
     """
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
             raise ScenarioError(f"{name} is empty; the threshold fit needs both classes")
     t = sc.transmitter
     tx = TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
-    drive = DriveSpec(angular_frequency=sc.omega, amplitude=0.0, steering=sc.sweep.azimuth_rad)
+    drive = DriveSpec(sc.omega)
     receivers = [
         (
             f"coil:{spec.label}",
-            coil_coupling(sc, spec),
+            _reflecting(sc, f"receiver_coils[{index}]", spec, coil_coupling(sc, spec)),
             circuit.CoilReceiver(
                 spec.resistance_ohm, spec.inductance_h, _capacitance(sc, spec), spec.load_ohm
             ),
         )
-        for spec in sc.receiver_coils
+        for index, spec in enumerate(sc.receiver_coils)
     ]
     for index, (spec, mat) in enumerate(zip(sc.metal_plates, plate_materials(sc))):
-        m = plate_coupling(sc, spec)
+        m = _reflecting(sc, f"metal_plates[{index}]", spec, plate_coupling(sc, spec))
         rx = plate_impedance(sc, index, mat)
         if rx.r_m == rx.l_m == 0.0:
             raise ScenarioError(
@@ -236,7 +260,7 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
             steps=sc.sweep.steps,
             drive=drive,
             receiver=receiver,
-            couplings=couplings_from_coaxial(m, sc.sweep.azimuth_rad),
+            couplings=Couplings(0.0, m),
             tx=tx,
             label=label,
         )

@@ -20,14 +20,21 @@ from wptmod.circuit import (
     Couplings,
     DriveSpec,
     MetalReceiver,
-    couplings_from_coaxial,
     default_tx_coil,
+    input_impedance,
     reduced_counterpart,
     resonant_capacitance,
     solve_from_drive,
 )
 from wptmod.eddy import MetalMaterial
-from wptmod.scenario import MAX_STEPS, NoiseSpec, generate_test_samples, load_scenario
+from wptmod.scenario import (
+    MAX_STEPS,
+    NoiseSpec,
+    coil_coupling,
+    generate_test_samples,
+    load_scenario,
+    plate_coupling,
+)
 
 OMEGA = 2.0 * math.pi * 20e3
 
@@ -442,22 +449,37 @@ def test_parse_is_correctly_rounded():
 
 
 def test_curves_independent_of_azimuth(repro_sweeps):
-    # the bundled sweeps sit at 45 degrees; turn each receiver to another
-    # azimuth the way build_sweeps does, steering onto it
+    # build_sweeps puts each receiver on coil B's axis; turn it to another
+    # azimuth, splitting its coupling onto both coils, and steer onto it
     hypothesis, st = _hypothesis()
     curves = [sweep_curve(spec) for spec in repro_sweeps]
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(st.floats(0.0, 2.0 * math.pi, exclude_max=True))
     def check(azimuth):
-        for spec, at_45 in zip(repro_sweeps, curves):
+        for spec, on_axis in zip(repro_sweeps, curves):
+            m = spec.couplings.magnitude
             turned = replace(
                 spec,
                 drive=replace(spec.drive, steering=azimuth),
-                couplings=couplings_from_coaxial(spec.couplings.magnitude, azimuth),
+                couplings=Couplings(m * math.sin(azimuth), m * math.cos(azimuth)),
             )
             curve = sweep_curve(turned)
-            assert np.allclose(curve.u_tx, at_45.u_tx, rtol=1e-12, atol=0.0), azimuth
-            assert np.allclose(curve.p_in, at_45.p_in, rtol=1e-12, atol=0.0), azimuth
+            assert np.allclose(curve.u_tx, on_axis.u_tx, rtol=1e-12, atol=0.0), azimuth
+            assert np.allclose(curve.p_in, on_axis.p_in, rtol=1e-12, atol=0.0), azimuth
 
     check()
+
+
+def test_build_sweeps_puts_receivers_on_coil_b_axis(repro_scenario, repro_sweeps):
+    # coil B alone carries the drive, so Z_in reflects the full coaxial coupling
+    sc = repro_scenario
+    coaxial = [coil_coupling(sc, spec) for spec in sc.receiver_coils]
+    coaxial += [plate_coupling(sc, spec) for spec in sc.metal_plates]
+    assert len(repro_sweeps) == len(coaxial)
+    for spec, m in zip(repro_sweeps, coaxial):
+        assert (spec.couplings.m_ac, spec.couplings.m_bc) == (0.0, m), spec.label
+        assert spec.drive.steering == 0.0
+        w = spec.drive.angular_frequency
+        z_in = spec.tx.impedance(w) + (w * m) ** 2 / spec.receiver.impedance(w)
+        assert input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx) == z_in

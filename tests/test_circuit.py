@@ -11,7 +11,6 @@ from wptmod.circuit import (
     DriveSpec,
     MetalReceiver,
     TxCoil,
-    couplings_from_coaxial,
     default_tx_coil,
     equivalence_constants,
     input_power,
@@ -294,7 +293,7 @@ class TestResonance:
 
 class TestCouplingsHelpers:
     def test_projection_max_at_azimuth(self):
-        c = couplings_from_coaxial(1e-6, 0.8)
+        c = Couplings(1e-6 * math.sin(0.8), 1e-6 * math.cos(0.8))
         thetas = np.linspace(0, 2 * math.pi, 400)
         projections = [c.projection(t) for t in thetas]
         assert c.projection(0.8) == pytest.approx(max(projections), rel=1e-4)

@@ -66,9 +66,14 @@ class TestMaterials:
                 '[{"name": "a", "conductivity_S_per_m": 1e7, "mu_r_range": [5, 1]}]',
                 "entry[0].mu_r_range must be [low, high] with low <= high, got [5, 1]",
             ),
+            # the default mu_r of 1 lies outside [5, 5]
+            (
+                '[{"name": "a", "conductivity_S_per_m": 1e7, "mu_r_range": [5, 5]}]',
+                "entry[0].mu_r must lie in its mu_r_range [5, 5], got 1.0",
+            ),
         ],
         ids=["missing", "not_json", "directory", "entry_empty", "object", "sigma_str",
-             "name_int", "aliases_str", "range_short", "range_inverted"],
+             "name_int", "aliases_str", "range_short", "range_inverted", "mu_r_outside_range"],
     )
     def test_bad_db_names_path(self, tmp_path, capsys, content, key):
         db = tmp_path / "db.json"
@@ -80,6 +85,14 @@ class TestMaterials:
         err = capsys.readouterr().err
         assert f"material database {str(db)!r}" in err
         assert key in err
+
+    @pytest.mark.parametrize("mu_r", [5, 10])
+    def test_mu_r_on_range_ends_accepted(self, tmp_path, capsys, mu_r):
+        db = tmp_path / "db.json"
+        entry = {"name": "a", "conductivity_S_per_m": 1e7, "mu_r": mu_r, "mu_r_range": [5, 10]}
+        db.write_text(json.dumps([entry]))
+        assert cli.main(["materials", "--db", str(db)]) == cli.EXIT_OK
+        assert "mu_r range 5-10" in capsys.readouterr().out
 
 
 class TestCouplingsCommand:
@@ -419,6 +432,12 @@ class TestScenarioValidation:
         assert code == cli.EXIT_VALIDATION
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_azimuth_key_rejected(self, tmp_path, capsys):
+        # every receiver sits on coil B's axis, so the scenario names no azimuth
+        code = self._curves(tmp_path, lambda d: d["sweep"].update(azimuth_rad=0.7853981633974483))
+        assert code == cli.EXIT_VALIDATION
+        assert "unknown keys in scenario.sweep: ['azimuth_rad']" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit, key",
         [
@@ -458,11 +477,20 @@ class TestScenarioValidation:
                 lambda d: d["sweep"].update(steps=10**9),
                 "sweep.steps must be <= 100000, got 1000000000",
             ),
+            # ferrum's mu_r_range is [200, 400], ends included
+            (
+                lambda d: d["metal_plates"][0].update(mu_r=5000),
+                "metal_plates[0].mu_r must lie in ferrum's mu_r_range [200.0, 400.0], got 5000",
+            ),
+            (
+                lambda d: d["metal_plates"][1].update(mu_r=199.9),
+                "metal_plates[1].mu_r must lie in ferrum's mu_r_range [200.0, 400.0], got 199.9",
+            ),
         ],
         ids=["steps_float", "freq_str", "turns_str", "load_bool", "gate_null", "sigma_nan",
              "huge_int", "current_str", "coil_distance_zero", "plate_distance_negative",
              "coil_side_zero", "plate_side_negative", "tx_side_zero", "freq_negative",
-             "freq_underflow", "steps_huge"],
+             "freq_underflow", "steps_huge", "mu_r_above_range", "mu_r_below_range"],
     )
     def test_bad_number_names_key(self, tmp_path, capsys, edit, key):
         code = self._curves(tmp_path, edit)
@@ -509,6 +537,47 @@ class TestScenarioValidation:
         assert code == cli.EXIT_VALIDATION
         assert f"{section} is empty" in capsys.readouterr().err
         assert not (out / "curves.csv").exists() and not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # m is finite, but (w*m)^2 overflows
+            (
+                lambda d: d["receiver_coils"][0].update(turns=1e160),
+                "scenario.receiver_coils[0] 'load_1.5ohm' couples to the transmitter by m = ",
+            ),
+            (
+                lambda d: d["metal_plates"][0].update(half_side_m=1e300),
+                "scenario.metal_plates[0] 'fe_0.1m' couples to the transmitter by m = nan H",
+            ),
+            # the coil couplings underflow to 0, the plate couplings are nan
+            (
+                lambda d: d["transmitter"].update(half_side_m=1e200),
+                "scenario.metal_plates[0] 'fe_0.1m' couples to the transmitter by m = nan H",
+            ),
+        ],
+        ids=["coil_turns", "plate_side", "tx_side"],
+    )
+    @pytest.mark.parametrize("verb", ["curves", "detect"])
+    def test_unbounded_reflection_names_receiver(
+        self, pipeline_out, tmp_path, capsys, verb, edit, message
+    ):
+        raw = _bundled()
+        edit(raw)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "threshold.json").write_bytes((pipeline_out / "threshold.json").read_bytes())
+        code = cli.main([verb, "--scenario", str(path), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "whose reflection (w*m)^2 is not a finite number" in err
+        assert not (out / "curves.csv").exists() and not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("mu_r", [200, 400])
+    def test_plate_mu_r_on_range_ends_accepted(self, tmp_path, mu_r):
+        assert self._curves(tmp_path, lambda d: d["metal_plates"][0].update(mu_r=mu_r)) == 0
 
     def test_plate_only_scenario_tables_still_written(self, tmp_path):
         raw = _bundled()

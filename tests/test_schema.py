@@ -7,9 +7,11 @@ bound must exit 2 with a message naming the key path.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +194,27 @@ def test_threshold_not_json(tmp_path, capsys):
     assert _detect(tmp_path, '{"degree": 2,') == cli.EXIT_VALIDATION
     assert "threshold.json is not valid JSON" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def _readme_tables():
+    """{key: default column} of each `| key | kind | bound | default |` table in README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    tables = []
+    for n, line in enumerate(lines):
+        if line == "| key | kind | bound | default |":
+            rows = itertools.takewhile(lambda row: row.startswith("|"), lines[n + 2 :])
+            cells = [row.split("|") for row in rows]
+            tables.append({c[1].strip(" `"): c[4].strip() for c in cells})
+    return tables
+
+
+@pytest.mark.parametrize(
+    "index, cls", [(0, Scenario), (1, eddy._Entry)], ids=["scenario", "material"]
+)
+def test_readme_tables_list_the_declared_keys(index, cls):
+    declared = {_name(path).replace("[0]", "[i]"): f for path, f in _fields(cls, ())}
+    listed = _readme_tables()[index]
+    assert set(listed) == set(declared)
+    for name, f in declared.items():
+        assert (listed[name] == "required") == (f.default is dataclasses.MISSING), name
