@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +41,6 @@ def _write(args, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _override(args, name: str, section, default):
-    """The flag overriding key `name` of the spec class section, or default.
-
-    The flag is read with that key's kind and bounds, and errors name the flag.
-    """
-    value = getattr(args, name)
-    if value is None:
-        return default
-    return read_key(section, name, value, "--" + name.replace("_", "-"))
-
-
 def cmd_materials(args) -> int:
     db = eddy.load_materials(args.db)
     unique = {mat.name: mat for mat in db.values()}
@@ -75,15 +64,23 @@ def cmd_materials(args) -> int:
 def cmd_couplings(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,kind,m_closed_form_H,m_reference_H,reference_method"]
-    for spec in sc.receiver_coils:
+    # the sweeps' coupling of each receiver is checked as build_sweeps checks it
+    for index, spec in enumerate(sc.receiver_coils):
+        reference = scenario.coupling(sc, index, spec)
         closed = magnetics.mutual_inductance_coil_coil_closed(scenario.coil_pair(sc, spec))
-        reference = scenario.coil_coupling(sc, spec)
         rows.append(f"{spec.label},coil,{closed:.12e},{reference:.12e},exact")
-    for spec in sc.metal_plates:
-        closed = scenario.plate_coupling(sc, spec)
-        reference = magnetics.mutual_inductance_coil_plate_by_integration(
-            scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
-        )
+    for index, spec in enumerate(sc.metal_plates):
+        closed = scenario.coupling(sc, index, spec)
+        # a reference that is not finite is refused below, by plate, instead of warned about
+        with np.errstate(all="ignore"):
+            reference = magnetics.mutual_inductance_coil_plate_by_integration(
+                scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
+            )
+        if not math.isfinite(reference):
+            raise ScenarioError(
+                f"scenario.metal_plates[{index}] {spec.label!r} has a reference coupling "
+                f"m = {reference!r} H by the radius integral, which is not finite"
+            )
         rows.append(f"{spec.label},plate,{closed:.12e},{reference:.12e},radius_integral")
     _write(args, "couplings.csv", "\n".join(rows) + "\n")
     return EXIT_OK
@@ -120,9 +117,14 @@ def cmd_fit(args) -> int:
     curves = characteristics.curves_from_csv(_upstream(args, "curves.csv", "curves"))
     metal = [c for c in curves if c.label.startswith("metal:")]
     coil = [c for c in curves if c.label.startswith("coil:")]
-    degree = _override(args, "degree", scenario.DetectionSection, sc.detection.degree)
-    gate = _override(args, "gate_amps", scenario.DetectionSection, sc.detection.gate_amps)
-    model = detection.fit_thresholds(metal, coil, degree=degree, i_min_gate=gate)
+    d = sc.detection
+    # fit_thresholds' grid has as many points as the first metal curve
+    if metal and not d.degree < metal[0].i_tx.size:
+        raise ScenarioError(
+            f"scenario.detection.degree must be < {metal[0].i_tx.size}, the grid's point "
+            f"count, got {d.degree}"
+        )
+    model = detection.fit_thresholds(metal, coil, degree=d.degree, i_min_gate=d.gate_amps)
     _write(args, "threshold.json", model.to_json() + "\n")
     return EXIT_OK
 
@@ -142,9 +144,9 @@ def _print_report_table(report: dict) -> None:
 def cmd_detect(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     model = detection.ThresholdModel.from_json(_upstream(args, "threshold.json", "fit"))
-    gate = _override(args, "gate_amps", scenario.DetectionSection, model.i_min_gate)
-    model = replace(model, i_min_gate=gate)
-    seed = _override(args, "seed", scenario.NoiseSpec, sc.noise.seed)
+    seed = sc.noise.seed if args.seed is None else read_key(
+        scenario.NoiseSpec, "seed", args.seed, "--seed"
+    )
     triples = scenario.generate_test_samples(sc, seed=seed)
     labeled = [(true, sample) for true, _, sample in triples]
     report = detection.evaluate_batch(labeled, model)
@@ -185,14 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit threshold curves from curves.csv")
     common(p)
-    p.add_argument("--degree", type=int, help="P-I polynomial degree")
-    p.add_argument("--gate-amps", type=float, help="minimum-current validity gate")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("detect", help="classify noisy test points against threshold.json")
     common(p)
     p.add_argument("--seed", type=int, help="noise seed override")
-    p.add_argument("--gate-amps", type=float, help="minimum-current validity gate")
     p.set_defaults(func=cmd_detect)
 
     return parser

@@ -26,6 +26,7 @@ when there are any, take the direct rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,21 +92,33 @@ class EddyGeometry:
             raise ValueError("all EddyGeometry fields must be strictly positive")
 
 
+def _ks2(geom: EddyGeometry, mat: MetalMaterial) -> float:
+    """k_s^2 = w*sigma*mu0*mur, or 0 where that product is subnormal.
+
+    |root + k*mur|^2 >= k_s^2 in phi_k, and the complex division there
+    overflows once that divisor falls below 1/max float (about 5.6e-309);
+    a subnormal k_s^2 lets it.  Taken as 0, the plate is the lossless
+    static image that a k_s^2 underflowing to 0 already gives.
+    """
+    ks2 = geom.angular_frequency * mat.conductivity * MU0 * mat.rel_permeability
+    return ks2 if ks2 >= sys.float_info.min else 0.0
+
+
 def phi_k(k, geom: EddyGeometry, mat: MetalMaterial):
     """Complex material response at spatial frequency k (principal root).
 
     phi = (root - k*mur) / (root + k*mur) with root = sqrt(k^2 + j*k_s^2) and
-    k_s^2 = w*sigma*mu0*mur.  Bounded by 1 in magnitude with nonnegative
-    imaginary part for any passive material, which keeps the loss
-    resistance nonnegative.  Evaluated as the equal quotient
-    (k^2 (1 - mur^2) + j k_s^2) / (root + k*mur)^2, which does not cancel
-    in root - k*mur when k >> k_s.
+    k_s^2 = w*sigma*mu0*mur (0 where subnormal, see _ks2).  Bounded by 1 in
+    magnitude with nonnegative imaginary part for any passive material,
+    which keeps the loss resistance nonnegative.  Evaluated as the equal
+    quotient (k^2 (1 - mur^2) + j k_s^2) / (root + k*mur)^2, which does not
+    cancel in root - k*mur when k >> k_s.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k >= 0.0):
         raise ValueError("k must be >= 0")
     mur = mat.rel_permeability
-    ks2 = geom.angular_frequency * mat.conductivity * MU0 * mur
+    ks2 = _ks2(geom, mat)
     root = np.sqrt(k * k + 1j * ks2)
     out = (k * k * (1.0 - mur * mur) + 1j * ks2) / (root + k * mur) ** 2
     return out if out.ndim else complex(out)
@@ -194,12 +207,9 @@ def _panel_edges(
             f"over its cap of {_MAX_J1_WORK:.0e}"
         )
     edges = np.linspace(0.0, k_max, max(_PANELS, math.ceil(n)) + 1)
-    k_s = math.sqrt(
-        geom.angular_frequency * mat.conductivity * MU0 * mat.rel_permeability
-    )
-    k_low = k_s / mat.rel_permeability / 4.0
-    # k_s underflows to 0 for a vanishing conductivity: phi is then the
-    # constant of the magnetic image, and uniform panels integrate it
+    k_low = math.sqrt(_ks2(geom, mat)) / mat.rel_permeability / 4.0
+    # k_s is 0 for a vanishing conductivity: phi is then the constant of the
+    # magnetic image, and uniform panels integrate it
     if not 0.0 < k_low < edges[1]:
         return edges, 0
     # [0, k_low], then `steps` geometric panels up to the first uniform edge
@@ -227,8 +237,10 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
     f *= half
     value = complex(np.sum(f[:, : _FINE_NODES.size] @ _FINE_WEIGHTS))
     check = complex(np.sum(f[:, _FINE_NODES.size :] @ _CHECK_WEIGHTS))
+    # a subnormal part holds too few bits for a relative check, so the gap is
+    # measured against the smallest normal float there instead
     for part, gap in ((value.real, (value - check).real), (value.imag, (value - check).imag)):
-        if not math.isfinite(part) or abs(gap) > 1e-6 * abs(part):
+        if not math.isfinite(part) or abs(gap) > 1e-6 * max(abs(part), sys.float_info.min):
             raise ConvergenceError(
                 f"plate impedance quadrature error {abs(gap):g} too large for value {part:g}"
             )

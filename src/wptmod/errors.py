@@ -29,8 +29,8 @@ class ScenarioError(WptError, ValueError):
     """An input file is malformed or a value in it is out of bounds.
 
     Raised for scenario files, the material database and threshold.json, for
-    the flags that override their keys, and for scenario values whose results
-    overflow; the message names the key path.  Any input file that cannot be
+    the --seed flag that overrides noise.seed, and for scenario values whose
+    results overflow; the message names the key path or the flag.  Any input file that cannot be
     read or is not UTF-8 raises it naming the file.  curves.csv rows raise
     plain ValueError naming the line.
     """

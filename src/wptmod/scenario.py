@@ -8,6 +8,7 @@ declares its keys once, as fields with their kind, default and bounds
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ class MetalPlateSpec:
     half_side_m: float = key(finite, gt=0)
     distance_m: float = key(finite, gt=0)
     mu_r: float | None = key(finite, None, ge=1)
+
+
+ReceiverSpec = ReceiverCoilSpec | MetalPlateSpec
 
 
 @keyed
@@ -206,17 +210,56 @@ def plate_impedance(
         ) from exc
 
 
-def _reflecting(
-    sc: Scenario, where: str, spec: ReceiverCoilSpec | MetalPlateSpec, m: float
-) -> float:
-    """m, or ScenarioError naming the receiver when (w*m)^2 is not a finite float."""
+def _named(spec: ReceiverSpec, index: int) -> str:
+    """The key path and label of receiver `index` of spec's class, for messages."""
+    section = "receiver_coils" if isinstance(spec, ReceiverCoilSpec) else "metal_plates"
+    return f"scenario.{section}[{index}] {spec.label!r}"
+
+
+def coupling(sc: Scenario, index: int, spec: ReceiverSpec) -> float:
+    """The coupling m of receiver `index` of spec's class to the transmitter.
+
+    Raises ScenarioError naming the receiver when its reflection (w*m)^2 is
+    not a finite float.
+    """
+    coil = isinstance(spec, ReceiverCoilSpec)
+    m = coil_coupling(sc, spec) if coil else plate_coupling(sc, spec)
     wm = sc.omega * m
     if not math.isfinite(wm * wm):
         raise ScenarioError(
-            f"scenario.{where} {spec.label!r} couples to the transmitter by m = {m!r} H, "
+            f"{_named(spec, index)} couples to the transmitter by m = {m!r} H, "
             "whose reflection (w*m)^2 is not a finite number"
         )
     return m
+
+
+def _sweep(
+    sc: Scenario, tx: TxCoil, index: int, spec: ReceiverSpec, receiver: circuit.Receiver
+) -> SweepSpec:
+    """The sweep of receiver `index` of spec's class, on coil B's axis.
+
+    Raises ScenarioError naming the receiver when its coupling or the input
+    impedance Z_in it gives the transmitter is not finite.
+    """
+    drive = DriveSpec(sc.omega)
+    couplings = Couplings(0.0, coupling(sc, index, spec))
+    z_in = circuit.input_impedance(drive, couplings, receiver, tx)
+    if not cmath.isfinite(z_in):
+        raise ScenarioError(
+            f"{_named(spec, index)} gives the transmitter an input impedance "
+            f"Z_in = {z_in!r} ohm, which is not finite"
+        )
+    kind = "coil" if isinstance(spec, ReceiverCoilSpec) else "metal"
+    return SweepSpec(
+        i_min=sc.sweep.i_min_a,
+        i_max=sc.sweep.i_max_a,
+        steps=sc.sweep.steps,
+        drive=drive,
+        receiver=receiver,
+        couplings=couplings,
+        tx=tx,
+        label=f"{kind}:{spec.label}",
+    )
 
 
 def build_sweeps(sc: Scenario) -> list[SweepSpec]:
@@ -225,47 +268,30 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
     Every receiver sits on coil B's axis (coupling m_bc = m, m_ac = 0) and
     coil B alone carries the drive (steering 0).  Raises ScenarioError when
     either receiver class is empty, or naming the receiver when its
-    reflection (w*m)^2 is not finite or when a plate reflects no impedance
-    (r_m = l_m = 0), which leaves its receiver current undefined.
+    reflection (w*m)^2 or its Z_in is not finite, or when a plate reflects
+    no impedance (r_m = l_m = 0), which leaves its receiver current
+    undefined.
     """
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
             raise ScenarioError(f"{name} is empty; the threshold fit needs both classes")
     t = sc.transmitter
     tx = TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
-    drive = DriveSpec(sc.omega)
-    receivers = [
-        (
-            f"coil:{spec.label}",
-            _reflecting(sc, f"receiver_coils[{index}]", spec, coil_coupling(sc, spec)),
-            circuit.CoilReceiver(
-                spec.resistance_ohm, spec.inductance_h, _capacitance(sc, spec), spec.load_ohm
-            ),
+    sweeps = []
+    for index, spec in enumerate(sc.receiver_coils):
+        rx = circuit.CoilReceiver(
+            spec.resistance_ohm, spec.inductance_h, _capacitance(sc, spec), spec.load_ohm
         )
-        for index, spec in enumerate(sc.receiver_coils)
-    ]
+        sweeps.append(_sweep(sc, tx, index, spec, rx))
     for index, (spec, mat) in enumerate(zip(sc.metal_plates, plate_materials(sc))):
-        m = _reflecting(sc, f"metal_plates[{index}]", spec, plate_coupling(sc, spec))
         rx = plate_impedance(sc, index, mat)
         if rx.r_m == rx.l_m == 0.0:
             raise ScenarioError(
-                f"scenario.metal_plates[{index}] {spec.label!r} (material {spec.material!r}) "
-                "reflects no impedance: r_m = l_m = 0"
+                f"{_named(spec, index)} (material {spec.material!r}) reflects no impedance: "
+                f"r_m = l_m = 0 at conductivity_S_per_m {mat.conductivity!r}"
             )
-        receivers.append((f"metal:{spec.label}", m, rx))
-    return [
-        SweepSpec(
-            i_min=sc.sweep.i_min_a,
-            i_max=sc.sweep.i_max_a,
-            steps=sc.sweep.steps,
-            drive=drive,
-            receiver=receiver,
-            couplings=Couplings(0.0, m),
-            tx=tx,
-            label=label,
-        )
-        for label, m, receiver in receivers
-    ]
+        sweeps.append(_sweep(sc, tx, index, spec, rx))
+    return sweeps
 
 
 def generate_test_samples(

@@ -170,6 +170,38 @@ class TestImpedanceCommand:
         assert not (tmp_path / "o" / "curves.csv").exists()
 
 
+    @pytest.mark.parametrize("mu_r", [1.0, 300.0])
+    @pytest.mark.parametrize("sigma", [1e-308, 1e-310, 1e-318])
+    def test_subnormal_skin_wavenumber_database(self, tmp_path, capsys, sigma, mu_r):
+        # k_s^2 = w sigma mu0 mur is subnormal but for (1e-308, 300); every plate is then
+        # its static image, r_m = 0, as at sigma = 5e-324
+        l_m = {}
+        for conductivity in (5e-324, sigma):
+            db = json.loads(resources.files("wptmod.data").joinpath("materials.json").read_text())
+            for entry in db:
+                entry.update(conductivity_S_per_m=conductivity, mu_r=mu_r)
+                entry.pop("mu_r_range", None)
+            (tmp_path / "db.json").write_text(json.dumps(db))
+            raw = _bundled()
+            raw["materials_db"] = str(tmp_path / "db.json")
+            path = tmp_path / "faint.json"
+            path.write_text(json.dumps(raw))
+            out = tmp_path / str(conductivity)
+            argv = ["--scenario", str(path), "--out", str(out)]
+            assert cli.main(["impedance", *argv]) == cli.EXIT_OK
+            rows = [row.split(",") for row in (out / "impedance.csv").read_text().splitlines()[1:]]
+            assert all(0.0 <= float(row[5]) < 1e-300 for row in rows)
+            l_m[conductivity] = [float(row[6]) for row in rows]
+        assert l_m[sigma] == pytest.approx(l_m[5e-324], rel=1e-9)
+        capsys.readouterr()
+        code = cli.main(["curves", *argv])
+        if mu_r == 300.0:
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_VALIDATION
+            assert f"r_m = l_m = 0 at conductivity_S_per_m {sigma!r}" in capsys.readouterr().err
+
+
 class TestCurvesFitDetect:
     def test_curves_artifact(self, pipeline_out):
         text = (pipeline_out / "curves.csv").read_text()
@@ -317,16 +349,8 @@ class TestCurvesFitDetect:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [
-            (["fit", "--gate-amps", "inf"], "--gate-amps must be a finite number, got inf"),
-            (["fit", "--gate-amps", "0"], "--gate-amps must be > 0, got 0.0"),
-            (["fit", "--degree", "40"], "degree must be < 21, the grid's point count, got 40"),
-            (["fit", "--degree", "0"], "--degree must be >= 1, got 0"),
-            (["detect", "--seed", "-1"], "--seed must be >= 0, got -1"),
-            (["detect", "--gate-amps", "nan"], "--gate-amps must be a finite number, got nan"),
-        ],
-        ids=["fit_gate_inf", "fit_gate_zero", "fit_degree_40", "fit_degree_zero",
-             "detect_seed_negative", "detect_gate_nan"],
+        [(["detect", "--seed", "-1"], "--seed must be >= 0, got -1")],
+        ids=["detect_seed_negative"],
     )
     def test_bad_flag_names_flag(self, pipeline_out, tmp_path, capsys, argv, message):
         for name in ("curves.csv", "threshold.json"):
@@ -356,13 +380,52 @@ class TestCurvesFitDetect:
         cli.main(["detect", "--out", str(pipeline_out), "--seed", "1"])
         assert json.loads((pipeline_out / "report.json").read_text()) == a
 
-    def test_detect_gate_override_indeterminate(self, pipeline_out):
-        # gate above every test current: nothing is decidable
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--degree", "3"], ["fit", "--gate-amps", "3"], ["detect", "--gate-amps", "3"]],
+        ids=["fit_degree", "fit_gate", "detect_gate"],
+    )
+    def test_removed_flags_refused(self, pipeline_out, capsys, argv):
+        # the scenario's detection keys and threshold.json are the only sources
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(pipeline_out)])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert f"unrecognized arguments: {argv[1]} 3" in capsys.readouterr().err
+
+    def test_fit_degree_past_grid_names_key(self, pipeline_out, tmp_path, capsys):
+        raw = _bundled()
+        raw["detection"]["degree"] = 40
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        (tmp_path / "curves.csv").write_bytes((pipeline_out / "curves.csv").read_bytes())
+        code = cli.main(["fit", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
         assert (
-            cli.main(["detect", "--out", str(pipeline_out), "--gate-amps", "50"])
-            == cli.EXIT_OK
+            "scenario.detection.degree must be < 21, the grid's point count, got 40"
+            in capsys.readouterr().err
         )
-        report = json.loads((pipeline_out / "report.json").read_text())
+        assert not (tmp_path / "threshold.json").exists()
+
+    @pytest.mark.parametrize("source", ["scenario", "threshold_json"])
+    def test_detect_all_gated(self, pipeline_out, tmp_path, source):
+        # gate above every test current: nothing is decidable
+        if source == "scenario":
+            raw = _bundled()
+            raw["detection"]["gate_amps"] = 50
+            path = tmp_path / "gated.json"
+            path.write_text(json.dumps(raw))
+            argv = ["--scenario", str(path), "--out", str(tmp_path)]
+            for verb in ("curves", "fit"):
+                assert cli.main([verb, *argv]) == cli.EXIT_OK
+        else:
+            # re-gating without a refit: edit the fitted gate
+            model = json.loads((pipeline_out / "threshold.json").read_text())
+            model["i_min_gate_A"] = 50
+            (tmp_path / "threshold.json").write_text(json.dumps(model))
+            argv = ["--out", str(tmp_path)]
+        assert json.loads((tmp_path / "threshold.json").read_text())["i_min_gate_A"] == 50
+        assert cli.main(["detect", *argv]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["no_decidable_samples"]
         assert report["accuracy"] is None
         assert all(row["gated"] for row in report["samples"])
@@ -558,7 +621,7 @@ class TestScenarioValidation:
         ],
         ids=["coil_turns", "plate_side", "tx_side"],
     )
-    @pytest.mark.parametrize("verb", ["curves", "detect"])
+    @pytest.mark.parametrize("verb", ["curves", "detect", "couplings"])
     def test_unbounded_reflection_names_receiver(
         self, pipeline_out, tmp_path, capsys, verb, edit, message
     ):
@@ -573,7 +636,53 @@ class TestScenarioValidation:
         assert code == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert message in err and "whose reflection (w*m)^2 is not a finite number" in err
+        assert "RuntimeWarning" not in err
+        assert not any((out / name).exists() for name in ("couplings.csv", "curves.csv", "report.json"))
+
+    @pytest.mark.parametrize("verb", ["curves", "detect"])
+    def test_infinite_input_impedance_names_receiver(self, pipeline_out, tmp_path, capsys, verb):
+        # r_m = 2.9e-310 ohm and l_m = 0, so (w*m)^2 / r_m overflows Z_in
+        db = json.loads(resources.files("wptmod.data").joinpath("materials.json").read_text())
+        db[0]["conductivity_S_per_m"] = 1e-306
+        (tmp_path / "db.json").write_text(json.dumps(db))
+        raw = _bundled()
+        raw["materials_db"] = str(tmp_path / "db.json")
+        for plate in raw["metal_plates"]:
+            if plate["material"] == "cuprum":
+                plate.update(half_side_m=3.0, distance_m=0.01)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "threshold.json").write_bytes((pipeline_out / "threshold.json").read_bytes())
+        code = cli.main([verb, "--scenario", str(path), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert (
+            "scenario.metal_plates[2] 'cu_0.1m' gives the transmitter an input impedance "
+            "Z_in = (inf+" in err and "which is not finite" in err
+        )
         assert not (out / "curves.csv").exists() and not (out / "report.json").exists()
+
+    def test_couplings_refuses_non_finite_reference(self, tmp_path, capsys):
+        # lengths of 1e-200 m square to 0 in the radius integral, which reads 0/0; the
+        # closed form is 0, whose reflection is finite
+        def tiny(d):
+            d["transmitter"]["half_side_m"] = 1e-200
+            for receiver in d["receiver_coils"] + d["metal_plates"]:
+                receiver.update(half_side_m=1e-200, distance_m=1e-200)
+
+        raw = _bundled()
+        tiny(raw)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["couplings", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert (
+            "scenario.metal_plates[0] 'fe_0.1m' has a reference coupling m = nan H by the "
+            "radius integral, which is not finite" in capsys.readouterr().err
+        )
+        assert not (tmp_path / "couplings.csv").exists()
 
     @pytest.mark.parametrize("mu_r", [200, 400])
     def test_plate_mu_r_on_range_ends_accepted(self, tmp_path, mu_r):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +266,19 @@ class TestStaticImageLimits:
         image = -(mu_r - 1.0) / (mu_r + 1.0) * n * n * coaxial_circles_m(a, 2.0 * d)
         assert z.r_m == 0.0
         assert z.l_m == pytest.approx(image, rel=1e-9)
+
+    @pytest.mark.parametrize("mu_r", [1.0, 300.0, 5000.0])
+    @pytest.mark.parametrize("sigma", [1e-308, 1e-310, 1e-318])
+    @pytest.mark.parametrize("a, n, d", [(0.1, 3, 0.2), (0.01, 3, 0.3)])
+    def test_magnetic_limit_where_skin_wavenumber_is_subnormal(self, a, n, d, sigma, mu_r):
+        # k_s^2 = w sigma mu0 mur is subnormal for 6 of the 9 (sigma, mu_r); for the other
+        # 3 at a = 0.01 the loss integral is, with too few bits for a relative check
+        z = plate_impedance(geom(a, n, d), MetalMaterial("x", sigma, mu_r))
+        image = -(mu_r - 1.0) / (mu_r + 1.0) * n * n * coaxial_circles_m(a, 2.0 * d)
+        assert 0.0 <= z.r_m < 1e-300
+        assert z.l_m == pytest.approx(image, rel=1e-9, abs=1e-300)
+        if W20K * sigma * MU0 * mu_r < sys.float_info.min:
+            assert z == plate_impedance(geom(a, n, d), MetalMaterial("x", 5e-324, mu_r))
 
     @pytest.mark.parametrize("a, n, d, track", [(0.1, 3, 0.2, 1e-4), (0.3, 5, 0.01, 2e-3)])
     def test_conductor_limit(self, a, n, d, track):
