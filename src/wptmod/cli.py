@@ -89,8 +89,7 @@ def cmd_couplings(args) -> int:
 def cmd_impedance(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,material,mu_r,half_side_m,distance_m,r_m_ohm,l_m_H"]
-    for index, (spec, mat) in enumerate(zip(sc.metal_plates, scenario.plate_materials(sc))):
-        imp = scenario.plate_impedance(sc, index, mat)
+    for spec, (mat, imp) in zip(sc.metal_plates, scenario.plates(sc)):
         rows.append(
             f"{spec.label},{mat.name},{mat.rel_permeability:g},"
             f"{spec.half_side_m:g},{spec.distance_m:g},{imp.r_m:.12e},{imp.l_m:.12e}"
@@ -117,9 +116,12 @@ def cmd_fit(args) -> int:
     curves = characteristics.curves_from_csv(_upstream(args, "curves.csv", "curves"))
     metal = [c for c in curves if c.label.startswith("metal:")]
     coil = [c for c in curves if c.label.startswith("coil:")]
+    for kind, group in (("metal", metal), ("coil", coil)):
+        if not group:
+            raise ScenarioError(f"curves.csv holds no {kind}: curve; the fit needs both classes")
     d = sc.detection
     # fit_thresholds' grid has as many points as the first metal curve
-    if metal and not d.degree < metal[0].i_tx.size:
+    if not d.degree < metal[0].i_tx.size:
         raise ScenarioError(
             f"scenario.detection.degree must be < {metal[0].i_tx.size}, the grid's point "
             f"count, got {d.degree}"

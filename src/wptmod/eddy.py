@@ -194,7 +194,7 @@ def _panel_edges(
     panel is wide against its distance to either.  Returns the edges and the
     index of the first uniform panel.  Raises WorkLimitError, before any
     table is allocated, when the J1 work of the panels would pass
-    _MAX_J1_WORK.
+    _MAX_J1_WORK, or when k_max is so large that phi_k would overflow.
     """
     x_max = geom.coil_half_side * k_max
     n = 2.0 * x_max / _PANEL_PHASE
@@ -205,6 +205,14 @@ def _panel_edges(
         raise WorkLimitError(
             f"the plate quadrature needs {amount} J1 sine evaluations, "
             f"over its cap of {_MAX_J1_WORK:.0e}"
+        )
+    # phi_k squares about k * (1 + mur) at nodes up to k_max; the factor 2 keeps
+    # that square, and its rounding, below the largest float
+    reach = 2.0 * k_max * (1.0 + mat.rel_permeability)
+    if not math.isfinite(reach * reach):
+        raise WorkLimitError(
+            f"the plate quadrature's cutoff k_max {k_max:.3g} 1/m overflows the material "
+            f"response at mu_r {mat.rel_permeability:g}"
         )
     edges = np.linspace(0.0, k_max, max(_PANELS, math.ceil(n)) + 1)
     k_low = math.sqrt(_ks2(geom, mat)) / mat.rel_permeability / 4.0
@@ -254,17 +262,21 @@ def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> MetalReceiver:
     so the tail beyond k is at most sup_t exp(-2 k d) / (2 d), with
     sup_t = (N a sup|J1|)^2.  A second pass runs at the k where that bound
     meets 1e-12 of the smaller of |Re| and |Im| of the first, floored at
-    1e-30 sup_t, when that k passes 30/d.  The work grows as (a/d)^2; a
-    plate so close that either pass would pass _MAX_J1_WORK raises
-    WorkLimitError.
+    1e-30 sup_t, when that k passes 30/d; both sides of that equation are
+    taken in logs, since sup_t and the target underflow at tiny lengths.  The
+    work grows as (a/d)^2; a plate so close that either pass would pass
+    _MAX_J1_WORK, or whose k_max would overflow phi_k (d below about
+    1.3e-150 m at mur = 300, 9e-153 m at mur = 1), raises WorkLimitError.
     """
     d = geom.plate_distance
     w = geom.angular_frequency
     k_max = 60.0 / (2.0 * d)
     raw = _spectral_integral(geom, mat, k_max)
-    sup_t = (geom.coil_turns * geom.coil_half_side * _J1_SUP) ** 2
-    target = 1e-12 * max(min(abs(raw.real), abs(raw.imag)), sup_t * 1e-30)
-    k_need = math.log(sup_t / (2.0 * d * target)) / (2.0 * d)
+    log_sup = 2.0 * math.log(geom.coil_turns * geom.coil_half_side * _J1_SUP)
+    small = min(abs(raw.real), abs(raw.imag))
+    log_small = math.log(small) if small else -math.inf
+    log_target = math.log(1e-12) + max(log_small, log_sup + math.log(1e-30))
+    k_need = (log_sup - math.log(2.0 * d) - log_target) / (2.0 * d)
     if k_need > k_max:
         raw = _spectral_integral(geom, mat, k_need)
     return MetalReceiver(r_m=w * math.pi * MU0 * raw.imag, l_m=math.pi * MU0 * raw.real)

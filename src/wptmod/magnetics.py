@@ -208,9 +208,9 @@ def mutual_inductance_coil_plate_by_integration(
     a = primary.half_side
     h = separation
     bp = np.linspace(0.0, plate_half_side, 2 * _SIMPSON_PANELS + 1)
-    num = (a + bp) ** 2 + h * h
-    den = (a - bp) ** 2 + h * h
-    integrand = 4.0 * MU0 * bp / math.pi * 0.5 * np.log(num / den)
+    # half of log(((a + b)^2 + h^2) / ((a - b)^2 + h^2)), without squaring a tiny h into underflow
+    log_ratio = np.log(np.hypot(a + bp, h)) - np.log(np.hypot(a - bp, h))
+    integrand = 4.0 * MU0 * bp / math.pi * log_ratio
     step = plate_half_side / (2 * _SIMPSON_PANELS)
     weights = np.ones_like(bp)
     weights[1:-1:2] = 4.0

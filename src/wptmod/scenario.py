@@ -151,63 +151,47 @@ def coil_pair(sc: Scenario, spec: ReceiverCoilSpec) -> magnetics.CoaxialPair:
     )
 
 
-def coil_coupling(sc: Scenario, spec: ReceiverCoilSpec) -> float:
-    """Coil-to-coil coupling, exact for the coaxial square pair."""
-    return magnetics.mutual_inductance_coaxial_squares(coil_pair(sc, spec))
+def plates(sc: Scenario) -> list[tuple[eddy.MetalMaterial, circuit.MetalReceiver]]:
+    """The material and equivalent series R-L branch of each metal plate.
 
-
-def plate_coupling(sc: Scenario, spec: MetalPlateSpec) -> float:
-    return magnetics.mutual_inductance_coil_plate(
-        tx_loop(sc), spec.half_side_m, spec.distance_m
-    )
-
-
-def plate_materials(sc: Scenario) -> list[eddy.MetalMaterial]:
-    """The material of each metal plate, from one read of the database.
-
-    Raises ScenarioError naming the plate's mu_r when it lies outside its
-    material's mu_r_range.
+    Reads the material database once, then binds each plate in order.
+    Raises ScenarioError naming the plate's key: its material when the
+    database lacks it, its mu_r when that lies outside the material's
+    mu_r_range, and its distance_m when the plate sits so close that its
+    quadrature would pass eddy's work cap or overflow.  So of two faulty
+    plates the first in order is reported, whichever its fault.
     """
     db = eddy.load_materials(sc.materials_db)
-    mats = []
+    out = []
     for index, spec in enumerate(sc.metal_plates):
+        where = f"scenario.metal_plates[{index}]"
         mat = db.get(spec.material.lower())
         if mat is None:
-            raise ScenarioError(f"unknown material {spec.material!r}")
+            raise ScenarioError(
+                f"{where}.material {spec.material!r} is not in the material database"
+            )
         if spec.mu_r is not None:
             span = mat.rel_permeability_range
             if span and not span[0] <= spec.mu_r <= span[1]:
                 raise ScenarioError(
-                    f"scenario.metal_plates[{index}].mu_r must lie in {mat.name}'s "
-                    f"mu_r_range {list(span)!r}, got {spec.mu_r!r}"
+                    f"{where}.mu_r must lie in {mat.name}'s mu_r_range {list(span)!r}, "
+                    f"got {spec.mu_r!r}"
                 )
             mat = eddy.MetalMaterial(mat.name, mat.conductivity, spec.mu_r)
-        mats.append(mat)
-    return mats
-
-
-def plate_impedance(
-    sc: Scenario, index: int, mat: eddy.MetalMaterial
-) -> circuit.MetalReceiver:
-    """The equivalent series R-L branch of metal plate `index` made of mat.
-
-    Raises ScenarioError naming the plate's distance_m when the plate sits so
-    close that its quadrature would pass eddy's work cap.
-    """
-    spec = sc.metal_plates[index]
-    geom = eddy.EddyGeometry(
-        # kernel length scale saturates at whichever of plate and coil is smaller
-        coil_half_side=min(spec.half_side_m, sc.transmitter.half_side_m),
-        coil_turns=sc.transmitter.turns,
-        plate_distance=spec.distance_m,
-        angular_frequency=sc.omega,
-    )
-    try:
-        return eddy.plate_impedance(geom, mat)
-    except WorkLimitError as exc:
-        raise ScenarioError(
-            f"scenario.metal_plates[{index}].distance_m {spec.distance_m!r} m is too small: {exc}"
-        ) from exc
+        geom = eddy.EddyGeometry(
+            # kernel length scale saturates at whichever of plate and coil is smaller
+            coil_half_side=min(spec.half_side_m, sc.transmitter.half_side_m),
+            coil_turns=sc.transmitter.turns,
+            plate_distance=spec.distance_m,
+            angular_frequency=sc.omega,
+        )
+        try:
+            out.append((mat, eddy.plate_impedance(geom, mat)))
+        except WorkLimitError as exc:
+            raise ScenarioError(
+                f"{where}.distance_m {spec.distance_m!r} m is too small: {exc}"
+            ) from exc
+    return out
 
 
 def _named(spec: ReceiverSpec, index: int) -> str:
@@ -219,11 +203,14 @@ def _named(spec: ReceiverSpec, index: int) -> str:
 def coupling(sc: Scenario, index: int, spec: ReceiverSpec) -> float:
     """The coupling m of receiver `index` of spec's class to the transmitter.
 
-    Raises ScenarioError naming the receiver when its reflection (w*m)^2 is
-    not a finite float.
+    A coil's is the exact coaxial square-pair form, a plate's the closed form
+    of its radius integral.  Raises ScenarioError naming the receiver when
+    its reflection (w*m)^2 is not a finite float.
     """
-    coil = isinstance(spec, ReceiverCoilSpec)
-    m = coil_coupling(sc, spec) if coil else plate_coupling(sc, spec)
+    if isinstance(spec, ReceiverCoilSpec):
+        m = magnetics.mutual_inductance_coaxial_squares(coil_pair(sc, spec))
+    else:
+        m = magnetics.mutual_inductance_coil_plate(tx_loop(sc), spec.half_side_m, spec.distance_m)
     wm = sc.omega * m
     if not math.isfinite(wm * wm):
         raise ScenarioError(
@@ -267,10 +254,10 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
 
     Every receiver sits on coil B's axis (coupling m_bc = m, m_ac = 0) and
     coil B alone carries the drive (steering 0).  Raises ScenarioError when
-    either receiver class is empty, or naming the receiver when its
-    reflection (w*m)^2 or its Z_in is not finite, or when a plate reflects
-    no impedance (r_m = l_m = 0), which leaves its receiver current
-    undefined.
+    either receiver class is empty, where plates() raises, or naming the
+    receiver when its reflection (w*m)^2 or its Z_in is not finite, or when
+    a plate reflects no impedance (r_m = l_m = 0), which leaves its receiver
+    current undefined.
     """
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
@@ -283,8 +270,7 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
             spec.resistance_ohm, spec.inductance_h, _capacitance(sc, spec), spec.load_ohm
         )
         sweeps.append(_sweep(sc, tx, index, spec, rx))
-    for index, (spec, mat) in enumerate(zip(sc.metal_plates, plate_materials(sc))):
-        rx = plate_impedance(sc, index, mat)
+    for index, (spec, (mat, rx)) in enumerate(zip(sc.metal_plates, plates(sc))):
         if rx.r_m == rx.l_m == 0.0:
             raise ScenarioError(
                 f"{_named(spec, index)} (material {spec.material!r}) reflects no impedance: "

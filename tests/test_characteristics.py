@@ -30,10 +30,9 @@ from wptmod.eddy import MetalMaterial
 from wptmod.scenario import (
     MAX_STEPS,
     NoiseSpec,
-    coil_coupling,
+    coupling,
     generate_test_samples,
     load_scenario,
-    plate_coupling,
 )
 
 OMEGA = 2.0 * math.pi * 20e3
@@ -474,8 +473,8 @@ def test_curves_independent_of_azimuth(repro_sweeps):
 def test_build_sweeps_puts_receivers_on_coil_b_axis(repro_scenario, repro_sweeps):
     # coil B alone carries the drive, so Z_in reflects the full coaxial coupling
     sc = repro_scenario
-    coaxial = [coil_coupling(sc, spec) for spec in sc.receiver_coils]
-    coaxial += [plate_coupling(sc, spec) for spec in sc.metal_plates]
+    coaxial = [coupling(sc, i, spec) for i, spec in enumerate(sc.receiver_coils)]
+    coaxial += [coupling(sc, i, spec) for i, spec in enumerate(sc.metal_plates)]
     assert len(repro_sweeps) == len(coaxial)
     for spec, m in zip(repro_sweeps, coaxial):
         assert (spec.couplings.m_ac, spec.couplings.m_bc) == (0.0, m), spec.label

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wptmod import cli, scenario
+from wptmod import cli, magnetics, scenario
 from wptmod.errors import ScenarioError
 
 
@@ -145,6 +145,79 @@ class TestImpedanceCommand:
         assert not (tmp_path / "o" / "impedance.csv").exists()
         assert not (tmp_path / "o" / "curves.csv").exists()
 
+    @pytest.mark.parametrize("length", [1e-100, 1e-150, 1e-160, 1e-200])
+    def test_tiny_lengths_exit_0_or_name_key(self, tmp_path, capsys, length):
+        # every length of the bundled scenario at one value; the truncation target
+        # underflowed to 0 below about 1e-95 m, and the cutoff 30/d squared past the
+        # largest float in phi_k below about 1e-151 m
+        raw = _bundled()
+        raw["transmitter"]["half_side_m"] = length
+        for receiver in raw["receiver_coils"] + raw["metal_plates"]:
+            receiver.update(half_side_m=length, distance_m=length)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        argv = ["--scenario", str(path), "--out", str(out)]
+        code = cli.main(["impedance", *argv])
+        err = capsys.readouterr().err
+        too_small = f"scenario.metal_plates[0].distance_m {length!r} m is too small"
+        if length > 1e-150:
+            assert code == cli.EXIT_OK, err
+            rows = [ln.split(",") for ln in (out / "impedance.csv").read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(row[5])) and float(row[5]) >= 0.0 for row in rows)
+            # the Cu and Al plates reflect nothing at that size
+            message = "scenario.metal_plates[2] 'cu_0.1m' (material 'cuprum') reflects no"
+        else:
+            assert code == cli.EXIT_VALIDATION
+            assert too_small in err and "overflows the material response at mu_r 300" in err
+            assert not (out / "impedance.csv").exists()
+            message = too_small
+        assert cli.main(["curves", *argv]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+        # the couplings and their references stay finite, some of them 0
+        assert cli.main(["couplings", *argv]) == cli.EXIT_OK
+        rows = [ln.split(",") for ln in (out / "couplings.csv").read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(v)) for row in rows for v in row[2:4])
+
+    def test_huge_mu_r_names_plate(self, tmp_path, capsys):
+        # cuprum has no mu_r_range; at mu_r 1e160, mu_r^2 overflowed in phi_k (exit 3)
+        raw = _bundled()
+        raw["metal_plates"][2]["mu_r"] = 1e160
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(raw))
+        for verb in ("impedance", "curves"):
+            code = cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert "scenario.metal_plates[2].distance_m 0.2 m is too small" in err
+            assert "overflows the material response at mu_r 1e+160" in err
+
+    def test_tiny_plate_reflects_nothing(self, tmp_path, capsys):
+        # a 1e-200 m plate's tail bound underflowed to 0 (ZeroDivisionError)
+        raw = _bundled()
+        raw["metal_plates"][2]["half_side_m"] = 1e-200
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert cli.main(["impedance", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+        row = (out / "impedance.csv").read_text().splitlines()[3].split(",")
+        assert row[0] == "cu_0.1m" and float(row[5]) == float(row[6]) == 0.0
+
+    @pytest.mark.parametrize("verb", ["impedance", "curves"])
+    def test_unknown_material_names_key(self, tmp_path, capsys, verb):
+        raw = _bundled()
+        raw["metal_plates"][1]["material"] = "unobtainium"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main([verb, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_VALIDATION
+        assert (
+            "scenario.metal_plates[1].material 'unobtainium' is not in the material database"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_vanishing_conductivity_database(self, tmp_path, capsys):
         # 5e-324 S/m passes the database's > 0 bound; k_s = sqrt(w sigma mu0 mur) is 0
         db = json.loads(resources.files("wptmod.data").joinpath("materials.json").read_text())
@@ -218,7 +291,7 @@ class TestCurvesFitDetect:
         for distance in (0.001, 0.0005):
             coil["distance_m"] = distance
             sc = scenario.parse_scenario(raw)
-            couplings[distance] = scenario.coil_coupling(sc, sc.receiver_coils[0])
+            couplings[distance] = scenario.coupling(sc, 0, sc.receiver_coils[0])
         path = tmp_path / "near.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["curves", "--scenario", str(path), "--out", str(tmp_path)]) == 0
@@ -256,6 +329,15 @@ class TestCurvesFitDetect:
         assert cli.main(["fit", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
         assert "missing upstream artifact" in capsys.readouterr().err
         assert not (tmp_path / "empty").exists()
+
+    @pytest.mark.parametrize("kind", ["metal", "coil"])
+    def test_fit_names_missing_class(self, pipeline_out, tmp_path, capsys, kind):
+        lines = (pipeline_out / "curves.csv").read_text().splitlines()
+        kept = [ln for ln in lines if not ln.startswith(f"{kind}:")]
+        (tmp_path / "curves.csv").write_text("\n".join(kept) + "\n")
+        assert cli.main(["fit", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert f"curves.csv holds no {kind}: curve" in capsys.readouterr().err
+        assert not (tmp_path / "threshold.json").exists()
 
     def test_detect_requires_threshold(self, tmp_path, capsys):
         assert cli.main(["detect", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
@@ -664,19 +746,12 @@ class TestScenarioValidation:
         )
         assert not (out / "curves.csv").exists() and not (out / "report.json").exists()
 
-    def test_couplings_refuses_non_finite_reference(self, tmp_path, capsys):
-        # lengths of 1e-200 m square to 0 in the radius integral, which reads 0/0; the
-        # closed form is 0, whose reflection is finite
-        def tiny(d):
-            d["transmitter"]["half_side_m"] = 1e-200
-            for receiver in d["receiver_coils"] + d["metal_plates"]:
-                receiver.update(half_side_m=1e-200, distance_m=1e-200)
-
-        raw = _bundled()
-        tiny(raw)
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(raw))
-        code = cli.main(["couplings", "--scenario", str(path), "--out", str(tmp_path)])
+    def test_couplings_refuses_non_finite_reference(self, tmp_path, capsys, monkeypatch):
+        # no known input makes the radius integral non-finite, so a stand-in returns nan
+        monkeypatch.setattr(
+            magnetics, "mutual_inductance_coil_plate_by_integration", lambda *args: math.nan
+        )
+        code = cli.main(["couplings", "--out", str(tmp_path)])
         assert code == cli.EXIT_VALIDATION
         assert (
             "scenario.metal_plates[0] 'fe_0.1m' has a reference coupling m = nan H by the "

@@ -195,9 +195,8 @@ class TestPanelJ1:
         calls = []
         j1 = eddy.bessel_j1
         monkeypatch.setattr(eddy, "bessel_j1", lambda x: calls.append(x) or j1(x))
-        for index, mat in enumerate(scenario.plate_materials(repro_scenario)):
-            scenario.plate_impedance(repro_scenario, index, mat)
-            assert calls == [], repro_scenario.metal_plates[index].label
+        scenario.plates(repro_scenario)
+        assert calls == []
         g, mat = geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0)
         edges, first, k = rule_nodes(g, mat)
         eddy._spectral_integral(g, mat, 30.0 / g.plate_distance)
@@ -393,10 +392,9 @@ class TestPlateImpedance:
         monkeypatch.setattr(
             eddy, "_spectral_integral", lambda *args: calls.append(args) or integral(*args)
         )
-        for index, mat in enumerate(scenario.plate_materials(repro_scenario)):
-            calls.clear()
-            scenario.plate_impedance(repro_scenario, index, mat)
-            assert len(calls) == 1, repro_scenario.metal_plates[index].label
+        scenario.plates(repro_scenario)
+        # one pass per plate
+        assert len(calls) == len(repro_scenario.metal_plates)
         # at 1e-8 S/m Re is about 1e-5 of Im, so its 1e-12 tail needs a larger k_max
         g, mat = geom(a=0.1, n=3, d=0.2), MetalMaterial("x", 1e-8, 1.0)
         calls.clear()

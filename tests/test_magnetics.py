@@ -161,6 +161,13 @@ class TestClosedForms:
                     integ = mutual_inductance_coil_plate_by_integration(loop, b, h)
                     assert closed == pytest.approx(integ, rel=1e-6)
 
+    @pytest.mark.parametrize("length", [1e-200, 1e-300])
+    def test_plate_integration_finite_at_tiny_lengths(self, length):
+        # (a +- b)^2 + h^2 underflowed to 0 and read 0/0; hypot(a +- b, h) does not
+        loop = SquareLoop(length, 3)
+        integ = mutual_inductance_coil_plate_by_integration(loop, length, length)
+        assert integ == mutual_inductance_coil_plate(loop, length, length) == 0.0
+
     def test_plate_vanishes_with_size(self):
         loop = SquareLoop(0.164)
         small = mutual_inductance_coil_plate(loop, 1e-6, 0.2)
