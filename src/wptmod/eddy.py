@@ -34,7 +34,7 @@ import numpy as np
 from .circuit import MetalReceiver
 from .errors import ConvergenceError, ScenarioError, WorkLimitError
 from .magnetics import MU0
-from .schema import finite, key, keyed, load_json, read, string
+from .schema import CONDUCTIVITY_S_PER_M, MU_R, finite, key, keyed, load_json, read, string
 
 # max of |J1| on the real line, used for the truncation tail bound
 _J1_SUP = 0.5819
@@ -270,7 +270,7 @@ def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> MetalReceiver:
     """
     d = geom.plate_distance
     w = geom.angular_frequency
-    k_max = 60.0 / (2.0 * d)
+    k_max = 30.0 / d
     raw = _spectral_integral(geom, mat, k_max)
     log_sup = 2.0 * math.log(geom.coil_turns * geom.coil_half_side * _J1_SUP)
     small = min(abs(raw.real), abs(raw.imag))
@@ -288,9 +288,9 @@ class _Entry:
     """One material database entry, keyed as the JSON file spells it."""
 
     name: str = key(string)
-    conductivity_S_per_m: float = key(finite, gt=0)
-    mu_r: float = key(finite, 1.0, ge=1)
-    mu_r_range: tuple[float, float] | None = key((finite, finite), None, ge=1)
+    conductivity_S_per_m: float = key(finite, **CONDUCTIVITY_S_PER_M)
+    mu_r: float = key(finite, 1.0, **MU_R)
+    mu_r_range: tuple[float, float] | None = key((finite, finite), None, **MU_R)
     aliases: tuple[str, ...] = key([string], ())
 
 

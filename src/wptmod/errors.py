@@ -28,9 +28,10 @@ class NonSeparableDataError(WptError, ValueError):
 class ScenarioError(WptError, ValueError):
     """An input file is malformed or a value in it is out of bounds.
 
-    Raised for scenario files, the material database and threshold.json, for
-    the --seed flag that overrides noise.seed, and for scenario values whose
-    results overflow; the message names the key path or the flag.  Any input file that cannot be
-    read or is not UTF-8 raises it naming the file.  curves.csv rows raise
-    plain ValueError naming the line.
+    Raised for scenario files, the material database and threshold.json, and
+    for the --seed flag that overrides noise.seed; the message names the key
+    path or the flag.  A number outside its key's physical domain
+    (wptmod.schema) is out of bounds.  Any input file that cannot be read or
+    is not UTF-8 raises it naming the file.  curves.csv rows raise plain
+    ValueError naming the line.
     """

@@ -3,19 +3,18 @@
 Keys carry explicit units in their names; unknown keys are rejected so a
 typo cannot silently fall back to a default.  Each spec class below
 declares its keys once, as fields with their kind, default and bounds
-(wptmod.schema), and parse_scenario reads them all in one pass.
+(wptmod.schema, whose named ranges are the physical domain of each
+quantity), and parse_scenario reads them all in one pass.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, eddy, magnetics
+from . import circuit, eddy, magnetics, schema
 from .characteristics import SweepSpec, evaluate_point
 from .circuit import Couplings, DriveSpec, TxCoil
 from .detection import Sample
@@ -26,29 +25,34 @@ from .schema import finite, integer, key, keyed, load_json, read, string, unique
 # the most points one sweep may hold: each point is a curves.csv row of
 # about 60 bytes per receiver, so this bounds the sweep arrays and the file
 MAX_STEPS = 100_000
+# the least current step of a sweep: curves.csv keeps 12 decimals of each
+# current, so points closer than this could print equal, and `fit` refuses a
+# curve whose currents do not rise.  1e-9 A is 1000 of those decimals and
+# over 500 float spacings at the largest current, 1e4 A
+MIN_STEP_A = 1e-9
 
 
 @keyed
 @dataclass(frozen=True)
 class TransmitterSpec:
-    half_side_m: float = key(finite, gt=0)
-    turns: int = key(integer, ge=1)
-    resistance_ohm: float = key(finite, gt=0)
-    inductance_h: float = key(finite, gt=0)
-    capacitance_f: float | None = key(finite, None, gt=0)
+    half_side_m: float = key(finite, **schema.LENGTH_M)
+    turns: int = key(integer, **schema.TURNS)
+    resistance_ohm: float = key(finite, **schema.RESISTANCE_OHM)
+    inductance_h: float = key(finite, **schema.INDUCTANCE_H)
+    capacitance_f: float | None = key(finite, None, **schema.CAPACITANCE_F)
 
 
 @keyed
 @dataclass(frozen=True)
 class ReceiverCoilSpec:
     label: str = key(unique_label)
-    load_ohm: float = key(finite, gt=0)
-    half_side_m: float = key(finite, gt=0)
-    turns: int = key(integer, ge=1)
-    resistance_ohm: float = key(finite, gt=0)
-    inductance_h: float = key(finite, gt=0)
-    distance_m: float = key(finite, gt=0)
-    capacitance_f: float | None = key(finite, None, gt=0)
+    load_ohm: float = key(finite, **schema.RESISTANCE_OHM)
+    half_side_m: float = key(finite, **schema.LENGTH_M)
+    turns: int = key(integer, **schema.TURNS)
+    resistance_ohm: float = key(finite, **schema.RESISTANCE_OHM)
+    inductance_h: float = key(finite, **schema.INDUCTANCE_H)
+    distance_m: float = key(finite, **schema.LENGTH_M)
+    capacitance_f: float | None = key(finite, None, **schema.CAPACITANCE_F)
 
 
 @keyed
@@ -56,9 +60,9 @@ class ReceiverCoilSpec:
 class MetalPlateSpec:
     label: str = key(unique_label)
     material: str = key(string)
-    half_side_m: float = key(finite, gt=0)
-    distance_m: float = key(finite, gt=0)
-    mu_r: float | None = key(finite, None, ge=1)
+    half_side_m: float = key(finite, **schema.LENGTH_M)
+    distance_m: float = key(finite, **schema.LENGTH_M)
+    mu_r: float | None = key(finite, None, **schema.MU_R)
 
 
 ReceiverSpec = ReceiverCoilSpec | MetalPlateSpec
@@ -67,8 +71,8 @@ ReceiverSpec = ReceiverCoilSpec | MetalPlateSpec
 @keyed
 @dataclass(frozen=True)
 class SweepSection:
-    i_min_a: float = key(finite, ge=0)
-    i_max_a: float = key(finite)  # > i_min_a, checked by parse_scenario
+    i_min_a: float = key(finite, **schema.CURRENT_A)
+    i_max_a: float = key(finite, **schema.CURRENT_A)  # > i_min_a, checked by parse_scenario
     steps: int = key(integer, ge=2, le=MAX_STEPS)
 
 
@@ -77,7 +81,7 @@ class SweepSection:
 class NoiseSpec:
     """Multiplicative relative Gaussian noise, reproducible from the seed."""
 
-    relative_sigma: float = key(finite, 0.01, ge=0)
+    relative_sigma: float = key(finite, 0.01, **schema.RELATIVE_SIGMA)
     seed: int = key(integer, 0, ge=0)
 
 
@@ -86,13 +90,13 @@ class NoiseSpec:
 class DetectionSection:
     degree: int = key(integer, 2, ge=1)
     gate_amps: float = key(finite, 3.0, gt=0)
-    test_currents_a: tuple[float, ...] = key([finite], (3.0, 6.0, 9.0), ge=0)
+    test_currents_a: tuple[float, ...] = key([finite], (3.0, 6.0, 9.0), **schema.CURRENT_A)
 
 
 @keyed
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
-    frequency_hz: float = key(finite, gt=0)
+    frequency_hz: float = key(finite, **schema.FREQUENCY_HZ)
     transmitter: TransmitterSpec = key(TransmitterSpec)
     receiver_coils: tuple[ReceiverCoilSpec, ...] = key([ReceiverCoilSpec], ())
     metal_plates: tuple[MetalPlateSpec, ...] = key([MetalPlateSpec], ())
@@ -114,10 +118,11 @@ def load_scenario(path=None) -> Scenario:
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a scenario dict; ScenarioError names the first bad key path."""
     sc = read(Scenario, raw, "scenario")
-    if not sc.sweep.i_max_a > sc.sweep.i_min_a:
+    sweep = sc.sweep
+    if not sweep.i_max_a - sweep.i_min_a >= MIN_STEP_A * (sweep.steps - 1):
         raise ScenarioError(
-            f"scenario.sweep.i_max_a must be > i_min_a {sc.sweep.i_min_a!r}, "
-            f"got {sc.sweep.i_max_a!r}"
+            f"scenario.sweep.i_max_a must be > i_min_a {sweep.i_min_a!r}, got "
+            f"{sweep.i_max_a!r} (by at least {MIN_STEP_A:g} A per step, {sweep.steps - 1} steps)"
         )
     return sc
 
@@ -129,12 +134,6 @@ def _capacitance(sc: Scenario, part: TransmitterSpec | ReceiverCoilSpec) -> floa
     """part's capacitance_f, or the one resonant with its inductance_h at the frequency."""
     if part.capacitance_f is not None:
         return part.capacitance_f
-    # 1 / (w^2 L) is finite and nonzero only while w^2 L neither underflows nor overflows
-    if not 1.0 / sys.float_info.max < sc.omega * sc.omega * part.inductance_h < math.inf:
-        raise ScenarioError(
-            f"scenario.frequency_hz {sc.frequency_hz!r} leaves no finite resonant "
-            f"capacitance for inductance_h {part.inductance_h!r}; give capacitance_f"
-        )
     return circuit.resonant_capacitance(part.inductance_h, sc.omega)
 
 
@@ -204,38 +203,20 @@ def coupling(sc: Scenario, index: int, spec: ReceiverSpec) -> float:
     """The coupling m of receiver `index` of spec's class to the transmitter.
 
     A coil's is the exact coaxial square-pair form, a plate's the closed form
-    of its radius integral.  Raises ScenarioError naming the receiver when
-    its reflection (w*m)^2 is not a finite float.
+    of its radius integral.  Inside the input domain (wptmod.schema) m and
+    (w*m)^2 are finite floats.
     """
     if isinstance(spec, ReceiverCoilSpec):
-        m = magnetics.mutual_inductance_coaxial_squares(coil_pair(sc, spec))
-    else:
-        m = magnetics.mutual_inductance_coil_plate(tx_loop(sc), spec.half_side_m, spec.distance_m)
-    wm = sc.omega * m
-    if not math.isfinite(wm * wm):
-        raise ScenarioError(
-            f"{_named(spec, index)} couples to the transmitter by m = {m!r} H, "
-            "whose reflection (w*m)^2 is not a finite number"
-        )
-    return m
+        return magnetics.mutual_inductance_coaxial_squares(coil_pair(sc, spec))
+    return magnetics.mutual_inductance_coil_plate(tx_loop(sc), spec.half_side_m, spec.distance_m)
 
 
 def _sweep(
     sc: Scenario, tx: TxCoil, index: int, spec: ReceiverSpec, receiver: circuit.Receiver
 ) -> SweepSpec:
-    """The sweep of receiver `index` of spec's class, on coil B's axis.
-
-    Raises ScenarioError naming the receiver when its coupling or the input
-    impedance Z_in it gives the transmitter is not finite.
-    """
+    """The sweep of receiver `index` of spec's class, on coil B's axis."""
     drive = DriveSpec(sc.omega)
     couplings = Couplings(0.0, coupling(sc, index, spec))
-    z_in = circuit.input_impedance(drive, couplings, receiver, tx)
-    if not cmath.isfinite(z_in):
-        raise ScenarioError(
-            f"{_named(spec, index)} gives the transmitter an input impedance "
-            f"Z_in = {z_in!r} ohm, which is not finite"
-        )
     kind = "coil" if isinstance(spec, ReceiverCoilSpec) else "metal"
     return SweepSpec(
         i_min=sc.sweep.i_min_a,
@@ -255,9 +236,9 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
     Every receiver sits on coil B's axis (coupling m_bc = m, m_ac = 0) and
     coil B alone carries the drive (steering 0).  Raises ScenarioError when
     either receiver class is empty, where plates() raises, or naming the
-    receiver when its reflection (w*m)^2 or its Z_in is not finite, or when
-    a plate reflects no impedance (r_m = l_m = 0), which leaves its receiver
-    current undefined.
+    plate when it reflects no impedance (r_m = l_m = 0), which leaves its
+    receiver current undefined.  Inside the input domain (wptmod.schema)
+    every plate reflects some impedance and every Z_in is finite.
     """
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
@@ -290,8 +271,7 @@ def generate_test_samples(
     (receivers, currents, 2) fixes the receiver-major, current-minor order,
     so a seed pins the whole batch.  Pass precomputed sweeps to skip
     rebuilding couplings and impedances.  Raises ScenarioError naming the
-    test currents when there are none, and naming them or the noise level
-    when a test point overflows.
+    test currents when there are none.
     """
     currents = sc.detection.test_currents_a
     if not currents:
@@ -299,18 +279,8 @@ def generate_test_samples(
     sweeps = build_sweeps(sc) if sweeps is None else sweeps
     rng = np.random.default_rng(sc.noise.seed if seed is None else seed)
     eps = rng.normal(0.0, sc.noise.relative_sigma, (len(sweeps), len(currents), 2))
-    # overflow is detected below, by key, instead of warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        clean = np.array([evaluate_point(sweep, currents) for sweep in sweeps])
-        noisy = np.maximum(clean * (1.0 + eps.transpose(0, 2, 1)), 0.0)
-    if not np.isfinite(clean).all():
-        raise ScenarioError(
-            f"scenario.detection.test_currents_a {max(currents)!r} A overflows the test points"
-        )
-    if not np.isfinite(noisy).all():
-        raise ScenarioError(
-            f"scenario.noise.relative_sigma {sc.noise.relative_sigma!r} overflows the test points"
-        )
+    clean = np.array([evaluate_point(sweep, currents) for sweep in sweeps])
+    noisy = np.maximum(clean * (1.0 + eps.transpose(0, 2, 1)), 0.0)
     samples = []
     for sweep, (u, p) in zip(sweeps, noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)

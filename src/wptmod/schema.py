@@ -23,6 +23,26 @@ from .errors import ScenarioError
 
 _BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "le": ("<=", operator.le)}
 
+# The physical domain of the numeric input keys, as key() bounds.  It spans
+# decades on either side of a 20 kHz desk charger driven with amps, and it
+# keeps every intermediate a finite float.  omega^2 L lies in 4e-8 to 4e17,
+# so a resonant capacitance exists.  A coupling m is below 3e5 (H, or H m for
+# a plate), so (omega m)^2 < 2e28, while a receiver branch is at least 2e-6
+# ohm for a coil and 6e-33 ohm for the faintest plate; so |Z_in| < 1e34 ohm,
+# and u = |Z_in| I and p = Re(Z_in) I^2 stay below 1e43, which a relative
+# noise of at most 1 scales by a few.  A plate close to a large coil still
+# meets the quadrature's work cap (eddy._MAX_J1_WORK).
+FREQUENCY_HZ = dict(ge=1, le=1e8)
+LENGTH_M = dict(ge=1e-4, le=1e2)
+TURNS = dict(ge=1, le=10_000)
+RESISTANCE_OHM = dict(ge=1e-6, le=1e6)
+INDUCTANCE_H = dict(ge=1e-9, le=1)
+CAPACITANCE_F = dict(ge=1e-15, le=1)
+MU_R = dict(ge=1, le=1e6)
+CONDUCTIVITY_S_PER_M = dict(ge=1e-3, le=1e9)
+CURRENT_A = dict(ge=0, le=1e4)
+RELATIVE_SIGMA = dict(ge=0, le=1)
+
 
 def key(kind, default=dataclasses.MISSING, **bounds):
     """A spec field: its kind, its default (none: required) and gt/ge/le bounds.

@@ -420,6 +420,12 @@ class TestPlateImpedance:
         with pytest.raises(WorkLimitError, match="J1 sine evaluations, over its cap of 1e"):
             plate_impedance(geom(d=d), FE)
 
+    @pytest.mark.parametrize("d", [1e300, 1e308])
+    @pytest.mark.parametrize("mat", [FE, CU])
+    def test_far_plate_reflects_nothing(self, d, mat):
+        # the cutoff was 60/(2d), and 2d overflows at 1e308 (RuntimeWarning); 30/d does not
+        assert plate_impedance(geom(d=d), mat) == MetalReceiver(r_m=0.0, l_m=0.0)
+
     def test_bit_identical_reproducibility(self):
         a = plate_impedance(geom(), FE)
         b = plate_impedance(geom(), FE)

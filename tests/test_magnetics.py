@@ -1,7 +1,5 @@
-import json
 import math
 import tracemalloc
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -140,16 +138,11 @@ class TestClosedForms:
             CoaxialPair(SquareLoop(0.1), 0.1, 0.0)
 
     @pytest.mark.parametrize("distance", [1e-160, 1e-300])
-    def test_couplings_finite_for_equal_loops_almost_touching(self, tmp_path, distance):
-        # (a - b)^2 + h^2 is subnormal at 1e-160 and 0 at 1e-300; hypot(a - b, h) is neither
-        raw = json.loads(resources.files("wptmod.data").joinpath("paper_repro.json").read_text())
-        assert raw["receiver_coils"][0]["half_side_m"] == raw["transmitter"]["half_side_m"]
-        raw["receiver_coils"][0]["distance_m"] = distance
-        path = tmp_path / "near.json"
-        path.write_text(json.dumps(raw))
-        assert cli.main(["couplings", "--scenario", str(path), "--out", str(tmp_path)]) == 0
-        rows = [ln.split(",") for ln in (tmp_path / "couplings.csv").read_text().splitlines()]
-        values = [float(v) for row in rows[1:] for v in row[2:4]]
+    def test_couplings_finite_for_equal_loops_almost_touching(self, distance):
+        # (a - b)^2 + h^2 is subnormal at 1e-160 and 0 at 1e-300; hypot(a - b, h) is neither.
+        # The bundled first coil and transmitter, at a distance below the least distance_m
+        pair = CoaxialPair(SquareLoop(0.164, 3), 0.164, distance, secondary_turns=3)
+        values = [mutual_inductance_coil_coil_closed(pair), mutual_inductance_coaxial_squares(pair)]
         assert all(math.isfinite(v) and v > 0.0 for v in values)
 
     def test_plate_closed_vs_integration(self):

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -41,7 +42,10 @@ def _past(kind, symbol, limit):
     if symbol == ">":
         return limit
     step = -1 if symbol == ">=" else 1
-    return limit + step if kind is schema.integer else math.nextafter(limit, step * math.inf)
+    if kind is schema.integer:
+        # the reader prints an integer key's value as an int, whatever the limit's type
+        return int(limit) + step
+    return math.nextafter(limit, step * math.inf)
 
 
 def _name(path) -> str:
@@ -83,7 +87,7 @@ _ROADMAP = [
         "load_zero",
         ("scenario", "receiver_coils", 0, "load_ohm"),
         0,
-        "scenario.receiver_coils[0].load_ohm must be > 0, got 0",
+        "scenario.receiver_coils[0].load_ohm must be >= 1e-06, got 0",
     ),
     (
         "mu_r_half",
@@ -109,7 +113,7 @@ _ROADMAP = [
         "tx_resistance_zero",
         ("scenario", "transmitter", "resistance_ohm"),
         0,
-        "scenario.transmitter.resistance_ohm must be > 0, got 0",
+        "scenario.transmitter.resistance_ohm must be >= 1e-06, got 0",
     ),
 ]
 
@@ -197,7 +201,7 @@ def test_threshold_not_json(tmp_path, capsys):
 
 
 def _readme_tables():
-    """{key: default column} of each `| key | kind | bound | default |` table in README.md."""
+    """{key: (bound, default)} of each `| key | kind | bound | default |` table in README.md."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
     tables = []
@@ -205,8 +209,18 @@ def _readme_tables():
         if line == "| key | kind | bound | default |":
             rows = itertools.takewhile(lambda row: row.startswith("|"), lines[n + 2 :])
             cells = [row.split("|") for row in rows]
-            tables.append({c[1].strip(" `"): c[4].strip() for c in cells})
+            tables.append({c[1].strip(" `"): (c[3].strip(), c[4].strip()) for c in cells})
     return tables
+
+
+def _stated_bounds(cell: str) -> set:
+    """The (symbol, limit) bounds a README bound cell states before its first , or ;."""
+    head = re.split("[,;]", cell.removeprefix("each "))[0]
+    if match := re.fullmatch(r"(\S+) to (\S+)", head):
+        return {(">=", float(match[1])), ("<=", float(match[2]))}
+    if match := re.fullmatch(r"(>|≥|≤) (\S+)", head):
+        return {({"≥": ">=", "≤": "<="}.get(match[1], match[1]), float(match[2]))}
+    return set()
 
 
 @pytest.mark.parametrize(
@@ -217,4 +231,7 @@ def test_readme_tables_list_the_declared_keys(index, cls):
     listed = _readme_tables()[index]
     assert set(listed) == set(declared)
     for name, f in declared.items():
-        assert (listed[name] == "required") == (f.default is dataclasses.MISSING), name
+        bound, default = listed[name]
+        assert (default == "required") == (f.default is dataclasses.MISSING), name
+        bounds = {(symbol, float(limit)) for symbol, _, limit in f.metadata["bounds"]}
+        assert _stated_bounds(bound) == bounds, name
