@@ -5,8 +5,11 @@ alone (steering 0).  A fixed receiver reflects one fixed impedance, so both
 curves follow from its input impedance Z_in (circuit.input_impedance): the
 U-I curve is the line u = |Z_in|*I, the steering-weighted transmitter
 voltage |u_a*sin(theta) + u_b*cos(theta)|, and the P-I curve the parabola
-p = Re(Z_in)*I^2.  A receiver at any other azimuth, with the drive steered
-onto it, gives the same curves up to rounding.
+p = Re(Z_in)*I^2.  Under the split coupling Couplings(m*sin(phi), m*cos(phi)),
+which keeps |m| at its on-axis value, a receiver at any other azimuth phi with
+the drive steered onto it gives the same curves up to rounding.  That is a
+property of the split model, not of the geometry: exact off-axis couplings
+differ from it (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -22,9 +22,17 @@ EXIT_CONVERGENCE = 3
 EXIT_NON_SEPARABLE = 4
 
 
+def _out(args) -> Path:
+    """The --out directory, refused when it names anything else."""
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ScenarioError(f"--out {args.out!r} is not a directory")
+    return out
+
+
 def _upstream(args, name: str, verb: str) -> str:
     """The text of artifact `name` in --out, which `verb` writes."""
-    path = Path(args.out) / name
+    path = _out(args) / name
     if not path.exists():
         raise ScenarioError(f"missing upstream artifact {path}; run `{verb}` first")
     return read_text(str(path), name)
@@ -32,7 +40,7 @@ def _upstream(args, name: str, verb: str) -> str:
 
 def _write(args, name: str, text: str) -> None:
     """Write artifact `name` into --out as UTF-8, creating --out, and say so."""
-    path = Path(args.out) / name
+    path = _out(args) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
@@ -61,12 +69,12 @@ def cmd_materials(args) -> int:
 def cmd_couplings(args) -> int:
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,kind,m_closed_form_H,m_reference_H,reference_method"]
-    for index, spec in enumerate(sc.receiver_coils):
-        reference = scenario.coupling(sc, index, spec)
+    for spec in sc.receiver_coils:
+        reference = scenario.coupling(sc, spec)
         closed = magnetics.mutual_inductance_coil_coil_closed(scenario.coil_pair(sc, spec))
         rows.append(f"{spec.label},coil,{closed:.12e},{reference:.12e},exact")
-    for index, spec in enumerate(sc.metal_plates):
-        closed = scenario.coupling(sc, index, spec)
+    for spec in sc.metal_plates:
+        closed = scenario.coupling(sc, spec)
         reference = magnetics.mutual_inductance_coil_plate_by_integration(
             scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
         )

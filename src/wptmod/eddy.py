@@ -300,11 +300,13 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     With no path, the bundled database seeded from standard metal
     properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
     JSON or holds a malformed entry raises ScenarioError naming the path (and
-    the entry's key).
+    the entry's key), as does a name or alias that, lowercased, an earlier
+    entry already binds.
     """
     entries = load_json(path, "materials.json", "material database")
     where = f"material database {path!r}: entry"
     db: dict[str, MetalMaterial] = {}
+    owner: dict[str, int] = {}  # the index of the entry binding each key of db
     for index, entry in enumerate(read([_Entry], entries, where)):
         span = entry.mu_r_range
         if span and span[0] > span[1]:
@@ -318,6 +320,15 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
                 f"got {entry.mu_r!r}"
             )
         mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)
-        for name in (entry.name, *entry.aliases):
+        names = {"name": entry.name}
+        names.update((f"aliases[{j}]", alias) for j, alias in enumerate(entry.aliases))
+        for field, name in names.items():
+            first = owner.setdefault(name.lower(), index)
+            if first != index:
+                raise ScenarioError(
+                    f"{where}[{index}].{field} {name!r} is already bound to entry[{first}] "
+                    f"{db[name.lower()].name!r}; names and aliases must be unique across "
+                    "entries, case-insensitive"
+                )
             db[name.lower()] = mat
     return db

@@ -193,14 +193,8 @@ def plates(sc: Scenario) -> list[tuple[eddy.MetalMaterial, circuit.MetalReceiver
     return out
 
 
-def _named(spec: ReceiverSpec, index: int) -> str:
-    """The key path and label of receiver `index` of spec's class, for messages."""
-    section = "receiver_coils" if isinstance(spec, ReceiverCoilSpec) else "metal_plates"
-    return f"scenario.{section}[{index}] {spec.label!r}"
-
-
-def coupling(sc: Scenario, index: int, spec: ReceiverSpec) -> float:
-    """The coupling m of receiver `index` of spec's class to the transmitter.
+def coupling(sc: Scenario, spec: ReceiverSpec) -> float:
+    """The coupling m of receiver spec, of either class, to the transmitter.
 
     A coil's is the exact coaxial square-pair form, a plate's the closed form
     of its radius integral.  Inside the input domain (wptmod.schema) m and
@@ -209,25 +203,6 @@ def coupling(sc: Scenario, index: int, spec: ReceiverSpec) -> float:
     if isinstance(spec, ReceiverCoilSpec):
         return magnetics.mutual_inductance_coaxial_squares(coil_pair(sc, spec))
     return magnetics.mutual_inductance_coil_plate(tx_loop(sc), spec.half_side_m, spec.distance_m)
-
-
-def _sweep(
-    sc: Scenario, tx: TxCoil, index: int, spec: ReceiverSpec, receiver: circuit.Receiver
-) -> SweepSpec:
-    """The sweep of receiver `index` of spec's class, on coil B's axis."""
-    drive = DriveSpec(sc.omega)
-    couplings = Couplings(0.0, coupling(sc, index, spec))
-    kind = "coil" if isinstance(spec, ReceiverCoilSpec) else "metal"
-    return SweepSpec(
-        i_min=sc.sweep.i_min_a,
-        i_max=sc.sweep.i_max_a,
-        steps=sc.sweep.steps,
-        drive=drive,
-        receiver=receiver,
-        couplings=couplings,
-        tx=tx,
-        label=f"{kind}:{spec.label}",
-    )
 
 
 def build_sweeps(sc: Scenario) -> list[SweepSpec]:
@@ -243,22 +218,29 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
             raise ScenarioError(f"{name} is empty; the threshold fit needs both classes")
-    t = sc.transmitter
+    t, s = sc.transmitter, sc.sweep
     tx = TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
-    sweeps = []
-    for index, spec in enumerate(sc.receiver_coils):
-        rx = circuit.CoilReceiver(
-            spec.resistance_ohm, spec.inductance_h, _capacitance(sc, spec), spec.load_ohm
-        )
-        sweeps.append(_sweep(sc, tx, index, spec, rx))
+    bound = []
+    for spec in sc.receiver_coils:
+        cap = _capacitance(sc, spec)
+        rx = circuit.CoilReceiver(spec.resistance_ohm, spec.inductance_h, cap, spec.load_ohm)
+        bound.append(("coil", spec, rx))
     for index, (spec, (mat, rx)) in enumerate(zip(sc.metal_plates, plates(sc))):
         if rx.r_m == rx.l_m == 0.0:
             raise ScenarioError(
-                f"{_named(spec, index)} (material {spec.material!r}) reflects no impedance: "
-                f"r_m = l_m = 0 at conductivity_S_per_m {mat.conductivity!r}"
+                f"scenario.metal_plates[{index}] {spec.label!r} (material {spec.material!r}) "
+                f"reflects no impedance: r_m = l_m = 0 at conductivity_S_per_m "
+                f"{mat.conductivity!r}"
             )
-        sweeps.append(_sweep(sc, tx, index, spec, rx))
-    return sweeps
+        bound.append(("metal", spec, rx))
+    drive = DriveSpec(sc.omega)
+    return [
+        SweepSpec(
+            s.i_min_a, s.i_max_a, s.steps, drive, rx, Couplings(0.0, coupling(sc, spec)), tx,
+            label=f"{kind}:{spec.label}",
+        )
+        for kind, spec, rx in bound
+    ]
 
 
 def generate_test_samples(

@@ -473,8 +473,8 @@ def test_curves_independent_of_azimuth(repro_sweeps):
 def test_build_sweeps_puts_receivers_on_coil_b_axis(repro_scenario, repro_sweeps):
     # coil B alone carries the drive, so Z_in reflects the full coaxial coupling
     sc = repro_scenario
-    coaxial = [coupling(sc, i, spec) for i, spec in enumerate(sc.receiver_coils)]
-    coaxial += [coupling(sc, i, spec) for i, spec in enumerate(sc.metal_plates)]
+    coaxial = [coupling(sc, spec) for spec in sc.receiver_coils]
+    coaxial += [coupling(sc, spec) for spec in sc.metal_plates]
     assert len(repro_sweeps) == len(coaxial)
     for spec, m in zip(repro_sweeps, coaxial):
         assert (spec.couplings.m_ac, spec.couplings.m_bc) == (0.0, m), spec.label

@@ -120,9 +120,15 @@ class TestMaterials:
                 '[{"name": "a", "conductivity_S_per_m": 1e7, "mu_r_range": [5, 5]}]',
                 "entry[0].mu_r must lie in its mu_r_range [5, 5], got 1.0",
             ),
+            (
+                '[{"name": "a", "conductivity_S_per_m": 5}, '
+                '{"name": "b", "conductivity_S_per_m": 5, "aliases": ["b2", "A"]}]',
+                "entry[1].aliases[1] 'A' is already bound to entry[0] 'a'",
+            ),
         ],
         ids=["missing", "not_json", "directory", "entry_empty", "object", "sigma_str",
-             "name_int", "aliases_str", "range_short", "range_inverted", "mu_r_outside_range"],
+             "name_int", "aliases_str", "range_short", "range_inverted", "mu_r_outside_range",
+             "alias_shadows"],
     )
     def test_bad_db_names_path(self, tmp_path, capsys, content, key):
         db = tmp_path / "db.json"
@@ -134,6 +140,32 @@ class TestMaterials:
         err = capsys.readouterr().err
         assert f"material database {str(db)!r}" in err
         assert key in err
+
+    @pytest.mark.parametrize("verb", ["materials", "impedance", "curves"])
+    def test_shadowing_entry_names_key(self, tmp_path, capsys, verb):
+        # 'Aluminium' is entry[1]'s alias and 'ferrum' entry[2]'s name: read last-wins,
+        # the entry would rebind fe_0.1m to 1e6 S/m at mu_r 1
+        db = json.loads(resources.files("wptmod.data").joinpath("materials.json").read_text())
+        db.append({"name": "Aluminium", "conductivity_S_per_m": 1e6, "aliases": ["ferrum"]})
+        (tmp_path / "db.json").write_text(json.dumps(db))
+        raw = _bundled()
+        raw["materials_db"] = str(tmp_path / "db.json")
+        (tmp_path / "shadow.json").write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        argv = [verb, "--scenario", str(tmp_path / "shadow.json"), "--out", str(out)]
+        if verb == "materials":
+            argv = [verb, "--db", str(tmp_path / "db.json")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "entry[3].name 'Aluminium' is already bound to entry[1] 'aluminum'" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_repeat_within_entry_allowed(self, tmp_path, capsys):
+        db = tmp_path / "db.json"
+        entry = {"name": "Cu", "conductivity_S_per_m": 5.88e7, "aliases": ["cu"]}
+        db.write_text(json.dumps([entry]))
+        assert cli.main(["materials", "--db", str(db)]) == cli.EXIT_OK
+        assert "Cu" in capsys.readouterr().out
 
     @pytest.mark.parametrize("mu_r", [5, 10])
     def test_mu_r_on_range_ends_accepted(self, tmp_path, capsys, mu_r):
@@ -236,14 +268,14 @@ class TestImpedanceCommand:
             scenario.build_sweeps(sc)
         # the couplings and their references stay finite, some of them 0
         values = []
-        for index, spec in enumerate(sc.receiver_coils):
+        for spec in sc.receiver_coils:
             closed = magnetics.mutual_inductance_coil_coil_closed(scenario.coil_pair(sc, spec))
-            values += [closed, scenario.coupling(sc, index, spec)]
-        for index, spec in enumerate(sc.metal_plates):
+            values += [closed, scenario.coupling(sc, spec)]
+        for spec in sc.metal_plates:
             reference = magnetics.mutual_inductance_coil_plate_by_integration(
                 scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
             )
-            values += [scenario.coupling(sc, index, spec), reference]
+            values += [scenario.coupling(sc, spec), reference]
         assert all(math.isfinite(v) for v in values)
 
     def test_huge_mu_r_names_plate(self, tmp_path, capsys, repro_scenario):
@@ -361,7 +393,7 @@ class TestCurvesFitDetect:
         for distance in (0.001, 0.0005):
             coil["distance_m"] = distance
             sc = scenario.parse_scenario(raw)
-            couplings[distance] = scenario.coupling(sc, 0, sc.receiver_coils[0])
+            couplings[distance] = scenario.coupling(sc, sc.receiver_coils[0])
         path = tmp_path / "near.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["curves", "--scenario", str(path), "--out", str(tmp_path)]) == 0
@@ -437,6 +469,14 @@ class TestCurvesFitDetect:
             out.write_text("")
         assert cli.main([verb, "--out", str(out)]) == cli.EXIT_VALIDATION
         assert str(out / artifact) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["couplings", "impedance", "curves", "fit", "detect"])
+    def test_out_naming_a_file_names_flag(self, tmp_path, capsys, verb):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert cli.main([verb, "--out", str(afile)]) == cli.EXIT_VALIDATION
+        assert f"--out {str(afile)!r} is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept" and os.listdir(tmp_path) == ["afile"]
 
     @pytest.mark.parametrize(
         "edit, message",
