@@ -3,6 +3,9 @@
 Verbs: materials, couplings, impedance, curves, fit, detect.  Every command
 is deterministic given the scenario file and seed; exit codes distinguish
 validation (2), convergence (3), and non-separability (4) failures.
+
+Parsing, --help, usage errors and `materials` load no numpy: each of the
+other verbs imports the physics modules it runs when it starts.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import characteristics, detection, eddy, magnetics, scenario
 from .errors import ConvergenceError, NonSeparableDataError, ScenarioError
 from .schema import read_key, read_text
 
@@ -23,10 +25,12 @@ EXIT_NON_SEPARABLE = 4
 
 
 def _out(args) -> Path:
-    """The --out directory, refused when it names anything else."""
+    """The --out directory, refused when it or its nearest existing ancestor is a file."""
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise ScenarioError(f"--out {args.out!r} is not a directory")
+    found = next((path for path in (out, *out.parents) if path.exists()), None)
+    if found is not None and not found.is_dir():
+        below = "" if found == out else f": {str(found)!r} is a file"
+        raise ScenarioError(f"--out {args.out!r} is not a directory{below}")
     return out
 
 
@@ -47,7 +51,9 @@ def _write(args, name: str, text: str) -> None:
 
 
 def cmd_materials(args) -> int:
-    db = eddy.load_materials(args.db)
+    from .materials import load_materials
+
+    db = load_materials(args.db)
     unique = {mat.name: mat for mat in db.values()}
     if args.name:
         mat = db.get(args.name.lower())
@@ -67,6 +73,8 @@ def cmd_materials(args) -> int:
 
 
 def cmd_couplings(args) -> int:
+    from . import magnetics, scenario
+
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,kind,m_closed_form_H,m_reference_H,reference_method"]
     for spec in sc.receiver_coils:
@@ -84,6 +92,8 @@ def cmd_couplings(args) -> int:
 
 
 def cmd_impedance(args) -> int:
+    from . import scenario
+
     sc = scenario.load_scenario(args.scenario)
     rows = ["label,material,mu_r,half_side_m,distance_m,r_m_ohm,l_m_H"]
     for spec, (mat, imp) in zip(sc.metal_plates, scenario.plates(sc)):
@@ -96,6 +106,8 @@ def cmd_impedance(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    from . import characteristics, scenario
+
     sc = scenario.load_scenario(args.scenario)
     curves = [characteristics.sweep_curve(spec) for spec in scenario.build_sweeps(sc)]
     _write(args, "curves.csv", characteristics.curves_to_csv(curves))
@@ -103,6 +115,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import characteristics, detection, scenario
+
     sc = scenario.load_scenario(args.scenario)
     curves = characteristics.curves_from_csv(_upstream(args, "curves.csv", "curves"))
     metal = [c for c in curves if c.label.startswith("metal:")]
@@ -135,6 +149,8 @@ def _print_report_table(report: dict) -> None:
 
 
 def cmd_detect(args) -> int:
+    from . import detection, scenario
+
     sc = scenario.load_scenario(args.scenario)
     model = detection.ThresholdModel.from_json(_upstream(args, "threshold.json", "fit"))
     seed = sc.noise.seed if args.seed is None else read_key(

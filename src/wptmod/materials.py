@@ -1,0 +1,82 @@
+"""The metal material database: bulk conductivity and relative permeability.
+
+`load_materials` reads the bundled database or an alternate file through
+wptmod.schema.  This module imports no numpy, so the `materials` verb reads
+the database without loading the physics stack; wptmod.eddy takes a
+MetalMaterial as its input.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ScenarioError
+from .schema import CONDUCTIVITY_S_PER_M, MU_R, finite, key, keyed, load_json, read, string
+
+
+@dataclass(frozen=True)
+class MetalMaterial:
+    """Bulk metal described by conductivity and relative permeability."""
+
+    name: str
+    conductivity: float  # [S/m]
+    rel_permeability: float = 1.0
+    rel_permeability_range: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not self.conductivity > 0.0:
+            raise ValueError("conductivity must be > 0")
+        if not self.rel_permeability >= 1.0:
+            raise ValueError("rel_permeability must be >= 1")
+
+
+@keyed
+@dataclass(frozen=True)
+class _Entry:
+    """One material database entry, keyed as the JSON file spells it."""
+
+    name: str = key(string)
+    conductivity_S_per_m: float = key(finite, **CONDUCTIVITY_S_PER_M)
+    mu_r: float = key(finite, 1.0, **MU_R)
+    mu_r_range: tuple[float, float] | None = key((finite, finite), None, **MU_R)
+    aliases: tuple[str, ...] = key([string], ())
+
+
+def load_materials(path=None) -> dict[str, MetalMaterial]:
+    """Load the material database, keyed by lowercase name and aliases.
+
+    With no path, the bundled database seeded from standard metal
+    properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
+    JSON or holds a malformed entry raises ScenarioError naming the path (and
+    the entry's key), as does a name or alias that, lowercased, an earlier
+    entry already binds.
+    """
+    entries = load_json(path, "materials.json", "material database")
+    where = f"material database {path!r}: entry"
+    db: dict[str, MetalMaterial] = {}
+    owner: dict[str, int] = {}  # the index of the entry binding each key of db
+    for index, entry in enumerate(read([_Entry], entries, where)):
+        span = entry.mu_r_range
+        if span and span[0] > span[1]:
+            raise ScenarioError(
+                f"{where}[{index}].mu_r_range must be [low, high] with low <= high, "
+                f"got {list(span)!r}"
+            )
+        if span and not span[0] <= entry.mu_r <= span[1]:
+            raise ScenarioError(
+                f"{where}[{index}].mu_r must lie in its mu_r_range {list(span)!r}, "
+                f"got {entry.mu_r!r}"
+            )
+        mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)
+        names = {"name": entry.name}
+        names.update((f"aliases[{j}]", alias) for j, alias in enumerate(entry.aliases))
+        for field, name in names.items():
+            first = owner.setdefault(name.lower(), index)
+            if first != index:
+                raise ScenarioError(
+                    f"{where}[{index}].{field} {name!r} is already bound to entry[{first}] "
+                    f"{db[name.lower()].name!r}; names and aliases must be unique across "
+                    "entries, case-insensitive"
+                )
+            db[name.lower()] = mat
+    return db

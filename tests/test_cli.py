@@ -478,6 +478,16 @@ class TestCurvesFitDetect:
         assert f"--out {str(afile)!r} is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "kept" and os.listdir(tmp_path) == ["afile"]
 
+    @pytest.mark.parametrize("verb", ["couplings", "impedance", "curves", "fit", "detect"])
+    def test_out_below_a_file_names_flag(self, tmp_path, capsys, verb):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" / "dir"
+        assert cli.main([verb, "--out", str(out)]) == cli.EXIT_VALIDATION
+        message = f"--out {str(out)!r} is not a directory: {str(afile)!r} is a file"
+        assert message in capsys.readouterr().err
+        assert afile.read_text() == "kept" and os.listdir(tmp_path) == ["afile"]
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -944,12 +954,33 @@ def test_verbs_run_with_encoding_warnings_as_errors(tmp_path):
     assert result.stdout.splitlines()[-1] == str([cli.EXIT_OK] * len(verbs))
 
 
-def test_package_import_loads_no_numpy():
-    # the package root re-exports nothing, so a verb may import only what it needs
+def test_package_import_loads_no_numpy(tmp_path):
+    # the package root re-exports nothing, and the CLI imports the physics modules
+    # inside the verbs that run them: parsing, --help and materials start without numpy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, wptmod; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    probe = (
+        "import importlib, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "code = None\n"
+        "if sys.argv[2:]:\n"
+        "    try:\n"
+        "        code = importlib.import_module('wptmod.cli').main(sys.argv[2:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('numpy')))"
     )
-    assert result.stdout.strip() == "[]"
+    cases = [
+        (["wptmod"], None),
+        (["wptmod.cli"], None),
+        (["wptmod.cli", "--help"], cli.EXIT_OK),
+        (["wptmod.cli", "couplings", "--no-such-flag"], cli.EXIT_VALIDATION),
+        (["wptmod.cli", "materials"], cli.EXIT_OK),
+        (["wptmod.cli", "materials", "--db", str(tmp_path / "missing.json")], cli.EXIT_VALIDATION),
+    ]
+    for args, code in cases:
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == f"{code} []", args

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wptmod import cli, eddy, schema
+from wptmod import cli, eddy, materials, schema
 from wptmod.scenario import MIN_STEP_A, Scenario
 
 VERBS = ("couplings", "impedance", "curves", "fit", "detect")
@@ -45,7 +45,7 @@ def _ranged(cls, path):
                 yield path + (name,), kind, default, limits[">="], limits["<="]
 
 
-KEYS = [*_ranged(Scenario, ("scenario",)), *_ranged(eddy._Entry, ("entry", 0))]
+KEYS = [*_ranged(Scenario, ("scenario",)), *_ranged(materials._Entry, ("entry", 0))]
 RANGES = {key[0]: key[3:] for key in KEYS}
 LENGTHS = [path for path in RANGES if path[-1] in ("half_side_m", "distance_m")]
 I_MIN, I_MAX = (("scenario", "sweep", name) for name in ("i_min_a", "i_max_a"))

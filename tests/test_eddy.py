@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wptmod import cli, eddy, scenario
+from wptmod import cli, eddy, materials, scenario
 from wptmod.circuit import MetalReceiver
 from wptmod.eddy import (
     EddyGeometry,
@@ -468,6 +468,12 @@ class TestTypesAndDatabase:
         bad.write_text("[{")
         with pytest.raises(ScenarioError, match="is not valid JSON"):
             load_materials(str(bad))
+
+    def test_database_lives_in_materials(self):
+        # scenario.plates reads the database as eddy.load_materials, and the
+        # benchmark's tracer wraps that name
+        assert eddy.MetalMaterial is materials.MetalMaterial
+        assert eddy.load_materials is materials.load_materials
 
     def test_bundled_database(self):
         db = load_materials()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from wptmod import cli, detection, eddy, schema
+from wptmod import cli, detection, materials, schema
 from wptmod.scenario import Scenario
 
 _REMOVE = object()
@@ -118,7 +118,7 @@ _ROADMAP = [
 ]
 
 SCENARIO_CASES = [*_cases(Scenario, ("scenario",)), *_ROADMAP]
-MATERIAL_CASES = list(_cases(eddy._Entry, ("entry", 0)))
+MATERIAL_CASES = list(_cases(materials._Entry, ("entry", 0)))
 THRESHOLD_CASES = [
     *_cases(detection._ThresholdFile, ("threshold.json",)),
     (
@@ -224,7 +224,7 @@ def _stated_bounds(cell: str) -> set:
 
 
 @pytest.mark.parametrize(
-    "index, cls", [(0, Scenario), (1, eddy._Entry)], ids=["scenario", "material"]
+    "index, cls", [(0, Scenario), (1, materials._Entry)], ids=["scenario", "material"]
 )
 def test_readme_tables_list_the_declared_keys(index, cls):
     declared = {_name(path).replace("[0]", "[i]"): f for path, f in _fields(cls, ())}
