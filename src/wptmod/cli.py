@@ -119,11 +119,16 @@ def cmd_fit(args) -> int:
 
     sc = scenario.load_scenario(args.scenario)
     curves = characteristics.curves_from_csv(_upstream(args, "curves.csv", "curves"))
-    metal = [c for c in curves if c.label.startswith("metal:")]
-    coil = [c for c in curves if c.label.startswith("coil:")]
-    for kind, group in (("metal", metal), ("coil", coil)):
+    classes = {"metal": [], "coil": []}
+    for curve in curves:
+        kind, colon, _ = curve.label.partition(":")
+        if not colon or kind not in classes:
+            raise ScenarioError(f"curves.csv curve {curve.label!r} is neither coil: nor metal:")
+        classes[kind].append(curve)
+    for kind, group in classes.items():
         if not group:
             raise ScenarioError(f"curves.csv holds no {kind}: curve; the fit needs both classes")
+    metal, coil = classes.values()
     d = sc.detection
     # fit_thresholds' grid has as many points as the first metal curve
     if not d.degree < metal[0].i_tx.size:

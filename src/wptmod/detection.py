@@ -27,7 +27,7 @@ import numpy as np
 
 from .characteristics import CharacteristicCurve
 from .errors import NonSeparableDataError, ScenarioError
-from .schema import finite, integer, key, keyed, read
+from .schema import decode_json, finite, integer, key, keyed, read
 
 
 class Sample(NamedTuple):
@@ -127,11 +127,7 @@ class ThresholdModel:
     @classmethod
     def from_json(cls, text: str) -> "ThresholdModel":
         """Parse threshold.json; ScenarioError names the first bad key path."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"threshold.json is not valid JSON: {exc}") from exc
-        f = read(_ThresholdFile, data, "threshold.json")
+        f = read(_ThresholdFile, decode_json(text, "threshold.json"), "threshold.json")
         if len(f.p_poly_W_per_A_n) != f.degree + 1:
             raise ScenarioError(
                 f"threshold.json.p_poly_W_per_A_n must have degree + 1 = {f.degree + 1} "
@@ -184,8 +180,9 @@ def fit_thresholds(
     upper envelope and the coil lower envelope: a least-squares line in the
     U-I plane and a polynomial of the given degree in the P-I plane.
     Raises NonSeparableDataError when the class envelopes overlap at 10% or
-    more of the grid points above the gate, and ValueError when the degree
-    is not below the grid's point count (an underdetermined fit).
+    more of the grid points at or above the gate, or at the last point when
+    the gate lies past the grid, and ValueError when the degree is not below
+    the grid's point count (an underdetermined fit).
     """
     if not metal_curves or not coil_curves:
         raise ValueError("need at least one metal and one coil curve")
@@ -199,14 +196,15 @@ def fit_thresholds(
     p_hi = p_metal.max(axis=0)
     p_lo = p_coil.min(axis=0)
 
-    gated = grid >= i_min_gate
-    if np.any(gated):
-        overlap = (u_hi >= u_lo) | (p_hi >= p_lo)
-        frac = float(np.count_nonzero(overlap & gated)) / float(np.count_nonzero(gated))
-        if frac >= 0.10:
-            raise NonSeparableDataError(
-                f"class envelopes overlap at {frac:.0%} of grid points above the gate"
-            )
+    start = min(i_min_gate, grid[-1])
+    checked = grid >= start
+    overlap = (u_hi >= u_lo) | (p_hi >= p_lo)
+    frac = float(np.count_nonzero(overlap & checked)) / float(np.count_nonzero(checked))
+    if frac >= 0.10:
+        raise NonSeparableDataError(
+            f"class envelopes overlap at {frac:.0%} of the grid points at or above {start:g} A, "
+            f"{np.count_nonzero(checked)} in all (gate {i_min_gate:g} A)"
+        )
 
     u_mid = 0.5 * (u_hi + u_lo)
     p_mid = 0.5 * (p_hi + p_lo)

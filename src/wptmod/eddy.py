@@ -37,7 +37,7 @@ import numpy as np
 from .circuit import MetalReceiver
 from .errors import ConvergenceError, WorkLimitError
 from .magnetics import MU0
-# scenario.plates reads the database as eddy.load_materials
+# bench/spans.py wraps eddy.load_materials, and the acceptance gate builds eddy.MetalMaterial
 from .materials import MetalMaterial, load_materials  # noqa: F401
 
 # max of |J1| on the real line, used for the truncation tail bound

@@ -16,7 +16,11 @@ from .schema import CONDUCTIVITY_S_PER_M, MU_R, finite, key, keyed, load_json, r
 
 @dataclass(frozen=True)
 class MetalMaterial:
-    """Bulk metal described by conductivity and relative permeability."""
+    """Bulk metal described by conductivity and relative permeability.
+
+    rel_permeability lies in rel_permeability_range, if set, ends included;
+    that rule's errors name the keys as a database entry spells them.
+    """
 
     name: str
     conductivity: float  # [S/m]
@@ -24,10 +28,15 @@ class MetalMaterial:
     rel_permeability_range: tuple[float, float] | None = None
 
     def __post_init__(self):
+        mu_r, span = self.rel_permeability, self.rel_permeability_range
         if not self.conductivity > 0.0:
             raise ValueError("conductivity must be > 0")
-        if not self.rel_permeability >= 1.0:
+        if not mu_r >= 1.0:
             raise ValueError("rel_permeability must be >= 1")
+        if span and not span[0] <= span[1]:
+            raise ValueError(f"mu_r_range must be [low, high] with low <= high, got {[*span]}")
+        if span and not span[0] <= mu_r <= span[1]:
+            raise ValueError(f"mu_r must lie in {self.name}'s mu_r_range {[*span]}, got {mu_r!r}")
 
 
 @keyed
@@ -47,27 +56,20 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
 
     With no path, the bundled database seeded from standard metal
     properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
-    JSON or holds a malformed entry raises ScenarioError naming the path (and
-    the entry's key), as does a name or alias that, lowercased, an earlier
-    entry already binds.
+    JSON or holds a malformed entry (one MetalMaterial refuses, too) raises
+    ScenarioError naming the path and the entry's key, as does a name or
+    alias that, lowercased, an earlier entry already binds.
     """
     entries = load_json(path, "materials.json", "material database")
     where = f"material database {path!r}: entry"
     db: dict[str, MetalMaterial] = {}
     owner: dict[str, int] = {}  # the index of the entry binding each key of db
     for index, entry in enumerate(read([_Entry], entries, where)):
-        span = entry.mu_r_range
-        if span and span[0] > span[1]:
-            raise ScenarioError(
-                f"{where}[{index}].mu_r_range must be [low, high] with low <= high, "
-                f"got {list(span)!r}"
-            )
-        if span and not span[0] <= entry.mu_r <= span[1]:
-            raise ScenarioError(
-                f"{where}[{index}].mu_r must lie in its mu_r_range {list(span)!r}, "
-                f"got {entry.mu_r!r}"
-            )
-        mat = MetalMaterial(entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range)
+        fields = entry.name, entry.conductivity_S_per_m, entry.mu_r, entry.mu_r_range
+        try:
+            mat = MetalMaterial(*fields)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}[{index}].{exc}") from exc
         names = {"name": entry.name}
         names.update((f"aliases[{j}]", alias) for j, alias in enumerate(entry.aliases))
         for field, name in names.items():

@@ -10,11 +10,11 @@ quantity), and parse_scenario reads them all in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuit, eddy, magnetics, schema
+from . import circuit, eddy, magnetics, materials, schema
 from .characteristics import SweepSpec, evaluate_point
 from .circuit import Couplings, DriveSpec, TxCoil
 from .detection import Sample
@@ -150,7 +150,7 @@ def coil_pair(sc: Scenario, spec: ReceiverCoilSpec) -> magnetics.CoaxialPair:
     )
 
 
-def plates(sc: Scenario) -> list[tuple[eddy.MetalMaterial, circuit.MetalReceiver]]:
+def plates(sc: Scenario) -> list[tuple[materials.MetalMaterial, circuit.MetalReceiver]]:
     """The material and equivalent series R-L branch of each metal plate.
 
     Reads the material database once, then binds each plate in order.
@@ -160,7 +160,7 @@ def plates(sc: Scenario) -> list[tuple[eddy.MetalMaterial, circuit.MetalReceiver
     quadrature would pass eddy's work cap or overflow.  So of two faulty
     plates the first in order is reported, whichever its fault.
     """
-    db = eddy.load_materials(sc.materials_db)
+    db = materials.load_materials(sc.materials_db)
     out = []
     for index, spec in enumerate(sc.metal_plates):
         where = f"scenario.metal_plates[{index}]"
@@ -170,13 +170,10 @@ def plates(sc: Scenario) -> list[tuple[eddy.MetalMaterial, circuit.MetalReceiver
                 f"{where}.material {spec.material!r} is not in the material database"
             )
         if spec.mu_r is not None:
-            span = mat.rel_permeability_range
-            if span and not span[0] <= spec.mu_r <= span[1]:
-                raise ScenarioError(
-                    f"{where}.mu_r must lie in {mat.name}'s mu_r_range {list(span)!r}, "
-                    f"got {spec.mu_r!r}"
-                )
-            mat = eddy.MetalMaterial(mat.name, mat.conductivity, spec.mu_r)
+            try:
+                mat = replace(mat, rel_permeability=spec.mu_r)
+            except ValueError as exc:
+                raise ScenarioError(f"{where}.{exc}") from exc
         geom = eddy.EddyGeometry(
             # kernel length scale saturates at whichever of plate and coil is smaller
             coil_half_side=min(spec.half_side_m, sc.transmitter.half_side_m),
@@ -210,10 +207,10 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
 
     Every receiver sits on coil B's axis (coupling m_bc = m, m_ac = 0) and
     coil B alone carries the drive (steering 0).  Raises ScenarioError when
-    either receiver class is empty, where plates() raises, or naming the
-    plate when it reflects no impedance (r_m = l_m = 0), which leaves its
-    receiver current undefined.  Inside the input domain (wptmod.schema)
-    every plate reflects some impedance and every Z_in is finite.
+    either receiver class is empty, and where plates() raises.  Inside the
+    input domain (wptmod.schema) every plate loses some power, r_m > 0, and
+    every Z_in is finite; a plate built outside it that reflects nothing
+    meets circuit's "receiver impedance is zero" when its sweep is evaluated.
     """
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
@@ -225,14 +222,7 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
         cap = _capacitance(sc, spec)
         rx = circuit.CoilReceiver(spec.resistance_ohm, spec.inductance_h, cap, spec.load_ohm)
         bound.append(("coil", spec, rx))
-    for index, (spec, (mat, rx)) in enumerate(zip(sc.metal_plates, plates(sc))):
-        if rx.r_m == rx.l_m == 0.0:
-            raise ScenarioError(
-                f"scenario.metal_plates[{index}] {spec.label!r} (material {spec.material!r}) "
-                f"reflects no impedance: r_m = l_m = 0 at conductivity_S_per_m "
-                f"{mat.conductivity!r}"
-            )
-        bound.append(("metal", spec, rx))
+    bound += [("metal", spec, rx) for spec, (_, rx) in zip(sc.metal_plates, plates(sc))]
     drive = DriveSpec(sc.omega)
     return [
         SweepSpec(

@@ -8,7 +8,7 @@ is unknown, missing, of the wrong kind, out of bounds or a repeated label.
 
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
-`read_text` opens every input file, and `load_json` reads the JSON ones.
+`read_text` opens every input file, and `decode_json` reads every JSON input.
 """
 
 from __future__ import annotations
@@ -75,16 +75,34 @@ def load_json(path, bundled: str, what: str):
     """The JSON value in the file at path, or in the bundled data file when path is None.
 
     ScenarioError names what and the path when the file cannot be read, is
-    not UTF-8 or is not JSON.
+    not UTF-8 or is not JSON, as decode_json reads it.
     """
     if path is None:
         text = resources.files("wptmod.data").joinpath(bundled).read_text(encoding="utf-8")
     else:
         text = read_text(path, what)
+    return decode_json(text, f"{what} {path!r}")
+
+
+def decode_json(text: str, what: str):
+    """The JSON value in text, the input that what names.
+
+    ScenarioError names what when text is not JSON, and names what and the
+    key when an object repeats a key, whose later value json would keep.
+    """
+
+    def unique(pairs):
+        obj = {}
+        for name, value in pairs:
+            if name in obj:
+                raise ScenarioError(f"{what} repeats the key {name!r} within one object")
+            obj[name] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+        raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _number(value) -> bool:

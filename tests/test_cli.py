@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from wptmod import cli, eddy, magnetics, scenario
-from wptmod.errors import ScenarioError
+from wptmod import characteristics, cli, magnetics, materials, scenario
+from wptmod.errors import ScenarioError, SingularityError
 
 
 def _bundled() -> dict:
@@ -62,10 +62,18 @@ def _bind_materials(monkeypatch, conductivity: float, mu_r: float | None = None)
     The database reader refuses such values; a library caller may still build them.
     """
     bound = {
-        name: eddy.MetalMaterial(mat.name, conductivity, mu_r or mat.rel_permeability)
-        for name, mat in eddy.load_materials().items()
+        name: materials.MetalMaterial(mat.name, conductivity, mu_r or mat.rel_permeability)
+        for name, mat in materials.load_materials().items()
     }
-    monkeypatch.setattr(eddy, "load_materials", lambda path=None: bound)
+    monkeypatch.setattr(materials, "load_materials", lambda path=None: bound)
+
+
+def _zero_plate_refused(sc) -> None:
+    """sc's sweeps bind, and the circuit refuses to evaluate plate cu_0.1m's: r_m = l_m = 0."""
+    sweep = next(s for s in scenario.build_sweeps(sc) if s.label == "metal:cu_0.1m")
+    assert sweep.receiver.r_m == sweep.receiver.l_m == 0.0
+    with pytest.raises(SingularityError, match="receiver impedance is zero"):
+        characteristics.sweep_curve(sweep)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +126,7 @@ class TestMaterials:
             # the default mu_r of 1 lies outside [5, 5]
             (
                 '[{"name": "a", "conductivity_S_per_m": 1e7, "mu_r_range": [5, 5]}]',
-                "entry[0].mu_r must lie in its mu_r_range [5, 5], got 1.0",
+                "entry[0].mu_r must lie in a's mu_r_range [5, 5], got 1.0",
             ),
             (
                 '[{"name": "a", "conductivity_S_per_m": 5}, '
@@ -258,14 +266,13 @@ class TestImpedanceCommand:
             plates = [rx for _, rx in scenario.plates(sc)]
             assert all(math.isfinite(rx.r_m) and rx.r_m >= 0.0 for rx in plates)
             # the Cu and Al plates reflect nothing at that size
-            message = "scenario.metal_plates[2] 'cu_0.1m' (material 'cuprum') reflects no"
+            _zero_plate_refused(sc)
         else:
             with pytest.raises(ScenarioError, match=re.escape(too_small)) as info:
                 scenario.plates(sc)
             assert "overflows the material response at mu_r 300" in str(info.value)
-            message = too_small
-        with pytest.raises(ScenarioError, match=re.escape(message)):
-            scenario.build_sweeps(sc)
+            with pytest.raises(ScenarioError, match=re.escape(too_small)):
+                scenario.build_sweeps(sc)
         # the couplings and their references stay finite, some of them 0
         values = []
         for spec in sc.receiver_coils:
@@ -341,12 +348,7 @@ class TestImpedanceCommand:
         plates = [rx for _, rx in scenario.plates(repro_scenario)]
         assert [rx.r_m for rx in plates] == [0.0] * len(plates)
         # mu_r = 1 plates reflect nothing there, which leaves their receiver current undefined
-        message = (
-            "scenario.metal_plates[2] 'cu_0.1m' (material 'cuprum') reflects no impedance: "
-            "r_m = l_m = 0"
-        )
-        with pytest.raises(ScenarioError, match=re.escape(message)):
-            scenario.build_sweeps(repro_scenario)
+        _zero_plate_refused(repro_scenario)
 
     @pytest.mark.parametrize("mu_r", [1.0, 300.0])
     @pytest.mark.parametrize("sigma", [1e-308, 1e-310, 1e-318])
@@ -372,9 +374,7 @@ class TestImpedanceCommand:
         if mu_r == 300.0:
             scenario.build_sweeps(repro_scenario)
         else:
-            message = f"r_m = l_m = 0 at conductivity_S_per_m {sigma!r}"
-            with pytest.raises(ScenarioError, match=re.escape(message)):
-                scenario.build_sweeps(repro_scenario)
+            _zero_plate_refused(repro_scenario)
 
 
 class TestCurvesFitDetect:
@@ -439,6 +439,16 @@ class TestCurvesFitDetect:
         (tmp_path / "curves.csv").write_text("\n".join(kept) + "\n")
         assert cli.main(["fit", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert f"curves.csv holds no {kind}: curve" in capsys.readouterr().err
+        assert not (tmp_path / "threshold.json").exists()
+
+    @pytest.mark.parametrize("label", ["metl:fe_0.2m", "metal_fe_0.2m"])
+    def test_fit_names_unknown_class(self, pipeline_out, tmp_path, capsys, label):
+        # the fit once ran without such a curve, and its U-I slope moved
+        text = (pipeline_out / "curves.csv").read_text()
+        (tmp_path / "curves.csv").write_text(text.replace("metal:fe_0.2m,", f"{label},"))
+        assert cli.main(["fit", "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        message = f"curves.csv curve {label!r} is neither coil: nor metal:"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "threshold.json").exists()
 
     def test_detect_requires_threshold(self, tmp_path, capsys):
@@ -607,6 +617,25 @@ class TestCurvesFitDetect:
             "scenario.detection.degree must be < 21, the grid's point count, got 40"
             in capsys.readouterr().err
         )
+        assert not (tmp_path / "threshold.json").exists()
+
+    @pytest.mark.parametrize("gate", [3, 20, 50])
+    def test_fit_overlap_past_the_gate_exits_4(self, tmp_path, capsys, gate):
+        # a 1e5 ohm load reflects almost nothing, so that coil's envelope overlaps the
+        # plates'; with the gate past the sweep's 10 A, `fit` once checked no point and
+        # `detect` read metal as coil at test currents over the gate
+        raw = _bundled()
+        coil = {**raw["receiver_coils"][0], "label": "open", "load_ohm": 1e5}
+        raw["receiver_coils"].append(coil)
+        raw["detection"]["gate_amps"] = gate
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(raw))
+        argv = ["--scenario", str(path), "--out", str(tmp_path)]
+        assert cli.main(["curves", *argv]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["fit", *argv]) == cli.EXIT_NON_SEPARABLE
+        start = min(gate, 10)
+        assert f"of the grid points at or above {start} A" in capsys.readouterr().err
         assert not (tmp_path / "threshold.json").exists()
 
     @pytest.mark.parametrize("source", ["scenario", "threshold_json"])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,18 @@ class TestFitting:
         coil = [curve("coil:a", lambda i: 1.0 * i, lambda i: 0.10 * i**2)]
         with pytest.raises(NonSeparableDataError):
             fit_thresholds(metal, coil)
+
+    @pytest.mark.parametrize("gate", [10.0, 20.0, 50.0])
+    def test_gate_past_grid_checks_last_point(self, gate):
+        # the grid ends at 10 A; a coil at the metal's curve overlaps everywhere, so a fit
+        # that checked no point would read that metal as coil past the gate
+        metal, coil = separable_training()
+        coil.append(curve("coil:c", lambda i: 0.5 * i, lambda i: 0.06 * i**2))
+        message = f"of the grid points at or above 10 A, 1 in all (gate {gate:g} A)"
+        with pytest.raises(NonSeparableDataError, match=re.escape(message)):
+            fit_thresholds(metal, coil, i_min_gate=gate)
+        # separable classes still fit with the gate anywhere
+        assert fit_thresholds(*separable_training(), i_min_gate=gate).i_min_gate == gate
 
     def test_empty_class_rejected(self):
         metal, coil = separable_training()

@@ -12,6 +12,7 @@ the bounds the reader checks.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -23,7 +24,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wptmod import cli, eddy, materials, schema
-from wptmod.scenario import MIN_STEP_A, Scenario
+from wptmod.errors import ScenarioError
+from wptmod.scenario import MIN_STEP_A, Scenario, parse_scenario, plates
 
 VERBS = ("couplings", "impedance", "curves", "fit", "detect")
 
@@ -133,6 +135,39 @@ def test_every_key_at_one_end(end):
 @pytest.mark.parametrize("path", LENGTHS, ids=[".".join(map(str, p[1:])) for p in LENGTHS])
 def test_each_length_at_each_end(path, end):
     assert _run(_edited({path: RANGES[path][end]}))[:3] == [0, 0, 0]
+
+
+def test_every_plate_at_the_corners_loses_power(tmp_path):
+    # so build_sweeps needs no refusal of a plate with r_m = l_m = 0: every plate a file
+    # can bind loses some power, or meets the work cap.  The grid spans the corners of
+    # each key a plate's r_m depends on, and mu_r between its ends too, at one turn
+    # (r_m scales as turns^2); the faintest plate, 1 Hz, 1e-3 S/m, mu_r 1e6 and 1e-4 m
+    # at 100 m, reads 1.9e-33 ohm
+    mu_r = ("entry", 0, "mu_r")
+    ends = [
+        ("scenario", "frequency_hz"),
+        ("entry", 0, "conductivity_S_per_m"),
+        ("scenario", "transmitter", "half_side_m"),
+        ("scenario", "metal_plates", 0, "half_side_m"),
+        ("scenario", "metal_plates", 0, "distance_m"),
+    ]
+    axes = {path: RANGES[path] for path in ends}
+    axes[mu_r] = (RANGES[mu_r][0], 1e2, 1e4, RANGES[mu_r][1])
+    db = tmp_path / "db.json"
+    r_m, refused = [], 0
+    for corner in itertools.product(*axes.values()):
+        inputs = _edited({**dict(zip(axes, corner)), ("scenario", "transmitter", "turns"): 1})
+        db.write_text(json.dumps(inputs["entry"]))
+        sc = parse_scenario({**inputs["scenario"], "materials_db": str(db)})
+        try:
+            [(_, rx)] = plates(sc)
+        except ScenarioError as exc:
+            assert "over its cap of 1e+09" in str(exc), exc
+            refused += 1
+        else:
+            r_m.append(rx.r_m)
+    assert len(r_m) + refused == 128 and refused < 64
+    assert min(r_m) > 0.0
 
 
 def _value(kind, default, low, high):

@@ -470,8 +470,8 @@ class TestTypesAndDatabase:
             load_materials(str(bad))
 
     def test_database_lives_in_materials(self):
-        # scenario.plates reads the database as eddy.load_materials, and the
-        # benchmark's tracer wraps that name
+        # the benchmark's tracer wraps eddy.load_materials, and the acceptance
+        # gate builds eddy.MetalMaterial
         assert eddy.MetalMaterial is materials.MetalMaterial
         assert eddy.load_materials is materials.load_materials
 

@@ -200,6 +200,50 @@ def test_threshold_not_json(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def _repeated(name: str, old: str, again: str) -> str:
+    """The text of bundled file name with `again` written after its first `old`."""
+    text = resources.files("wptmod.data").joinpath(name).read_text()
+    assert old in text
+    return text.replace(old, f"{old} {again}", 1)
+
+
+@pytest.mark.parametrize(
+    "old, again, key",
+    [
+        # json keeps the later value: fe_0.1m read r_m 1.22e-9 ohm at 1 Hz, not 2.46e-5 ohm
+        ('"frequency_hz": 20000.0,', '"frequency_hz": 1.0,', "frequency_hz"),
+        ('"turns": 3,', '"turns": 1,', "turns"),
+    ],
+    ids=["top_level", "nested"],
+)
+def test_scenario_repeated_key_named(tmp_path, capsys, old, again, key):
+    path = tmp_path / "twice.json"
+    path.write_text(_repeated("paper_repro.json", old, again))
+    argv = ["impedance", "--scenario", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"scenario file {str(path)!r} repeats the key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_material_repeated_key_named(tmp_path, capsys):
+    db = tmp_path / "db.json"
+    db.write_text(_repeated("materials.json", '"mu_r": 300.0,', '"mu_r": 1.0,'))
+    assert cli.main(["materials", "--db", str(db)]) == cli.EXIT_VALIDATION
+    assert f"material database {str(db)!r} repeats the key 'mu_r'" in capsys.readouterr().err
+
+
+def test_threshold_repeated_key_named(tmp_path, capsys, repro_curves):
+    model = detection.fit_thresholds(
+        [c for c in repro_curves if c.label.startswith("metal:")],
+        [c for c in repro_curves if c.label.startswith("coil:")],
+    )
+    once = '"i_min_gate_A": 3.0'
+    text = model.to_json().replace(once, f'{once}, "i_min_gate_A": 50')
+    assert _detect(tmp_path, text) == cli.EXIT_VALIDATION
+    assert "threshold.json repeats the key 'i_min_gate_A'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def _readme_tables():
     """{key: (bound, default)} of each `| key | kind | bound | default |` table in README.md."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
