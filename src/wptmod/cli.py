@@ -76,17 +76,18 @@ def cmd_couplings(args) -> int:
     from . import magnetics, scenario
 
     sc = scenario.load_scenario(args.scenario)
-    rows = ["label,kind,m_closed_form_H,m_reference_H,reference_method"]
+    # m_H is the coupling the pipeline uses; m_check_H evaluates it another way
+    rows = ["label,kind,m_check_H,m_H,check_method"]
     for spec in sc.receiver_coils:
-        reference = scenario.coupling(sc, spec)
-        closed = magnetics.mutual_inductance_coil_coil_closed(scenario.coil_pair(sc, spec))
-        rows.append(f"{spec.label},coil,{closed:.12e},{reference:.12e},exact")
+        check = magnetics.mutual_inductance_coil_coil_closed(scenario.coil_pair(sc, spec))
+        m = scenario.coupling(sc, spec)
+        rows.append(f"{spec.label},coil,{check:.12e},{m:.12e},paper_closed_form")
     for spec in sc.metal_plates:
-        closed = scenario.coupling(sc, spec)
-        reference = magnetics.mutual_inductance_coil_plate_by_integration(
+        check = magnetics.mutual_inductance_coil_plate_by_integration(
             scenario.tx_loop(sc), spec.half_side_m, spec.distance_m
         )
-        rows.append(f"{spec.label},plate,{closed:.12e},{reference:.12e},radius_integral")
+        m = scenario.coupling(sc, spec)
+        rows.append(f"{spec.label},plate,{check:.12e},{m:.12e},radius_integral")
     _write(args, "couplings.csv", "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario JSON (default: bundled paper-repro)")
         p.add_argument("--out", default="out", help="artifact output directory")
 
-    p = sub.add_parser("couplings", help="mutual inductance table (closed form vs reference)")
+    p = sub.add_parser("couplings", help="coupling table: the pipeline's m_H and a check")
     common(p)
     p.set_defaults(func=cmd_couplings)
 

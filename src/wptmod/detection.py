@@ -27,7 +27,7 @@ import numpy as np
 
 from .characteristics import CharacteristicCurve
 from .errors import NonSeparableDataError, ScenarioError
-from .schema import decode_json, finite, integer, key, keyed, read
+from .schema import decode_json, finite, integer, key, read
 
 
 class Sample(NamedTuple):
@@ -61,14 +61,12 @@ class Verdict:
     gated: bool
 
 
-@keyed
 @dataclass(frozen=True)
 class _ULine:
     slope_V_per_A: float = key(finite)
     intercept_V: float = key(finite)
 
 
-@keyed
 @dataclass(frozen=True)
 class _ThresholdFile:
     """threshold.json, keyed as ThresholdModel.to_json writes it."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ScenarioError
-from .schema import CONDUCTIVITY_S_PER_M, MU_R, finite, key, keyed, load_json, read, string
+from .schema import CONDUCTIVITY_S_PER_M, MU_R, finite, key, load_json, read, string
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class MetalMaterial:
             raise ValueError(f"mu_r must lie in {self.name}'s mu_r_range {[*span]}, got {mu_r!r}")
 
 
-@keyed
 @dataclass(frozen=True)
 class _Entry:
     """One material database entry, keyed as the JSON file spells it."""

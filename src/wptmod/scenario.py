@@ -19,7 +19,7 @@ from .characteristics import SweepSpec, evaluate_point
 from .circuit import Couplings, DriveSpec, TxCoil
 from .detection import Sample
 from .errors import ScenarioError, WorkLimitError
-from .schema import finite, integer, key, keyed, load_json, read, string, unique_label
+from .schema import finite, integer, key, load_json, read, string, unique_label
 
 
 # the most points one sweep may hold: each point is a curves.csv row of
@@ -32,7 +32,6 @@ MAX_STEPS = 100_000
 MIN_STEP_A = 1e-9
 
 
-@keyed
 @dataclass(frozen=True)
 class TransmitterSpec:
     half_side_m: float = key(finite, **schema.LENGTH_M)
@@ -42,7 +41,6 @@ class TransmitterSpec:
     capacitance_f: float | None = key(finite, None, **schema.CAPACITANCE_F)
 
 
-@keyed
 @dataclass(frozen=True)
 class ReceiverCoilSpec:
     label: str = key(unique_label)
@@ -55,7 +53,6 @@ class ReceiverCoilSpec:
     capacitance_f: float | None = key(finite, None, **schema.CAPACITANCE_F)
 
 
-@keyed
 @dataclass(frozen=True)
 class MetalPlateSpec:
     label: str = key(unique_label)
@@ -68,7 +65,6 @@ class MetalPlateSpec:
 ReceiverSpec = ReceiverCoilSpec | MetalPlateSpec
 
 
-@keyed
 @dataclass(frozen=True)
 class SweepSection:
     i_min_a: float = key(finite, **schema.CURRENT_A)
@@ -76,7 +72,6 @@ class SweepSection:
     steps: int = key(integer, ge=2, le=MAX_STEPS)
 
 
-@keyed
 @dataclass(frozen=True)
 class NoiseSpec:
     """Multiplicative relative Gaussian noise, reproducible from the seed."""
@@ -85,7 +80,6 @@ class NoiseSpec:
     seed: int = key(integer, 0, ge=0)
 
 
-@keyed
 @dataclass(frozen=True)
 class DetectionSection:
     degree: int = key(integer, 2, ge=1)
@@ -93,7 +87,6 @@ class DetectionSection:
     test_currents_a: tuple[float, ...] = key([finite], (3.0, 6.0, 9.0), **schema.CURRENT_A)
 
 
-@keyed
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
     frequency_hz: float = key(finite, **schema.FREQUENCY_HZ)

@@ -2,9 +2,11 @@
 
 Each field of a spec class is declared once, by `key`: its JSON kind, its
 default (a field without one is a required key; a None default also takes
-an explicit null) and its bounds.  `read` walks those declarations in one
-pass and raises ScenarioError naming the key path of the first value that
-is unknown, missing, of the wrong kind, out of bounds or a repeated label.
+an explicit null) and its bounds.  A spec class is a plain dataclass, and
+its fields, in declaration order, are its key table.  `read` walks those
+fields in one pass and raises ScenarioError naming the key path of the
+first value that is unknown, missing, of the wrong kind, out of bounds or a
+repeated label.
 
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
@@ -47,19 +49,12 @@ RELATIVE_SIGMA = dict(ge=0, le=1)
 def key(kind, default=dataclasses.MISSING, **bounds):
     """A spec field: its kind, its default (none: required) and gt/ge/le bounds.
 
-    The bounds of a list hold for each of its items.
+    The field's metadata holds the kind and the bounds, and its default is
+    the key's; read takes all three from the field.  The bounds of a list
+    hold for each of its items.
     """
     checks = tuple((*_BOUNDS[op], limit) for op, limit in bounds.items())
     return dataclasses.field(default=default, metadata={"kind": kind, "bounds": checks})
-
-
-def keyed(cls):
-    """Class decorator, outside @dataclass: build the key table of cls once."""
-    cls._keys = {
-        f.name: (f.metadata["kind"], f.default, f.metadata["bounds"])
-        for f in dataclasses.fields(cls)
-    }
-    return cls
 
 
 def read_text(path, what: str) -> str:
@@ -162,23 +157,25 @@ def read(kind, value, where: str, bounds=(), seen=None):
 
 def read_key(cls, name: str, value, where: str):
     """value read with the kind and bounds of key `name` of the spec class cls."""
-    kind, _, bounds = cls._keys[name]
-    return read(kind, value, where, bounds)
+    (f,) = (f for f in dataclasses.fields(cls) if f.name == name)
+    return read(f.metadata["kind"], value, where, f.metadata["bounds"])
 
 
 def _object(cls, obj, where: str, seen):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where} must be an object, got {obj!r}")
-    unknown = obj.keys() - cls._keys.keys()
+    fields = dataclasses.fields(cls)
+    unknown = obj.keys() - {f.name for f in fields}
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
     values = {}
-    for name, (kind, default, bounds) in cls._keys.items():
+    for f in fields:
+        name, kind = f.name, f.metadata["kind"]
         if name not in obj:
-            if default is dataclasses.MISSING:
+            if f.default is dataclasses.MISSING:
                 raise ScenarioError(f"{where}.{name} is missing")
-        elif obj[name] is not None or default is not None:
-            value = values[name] = read(kind, obj[name], f"{where}.{name}", bounds)
+        elif obj[name] is not None or f.default is not None:
+            value = values[name] = read(kind, obj[name], f"{where}.{name}", f.metadata["bounds"])
             if kind is unique_label:
                 if value in seen:
                     raise ScenarioError(f"duplicate label {value!r} at {where}")

@@ -189,13 +189,18 @@ class TestCouplingsCommand:
         out = tmp_path / "out"
         assert cli.main(["couplings", "--out", str(out)]) == cli.EXIT_OK
         lines = (out / "couplings.csv").read_text().splitlines()
-        assert lines[0] == "label,kind,m_closed_form_H,m_reference_H,reference_method"
+        assert lines[0] == "label,kind,m_check_H,m_H,check_method"
+        sc = scenario.load_scenario(None)
+        specs = {spec.label: spec for spec in (*sc.receiver_coils, *sc.metal_plates)}
+        assert [ln.split(",")[0] for ln in lines[1:]] == [*specs]
         kinds = {ln.split(",")[1] for ln in lines[1:]}
         assert kinds == {"coil", "plate"}
         for ln in lines[1:]:
-            label, kind, closed, ref, method = ln.split(",")
-            assert float(closed) > 0.0 and float(ref) > 0.0
-            assert method == ("exact" if kind == "coil" else "radius_integral")
+            label, kind, check, m, method = ln.split(",")
+            assert float(check) > 0.0
+            # column 4 is the coupling the pipeline uses, for coils and plates alike
+            assert m == f"{scenario.coupling(sc, specs[label]):.12e}", label
+            assert method == ("paper_closed_form" if kind == "coil" else "radius_integral")
 
     def test_byte_identical_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

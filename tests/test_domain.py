@@ -11,6 +11,7 @@ the bounds the reader checks.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -36,15 +37,16 @@ def _ranged(cls, path):
     sweep.steps sizes the arrays rather than the physics and keeps its
     bundled value, and mu_r_range stays unset: it bounds another key.
     """
-    for name, (kind, default, bounds) in cls._keys.items():
+    for f in dataclasses.fields(cls):
+        name, kind = f.name, f.metadata["kind"]
         if isinstance(kind, list) and isinstance(kind[0], type):
             yield from _ranged(kind[0], path + (name, 0))
         elif isinstance(kind, type):
             yield from _ranged(kind, path + (name,))
         else:
-            limits = {symbol: limit for symbol, _, limit in bounds}
+            limits = {symbol: limit for symbol, _, limit in f.metadata["bounds"]}
             if {">=", "<="} <= limits.keys() and name != "steps" and not isinstance(kind, tuple):
-                yield path + (name,), kind, default, limits[">="], limits["<="]
+                yield path + (name,), kind, f.default, limits[">="], limits["<="]
 
 
 KEYS = [*_ranged(Scenario, ("scenario",)), *_ranged(materials._Entry, ("entry", 0))]

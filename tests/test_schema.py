@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from wptmod import cli, detection, materials, schema
+from wptmod.errors import ScenarioError
 from wptmod.scenario import Scenario
 
 _REMOVE = object()
@@ -66,6 +67,51 @@ def _cases(cls, path):
             # the bounds of a list hold for each item: break them all, the first is named
             edit, at = ([value] * len(kind), f"{name}[0]") if listed else (value, name)
             yield f"{name}-{symbol}", where, edit, f"{at} must be {symbol} {limit}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Scenario, materials._Entry, detection._ThresholdFile],
+    ids=["scenario", "material", "threshold"],
+)
+def test_every_field_is_declared_by_key(cls):
+    # read takes each key's kind and bounds from its field's metadata
+    for path, f in _fields(cls, ()):
+        assert {"kind", "bounds"} <= f.metadata.keys(), _name(path)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Part:
+    label: str = schema.key(schema.unique_label)
+    size_m: float = schema.key(schema.finite, 1.0, gt=0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Plain:
+    count: int = schema.key(schema.integer, ge=1)
+    parts: tuple[_Part, ...] = schema.key([_Part], ())
+    note: str | None = schema.key(schema.string, None)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"parts": []}, "plain.count is missing"),
+        ({"count": 0}, "plain.count must be >= 1, got 0"),
+        ({"count": 1, "extra": 1}, "unknown keys in plain: ['extra']"),
+        ({"count": 1, "parts": [{"size_m": 2.0}]}, "plain.parts[0].label is missing"),
+        ({"count": 1, "parts": [{"label": "a", "size_m": 0}]}, "plain.parts[0].size_m must be > 0"),
+        ({"count": 1, "parts": [{"label": "a"}, {"label": "a"}]}, "duplicate label 'a' at plain"),
+    ],
+    ids=["missing", "bound", "unknown", "nested_missing", "nested_bound", "duplicate"],
+)
+def test_plain_dataclass_is_a_spec_class(value, message):
+    # key() alone declares a spec class
+    raw = {"count": 2, "parts": [{"label": "a", "size_m": 0.5}, {"label": "b"}], "note": None}
+    assert schema.read(_Plain, raw, "plain") == _Plain(2, (_Part("a", 0.5), _Part("b")))
+    assert schema.read_key(_Plain, "count", 3, "--count") == 3
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        schema.read(_Plain, value, "plain")
 
 
 # ROADMAP item 5: inputs that exited 2 naming no key, or passed until a later verb
