@@ -197,7 +197,7 @@ class TestCouplingsCommand:
         assert kinds == {"coil", "plate"}
         for ln in lines[1:]:
             label, kind, check, m, method = ln.split(",")
-            assert float(check) > 0.0
+            assert float(check) > 0.0 and float(m) > 0.0
             # column 4 is the coupling the pipeline uses, for coils and plates alike
             assert m == f"{scenario.coupling(sc, specs[label]):.12e}", label
             assert method == ("paper_closed_form" if kind == "coil" else "radius_integral")
