@@ -195,13 +195,149 @@ def curves_from_csv(text: str) -> list[CharacteristicCurve]:
     rows of one label are merged in file order even where labels interleave.
     A data row that is not a label and three finite numbers raises
     ValueError naming its line number (and column).
+
+    Two readers give each value the bits float() gives its field.  Text in
+    the layout curves_to_csv writes, every number 1-4 digits, a point and
+    12 decimals, is read from its digits (_read_fixed): the digits of a
+    number, the point dropped, form one integer n, and below 2^53 both n
+    and 10^12 are exact doubles, so n / 1e12 rounds once, to the nearest
+    double of the decimal, as float() does.  Any other text, or a number
+    at or above 2^53 / 10^12, goes through np.loadtxt (_read_any), which
+    also names the first bad row.
     """
+    columns, runs = _read_fixed(text) or _read_any(text)
+    blocks: dict[str, list[np.ndarray]] = {}
+    start = 0
+    for label, count in runs:
+        blocks.setdefault(label, []).append(columns[:, start : start + count])
+        start += count
+    curves = []
+    for label, parts in blocks.items():
+        i, u, p = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        try:
+            curves.append(CharacteristicCurve(label=label, i_tx=i, u_tx=u, p_in=p))
+        except ValueError as exc:
+            raise ValueError(f"curves.csv curve {label!r}: {exc}") from exc
+    return curves
+
+
+# _read_fixed works on little-endian 8-byte words at any byte offset; XOR
+# with _ZEROS maps the digits '0'-'9' to the byte values 0-9
+_ZEROS = np.uint64(0x30303030_30303030)
+_SIXES = np.uint64(0x06060606_06060606)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0_F0F0F0F0)
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+_BLOCK = 4096  # rows per pass over the digits, which bounds the temporaries
+
+
+def _read_fixed(text: str) -> tuple[np.ndarray, list[tuple[str, int]]] | None:
+    """Columns (3, rows) and label runs of text in the writer's fixed-point layout, else None.
+
+    The layout is ASCII: the header, then lines `label,N,N,N` each ended by
+    a newline, with a nonempty label and no byte below 0x20 but the
+    newlines.  Every number is 1-4 digits, a point and 12 digits, and read
+    as one integer with the point dropped, below 2^53 (see curves_from_csv).
+    """
+    if not (text.isascii() and text.startswith(_HEADER + "\n") and text.endswith("\n")):
+        return None
+    raw = text.encode()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    lines = _lines(buf)
+    if lines is None:
+        return None
+    newlines, commas = lines
+    rows = len(commas)
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=raw, strides=(1,))
+    columns = np.empty((3, rows))
+    for first in range(0, rows, _BLOCK):
+        block = slice(first, first + _BLOCK)
+        comma = commas[block].T  # before each number
+        end = np.vstack((comma[1:], newlines[1:][block]))  # one past each number
+        width = end - comma - 1
+        if ((width < 14) | (width > 17) | (buf[end - 13] != ord("."))).any():
+            return None
+        # the word of the integer digits starts with up to 3 bytes before
+        # the number, which the shifts clear to leading zeros
+        pad = ((17 - width) * 8).astype(np.uint64)
+        high = ((words[end - 17] ^ _ZEROS) & _LOW_HALF) >> pad << pad
+        # then the first 4 decimals above them, and the last 8 decimals
+        high |= (words[end - 12] ^ _ZEROS) << np.uint64(32)
+        low = words[end - 8] ^ _ZEROS
+        # every byte is below 0x80, so adding 6 carries into no other byte
+        if ((high | (high + _SIXES) | low | (low + _SIXES)) & _HIGH_NIBBLES).any():
+            return None
+        n = _eight_digits(high) * np.uint64(10**8) + _eight_digits(low)
+        if (n >> np.uint64(53)).any():
+            return None
+        np.divide(n, 1e12, out=columns[:, block])
+    return columns, _label_runs(raw, words, newlines[:-1] + 1, commas[:, 0])
+
+
+def _lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The newlines and (rows, 3) commas of lines `label,x,y,z`, else None.
+
+    buf holds the header line and at least one more; the label must not be
+    empty, and no byte below 0x20 but the newlines may appear.
+    """
+    # one scan finds every byte up to the comma: the controls, the newlines,
+    # the commas, and the space and punctuation a label may hold
+    marks = np.flatnonzero(buf <= ord(","))
+    kinds = buf[marks]
+    newlines = marks[kinds == ord("\n")]
+    commas = marks[kinds == ord(",")]
+    rows = newlines.size - 1
+    if not rows or commas.size != 3 * newlines.size:
+        return None
+    if np.count_nonzero(kinds < ord(" ")) != newlines.size:
+        return None
+    # past the header's three, each data line holds three commas when its
+    # first follows its label and, as the number widths _read_fixed checks
+    # ensure, the other two and its newline come in turn after it
+    commas = commas[3:].reshape(rows, 3)
+    if (commas[:, 0] <= newlines[:-1] + 1).any():
+        return None
+    return newlines, commas
+
+
+def _label_runs(
+    raw: bytes, words: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> list[tuple[str, int]]:
+    """(label, rows) for each run of rows with one label; row r's is raw[starts[r]:stops[r]]."""
+    bounds = [0]
+    # each block compares its rows with the row before each, 8 bytes at a time
+    for first in range(0, len(starts) - 1, _BLOCK):
+        start = starts[first : first + _BLOCK + 1]
+        size = stops[first : first + _BLOCK + 1] - start
+        same = size[1:] == size[:-1]
+        # the words start 8 bytes apart, the last one moved back to end with
+        # the label; a label shorter than a word has one, whose bytes past
+        # the label the shift drops
+        last = np.maximum(size - 8, 0)
+        pad = ((8 - np.minimum(size, 8)) * 8).astype(np.uint64)
+        for offset in range(0, int(size.max()), 8):
+            word = words[start + np.minimum(last, offset)] << pad
+            same &= word[1:] == word[:-1]
+        bounds += (np.flatnonzero(~same) + (first + 1)).tolist()
+    bounds.append(len(starts))
+    return [(raw[starts[a] : stops[a]].decode(), b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def _eight_digits(word: np.ndarray) -> np.ndarray:
+    """The numbers spelt by the eight digits 0-9 in the bytes of word, first digit lowest."""
+    # combine neighbouring digits, then pairs, then quads, keeping the lower lane
+    word = word * np.uint64(10 << 8 | 1) >> np.uint64(8) & np.uint64(0x00FF00FF_00FF00FF)
+    word = word * np.uint64(100 << 16 | 1) >> np.uint64(16) & np.uint64(0x0000FFFF_0000FFFF)
+    return word * np.uint64(10_000 << 32 | 1) >> np.uint64(32)
+
+
+def _read_any(text: str) -> tuple[np.ndarray, list[tuple[str, int]]]:
+    """Columns (3, rows) and label runs of any curve CSV, through np.loadtxt."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _HEADER:
         raise ValueError("missing or malformed curve CSV header")
     rows = lines[1:]
     if not rows:
-        return []
+        return np.empty((3, 0)), []
     # usecols ignores any field past the fourth, so count the commas: three a line
     if text.count(",") != 3 * len(lines):
         raise _row_error(text)
@@ -212,21 +348,8 @@ def curves_from_csv(text: str) -> list[CharacteristicCurve]:
         raise _row_error(text) from exc
     if data.shape != (len(rows), 3) or not np.isfinite(data).all():
         raise _row_error(text)
-    columns = np.ascontiguousarray(data.T)
-    blocks: dict[str, list[np.ndarray]] = {}
-    start = 0
-    for label, run in itertools.groupby(row.partition(",")[0] for row in rows):
-        stop = start + len(list(run))
-        blocks.setdefault(label, []).append(columns[:, start:stop])
-        start = stop
-    curves = []
-    for label, parts in blocks.items():
-        i, u, p = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        try:
-            curves.append(CharacteristicCurve(label=label, i_tx=i, u_tx=u, p_in=p))
-        except ValueError as exc:
-            raise ValueError(f"curves.csv curve {label!r}: {exc}") from exc
-    return curves
+    runs = itertools.groupby(row.partition(",")[0] for row in rows)
+    return np.ascontiguousarray(data.T), [(label, len(list(run))) for label, run in runs]
 
 
 def _row_error(text: str) -> ValueError:

@@ -1,12 +1,14 @@
 import io
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wptmod import characteristics
 from wptmod.characteristics import (
     CharacteristicCurve,
     SweepSpec,
@@ -223,6 +225,30 @@ class TestNoise:
 
 
 HEADER = "label,i_tx_A,u_tx_V,p_in_W"
+ONE = "1.000000000000"
+
+
+def _row(label="a", i=ONE, u=ONE, p=ONE):
+    return f"{label},{i},{u},{p}"
+
+
+def _layout(*rows, end="\n"):
+    """A curve CSV of the given data rows, each ended by `end`."""
+    return end.join([HEADER, *rows]) + end
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """One entry per np.loadtxt call made while the test runs."""
+    calls = []
+    real = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
 
 
 def reference_to_csv(curves):
@@ -368,6 +394,85 @@ class TestCsv:
     def test_bad_curve_names_label(self):
         with pytest.raises(ValueError, match="curve 'a': i_tx must be strictly increasing"):
             curves_from_csv("\n".join([HEADER, "a,1,1,1", "a,1,1,1"]))
+
+    def test_writer_layout_never_reaches_loadtxt(self, repro_curves, repro_sweeps, monkeypatch):
+        # the writer's output is read from its digits: a silent fall back to
+        # np.loadtxt would keep every value right and lose the speed
+        dense = [sweep_curve(replace(spec, steps=2000)) for spec in repro_sweeps]
+        longest = [sweep_curve(replace(make_spec(m_ac=5e-7, label="coil:a"), steps=MAX_STEPS))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt reached")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        for curves in (repro_curves, dense, longest):
+            text = curves_to_csv(curves)
+            assert_matches_reference(curves_from_csv(text), text)
+
+    @pytest.mark.parametrize(
+        "text, digits",
+        [
+            (_layout(_row(i="0.000000000000"), _row(), _row("b")), True),
+            (_layout(_row(i="0.000000000000"), _row(), _row("b"), end="\r\n"), False),
+            ("\n" + _layout(_row()), False),
+            (_layout(_row(i="0.000000000000"), " ", _row()), False),
+            (_layout(_row())[:-1], False),
+            (_layout(_row(u="9007.199254740991")), True),
+            (_layout(_row(u="9007.199254740992")), False),
+            (_layout(_row(u="10000.000000000000")), False),
+            (_layout(_row(u=".500000000000")), False),
+            (_layout(_row(u="+1.000000000000")), False),
+            (_layout(_row(u="1.0000000000000")), False),
+            (_layout(_row(u="1e-3")), False),
+            (_layout(_row(u=" 1.000000000000")), False),
+            (_layout(_row("")), False),
+            (_layout(_row("µ")), False),
+            (_layout(_row("metal:fe_0.2m"), _row("%"), _row(" a b ")), True),
+            (_layout(_row("a\tb")), False),
+            (
+                # labels of one size sharing their first word, interleaved
+                _layout(
+                    _row("metal:fe_0.1m", i="0.000000000000"),
+                    _row("metal:fe_0.2m", i="0.000000000000"),
+                    _row("metal:fe_0.1m"),
+                    _row("coil:a"),
+                    _row("coil:b"),
+                    _row("coil:a_longer_than_two_words", i="9.999999999999"),
+                    _row("metal:fe_0.2m"),
+                ),
+                True,
+            ),
+        ],
+        ids=[
+            "writer", "crlf", "leading_blank", "whitespace_line", "no_final_newline",
+            "below_2_53", "at_2_53", "five_integer_digits", "no_integer_digit", "plus_sign",
+            "13_decimals", "exponent", "space_padded", "empty_label", "non_ascii_label",
+            "label_dot_percent_space", "label_tab", "interleaved",
+        ],
+    )
+    def test_layout_boundary_matches_reference(self, text, digits, loadtxt_calls):
+        assert_matches_reference(curves_from_csv(text), text)
+        assert loadtxt_calls == ([] if digits else [1])
+        if digits:
+            # one run per stretch of equal labels, which the reader decodes once
+            labels = (line.partition(",")[0] for line in text.splitlines()[1:])
+            runs = [(label, len(list(rows))) for label, rows in itertools.groupby(labels)]
+            assert characteristics._read_fixed(text)[1] == runs
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,2.000000000000,1.000000000000", "line 3: expected 4 comma-separated fields, got 3"),
+            (_row(i="2.000000000000") + "," + ONE, "line 3: expected 4 comma-separated fields, got 5"),
+            (_row(i="2.00000000000x"), "line 3, column i_tx_A: not a number: '2.00000000000x'"),
+            (_row(u="nan"), "line 3, column u_tx_V: non-finite value 'nan'"),
+            (_row(), "curve 'a': i_tx must be strictly increasing"),
+        ],
+        ids=["three", "five", "letter", "nan", "repeated_current"],
+    )
+    def test_bad_row_in_layout_keeps_message(self, row, message):
+        with pytest.raises(ValueError, match=f"^curves.csv {re.escape(message)}$"):
+            curves_from_csv(_layout(_row(), row))
 
 
 def _hypothesis():
