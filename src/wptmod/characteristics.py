@@ -53,13 +53,18 @@ class CharacteristicCurve:
     p_in: np.ndarray  # [W]
 
     def __post_init__(self):
-        for name in ("i_tx", "u_tx", "p_in"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (len(self.i_tx) == len(self.u_tx) == len(self.p_in)):
+        i, u, p = (np.asarray(a, dtype=float) for a in (self.i_tx, self.u_tx, self.p_in))
+        object.__setattr__(self, "i_tx", i)
+        object.__setattr__(self, "u_tx", u)
+        object.__setattr__(self, "p_in", p)
+        if not (len(i) == len(u) == len(p)):
             raise ValueError("curve arrays must have equal length")
-        if np.any(np.diff(self.i_tx) <= 0.0):
+        # every comparison with NaN is false, so NaN fails both checks; the
+        # first current has no predecessor to exceed, so it is compared with
+        # -inf, which a NaN in a one-point curve fails too
+        if not ((i[1:] > i[:-1]).all() and (i[:1] >= -math.inf).all()):
             raise ValueError("i_tx must be strictly increasing")
-        if np.any(self.u_tx < 0.0) or np.any(self.p_in < 0.0):
+        if not ((u >= 0.0).all() and (p >= 0.0).all()):
             raise ValueError("u_tx and p_in must be nonnegative")
 
 
@@ -68,11 +73,21 @@ def evaluate_point(spec: SweepSpec, i_tx):
 
     i_tx may be a scalar or an array.
     """
-    i_tx = np.asarray(i_tx, dtype=float)
-    if not np.all(i_tx >= 0.0):
-        raise ValueError("i_tx must be >= 0")
     z_in = input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx)
-    return abs(z_in) * i_tx, z_in.real * i_tx * i_tx
+    return _u_and_p(abs(z_in), z_in.real, i_tx)
+
+
+def _u_and_p(magnitude, resistance, i_tx):
+    """(|Z_in|*I, Re(Z_in)*I^2) from magnitude = |Z_in| and resistance = Re(Z_in).
+
+    The three may be floats or arrays that broadcast together; i_tx must be
+    >= 0, which NaN fails too.  scenario.generate_test_samples passes one
+    (receivers, 1) column of each and the row of test currents.
+    """
+    i_tx = np.asarray(i_tx, dtype=float)
+    if not (i_tx >= 0.0).all():
+        raise ValueError("i_tx must be >= 0")
+    return magnitude * i_tx, resistance * i_tx * i_tx
 
 
 def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
@@ -115,9 +130,10 @@ def curves_to_csv(curves: list[CharacteristicCurve]) -> str:
     call: q = floor(v), the remainder r = v - q is exact, and r*10^12 is
     taken exactly as p + e by Dekker's split product.  np.rint rounds p half
     to even; where p sits on a tie, e says on which side of it r*10^12 lies,
-    so the digits are those of the exact decimal.  Every other curve (NaN,
-    +-inf, -0.0, a negative current, a value at or above 1e15, or no points)
-    is one %-format of its row template repeated once per point.
+    so the digits are those of the exact decimal.  Every other curve (+-inf,
+    -0.0, a negative current, a value at or above 1e15, or no points) is one
+    %-format of its row template repeated once per point; a curve holds no
+    NaN, which CharacteristicCurve refuses.
     """
     parts = [_HEADER + "\n"]
     for curve in curves:

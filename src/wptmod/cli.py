@@ -4,8 +4,8 @@ Verbs: materials, couplings, impedance, curves, fit, detect.  Every command
 is deterministic given the scenario file and seed; exit codes distinguish
 validation (2), convergence (3), and non-separability (4) failures.
 
-Parsing, --help, usage errors and `materials` load no numpy: each of the
-other verbs imports the physics modules it runs when it starts.
+Parsing, --help, --version, usage errors and `materials` load no numpy:
+each of the other verbs imports the physics modules it runs when it starts.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .errors import ConvergenceError, NonSeparableDataError, ScenarioError
 from .schema import read_key, read_text
 
@@ -177,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wptmod",
         description="Two-orthogonal-coil WPT simulation and metal object detection",
     )
+    parser.add_argument("--version", action="version", version=f"wptmod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("materials", help="list the metal material database")

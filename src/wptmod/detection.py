@@ -10,8 +10,8 @@ are rounding), so the gate changes no error probability and only drops
 points.  It would matter under an absolute noise floor, which the model
 lacks.
 
-One decision rule, classify_arrays, classifies (I, U, P) points held in
-arrays; classify and evaluate_batch are thin wrappers over it.
+One decision rule classifies (I, U, P) points held in arrays, in one array
+pass; classify_arrays, classify and evaluate_batch are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -231,8 +230,25 @@ class Decisions(NamedTuple):
     p_below: np.ndarray
 
 
-# the label of a point whose two sub-tests agree, indexed by u_below
-_AGREED = np.array([Label.COIL.value, Label.METAL.value])
+# a decision code indexes Label's members: 0 metal, 1 coil, 2 indeterminate
+_VERDICTS = tuple(lab.value for lab in Label)
+_VERDICT_ARRAY = np.array(_VERDICTS)
+
+
+def _decide(i_tx, u_tx, p_in, model: ThresholdModel):
+    """(code, gated, u_below, p_below) arrays of the decision rule; see classify_arrays."""
+    i, u, p = (np.asarray(a, dtype=float) for a in (i_tx, u_tx, p_in))
+    for a in (i, u, p):
+        if not ((a >= 0.0) & (a < math.inf)).all():
+            raise ValueError("sample values must be finite and >= 0")
+    # a threshold that overflows compares as the scalar float one does
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_below = u < model.u_threshold(i)
+        p_below = p < model.p_threshold(i)
+    gated = i < model.i_min_gate
+    # agreeing sub-tests: metal (0) when both are below, else coil (1)
+    code = np.where(gated | (u_below != p_below), 2, ~u_below)
+    return code, gated, u_below, p_below
 
 
 def classify_arrays(i_tx, u_tx, p_in, model: ThresholdModel) -> Decisions:
@@ -245,18 +261,9 @@ def classify_arrays(i_tx, u_tx, p_in, model: ThresholdModel) -> Decisions:
     array, which round as they do for one float.  Raises ValueError unless
     every value is finite and >= 0: the one check of a Sample's values.
     """
-    i, u, p = (np.asarray(a, dtype=float) for a in (i_tx, u_tx, p_in))
-    for a in (i, u, p):
-        if not np.all((a >= 0.0) & (a < math.inf)):
-            raise ValueError("sample values must be finite and >= 0")
-    # a threshold that overflows compares as the scalar float one does
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_below = u < model.u_threshold(i)
-        p_below = p < model.p_threshold(i)
-    gated = i < model.i_min_gate
-    undecided = gated | (u_below != p_below)
-    label = np.where(undecided, Label.INDETERMINATE.value, _AGREED[u_below.astype(int)])
-    return Decisions(label, gated, u_below, p_below)
+    code, gated, u_below, p_below = _decide(i_tx, u_tx, p_in, model)
+    # the Ellipsis keeps a 0-d code's label a 0-d array, not a scalar
+    return Decisions(_VERDICT_ARRAY[code, ...], gated, u_below, p_below)
 
 
 def classify(sample: Sample, model: ThresholdModel) -> Verdict:
@@ -264,10 +271,10 @@ def classify(sample: Sample, model: ThresholdModel) -> Verdict:
 
     A gated sample reports None for u_below and p_below.
     """
-    d = classify_arrays(*sample, model)
-    if d.gated:
+    code, gated, u_below, p_below = _decide(*sample, model)
+    if gated:
         return Verdict(Label.INDETERMINATE, None, None, gated=True)
-    return Verdict(Label(d.label[()]), bool(d.u_below), bool(d.p_below), gated=False)
+    return Verdict(Label(_VERDICTS[code]), bool(u_below), bool(p_below), gated=False)
 
 
 def evaluate_batch(
@@ -275,37 +282,40 @@ def evaluate_batch(
 ) -> dict:
     """Aggregate verdict statistics for (true_label, sample) pairs.
 
-    The whole batch is classified in one classify_arrays call.  Accuracy is
-    computed over decidable (non-indeterminate) samples; indeterminate
-    verdicts are counted separately.
+    The whole batch is decided in one array pass of classify_arrays' rule,
+    and the report rows are built from its arrays.  Accuracy is computed
+    over decidable (non-indeterminate) samples; indeterminate verdicts are
+    counted separately.
     """
     if not samples:
         raise ValueError("sample batch must be non-empty")
     true, points = zip(*samples)
     i, u, p = zip(*points)
-    d = classify_arrays(i, u, p, model)
-    verdicts = d.label.tolist()
-    gated = d.gated.tolist()
-    # a gated sample has no sub-test result
-    u_below = np.where(d.gated, None, d.u_below).tolist()
-    p_below = np.where(d.gated, None, d.p_below).tolist()
-    pairs = Counter(zip(true, verdicts))
-    counts = {t: {lab.value: pairs[t, lab.value] for lab in Label} for t in dict.fromkeys(true)}
+    code, gated, u_below, p_below = _decide(i, u, p, model)
+    # count (true label, verdict) pairs as integer codes, true labels in first-seen order
+    kinds = {t: k for k, t in enumerate(dict.fromkeys(true))}
+    index = np.fromiter(map(kinds.__getitem__, true), np.intp, len(true))
+    pairs = np.bincount(index * len(_VERDICTS) + code, minlength=len(kinds) * len(_VERDICTS))
+    rows = pairs.reshape(len(kinds), len(_VERDICTS)).tolist()
+    counts = {t: dict(zip(_VERDICTS, row)) for t, row in zip(kinds, rows)}
     undecided = sum(c[Label.INDETERMINATE.value] for c in counts.values())
     decidable = len(samples) - undecided
-    correct = sum(pairs[lab.value, lab.value] for lab in (Label.METAL, Label.COIL))
+    correct = sum(counts[v][v] for v in (Label.METAL.value, Label.COIL.value) if v in counts)
     detail = [
         {
             "true_label": t,
             "i_tx_A": ii,
             "u_tx_V": uu,
             "p_in_W": pp,
-            "verdict": v,
-            "u_below": ub,
-            "p_below": pb,
+            "verdict": _VERDICTS[c],
+            # a gated sample has no sub-test result
+            "u_below": None if g else ub,
+            "p_below": None if g else pb,
             "gated": g,
         }
-        for t, ii, uu, pp, v, ub, pb, g in zip(true, i, u, p, verdicts, u_below, p_below, gated)
+        for t, ii, uu, pp, c, ub, pb, g in zip(
+            true, i, u, p, code.tolist(), u_below.tolist(), p_below.tolist(), gated.tolist()
+        )
     ]
     return {
         "counts": counts,

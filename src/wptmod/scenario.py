@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuit, eddy, magnetics, materials, schema
-from .characteristics import SweepSpec, evaluate_point
+from .characteristics import SweepSpec, _u_and_p
 from .circuit import Couplings, DriveSpec, TxCoil
 from .detection import Sample
 from .errors import ScenarioError, WorkLimitError
@@ -234,9 +234,10 @@ def generate_test_samples(
     Returns (true_label, label, Sample) triples.  u_tx and p_in are scaled
     by independent (1 + eps) factors, clipped at 0; one draw of shape
     (receivers, currents, 2) fixes the receiver-major, current-minor order,
-    so a seed pins the whole batch.  Pass precomputed sweeps to skip
-    rebuilding couplings and impedances.  Raises ScenarioError naming the
-    test currents when there are none.
+    so a seed pins the whole batch.  Each sweep's Z_in is computed once and
+    every receiver meets every current in one broadcast.  Pass precomputed
+    sweeps to skip rebuilding couplings and impedances.  Raises
+    ScenarioError naming the test currents when there are none.
     """
     currents = sc.detection.test_currents_a
     if not currents:
@@ -244,10 +245,15 @@ def generate_test_samples(
     sweeps = build_sweeps(sc) if sweeps is None else sweeps
     rng = np.random.default_rng(sc.noise.seed if seed is None else seed)
     eps = rng.normal(0.0, sc.noise.relative_sigma, (len(sweeps), len(currents), 2))
-    clean = np.array([evaluate_point(sweep, currents) for sweep in sweeps])
-    noisy = np.maximum(clean * (1.0 + eps.transpose(0, 2, 1)), 0.0)
+    z_in = [circuit.input_impedance(s.drive, s.couplings, s.receiver, s.tx) for s in sweeps]
+    # one row (|Z_in|, Re Z_in) per receiver, the magnitude from Python's abs:
+    # np.abs over a complex array can differ in the last bit
+    parts = np.array([(abs(z), z.real) for z in z_in])
+    noisy = np.array(_u_and_p(parts[:, :1], parts[:, 1:], currents))  # (2, receivers, currents)
+    noisy *= 1.0 + eps.transpose(2, 0, 1)
+    np.maximum(noisy, 0.0, out=noisy)
     samples = []
-    for sweep, (u, p) in zip(sweeps, noisy.tolist()):
+    for sweep, u, p in zip(sweeps, *noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)
-        samples += [(true_label, name, Sample(*row)) for row in zip(currents, u, p)]
+        samples += [(true_label, name, s) for s in map(Sample._make, zip(currents, u, p))]
     return samples

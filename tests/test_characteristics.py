@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import random
 import re
 import warnings
 from dataclasses import replace
@@ -28,10 +29,13 @@ from wptmod.circuit import (
     resonant_capacitance,
     solve_from_drive,
 )
+from wptmod.detection import Sample
 from wptmod.eddy import MetalMaterial
 from wptmod.scenario import (
     MAX_STEPS,
+    MetalPlateSpec,
     NoiseSpec,
+    build_sweeps,
     coupling,
     generate_test_samples,
     load_scenario,
@@ -147,8 +151,14 @@ class TestSweepShapes:
             lambda: DriveSpec(amplitude=math.nan),
             lambda: evaluate_point(make_spec(), math.nan),
             lambda: MetalMaterial("x", 1e7, math.nan),
+            lambda: CharacteristicCurve("x", [1.0, math.nan], [0.0, 0.0], [0.0, 0.0]),
+            lambda: CharacteristicCurve("x", [math.nan, 1.0], [0.0, 0.0], [0.0, 0.0]),
+            lambda: CharacteristicCurve("x", [math.nan], [0.0], [0.0]),
+            lambda: CharacteristicCurve("x", [1.0, 2.0], [0.0, math.nan], [0.0, 0.0]),
+            lambda: CharacteristicCurve("x", [1.0, 2.0], [0.0, 0.0], [math.nan, 0.0]),
         ],
-        ids=["drive_amplitude", "evaluate_point_current", "rel_permeability"],
+        ids=["drive_amplitude", "evaluate_point_current", "rel_permeability", "curve_i_tx_last",
+             "curve_i_tx_first", "curve_i_tx_single", "curve_u_tx", "curve_p_in"],
     )
     def test_nan_fails_sign_check(self, build):
         # each sign check reads `not x >= bound`, which NaN fails too
@@ -222,6 +232,85 @@ class TestNoise:
             assert f"{true}:{name}" == spec.label and sample.i_tx == i
             assert sample.u_tx == max(u * (1.0 + eps_u), 0.0)
             assert sample.p_in == max(p * (1.0 + eps_p), 0.0)
+
+
+def reference_samples(sc, seed, sweeps):
+    """The generator as it was, one Z_in and one sign check per receiver: the oracle."""
+    currents = sc.detection.test_currents_a
+    rng = np.random.default_rng(seed)
+    eps = rng.normal(0.0, sc.noise.relative_sigma, (len(sweeps), len(currents), 2))
+    clean = []
+    for spec in sweeps:
+        i = np.asarray(currents, dtype=float)
+        if not np.all(i >= 0.0):
+            raise ValueError("i_tx must be >= 0")
+        z_in = input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx)
+        clean.append((abs(z_in) * i, z_in.real * i * i))
+    noisy = np.maximum(np.array(clean) * (1.0 + eps.transpose(0, 2, 1)), 0.0)
+    samples = []
+    for spec, (u, p) in zip(sweeps, noisy.tolist()):
+        true_label, name = spec.label.split(":", 1)
+        samples += [(true_label, name, Sample(*row)) for row in zip(currents, u, p)]
+    return samples
+
+
+def bits(triples):
+    """The triples with every float as its hex digits, so -0.0 differs from 0.0."""
+    assert all(type(sample) is Sample for _, _, sample in triples)
+    return [(t, name, *map(float.hex, sample)) for t, name, sample in triples]
+
+
+def random_scenario(rng):
+    """The bundled scenario redrawn over the param_study ranges, one coil detuned.
+
+    Loads 0.5-20 ohm and distances 0.03-0.30 m for the coils, six Fe/Cu/Al
+    plates of half side 0.02-0.15 m at 0.03-0.30 m, and random test
+    currents, noise and seed.
+    """
+    sc = load_scenario()
+    coils = [
+        replace(coil, load_ohm=rng.uniform(0.5, 20.0), distance_m=rng.uniform(0.03, 0.30))
+        for coil in sc.receiver_coils
+    ]
+    resonant = resonant_capacitance(coils[0].inductance_h, sc.omega)
+    coils[0] = replace(coils[0], capacitance_f=resonant * rng.uniform(0.8, 1.25))
+    plates = []
+    for k in range(6):
+        material = rng.choice(["ferrum", "cuprum", "aluminum"])
+        mu_r = rng.uniform(200.0, 400.0) if material == "ferrum" else None
+        half_side, distance = rng.uniform(0.02, 0.15), rng.uniform(0.03, 0.30)
+        plates.append(MetalPlateSpec(f"plate{k}", material, half_side, distance, mu_r))
+    currents = (0.0, 3.0, *(rng.uniform(0.0, 20.0) for _ in range(rng.randrange(1, 8))))
+    return replace(
+        sc,
+        receiver_coils=tuple(coils),
+        metal_plates=tuple(plates),
+        noise=NoiseSpec(rng.choice([0.0, 0.01, 0.2, 2.0]), rng.randrange(2**31)),
+        detection=replace(sc.detection, test_currents_a=currents),
+    )
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("index", range(20))
+    def test_matches_per_receiver_reference(self, index):
+        # the one-pass generator gives the per-receiver generator's triples bit for bit
+        sc = random_scenario(random.Random(index))
+        sweeps = build_sweeps(sc)
+        assert generate_test_samples(sc) == reference_samples(sc, sc.noise.seed, sweeps)
+        # a steered receiver: the drive at pi/4 and both couplings nonzero
+        steered = make_spec(m_ac=5e-7, m_bc=2e-7, label="coil:steered")
+        sweeps.insert(index % len(sweeps), steered)
+        for seed in (index, 2**31 + index, 12345):
+            got = generate_test_samples(sc, seed, sweeps)
+            assert bits(got) == bits(reference_samples(sc, seed, sweeps))
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan])
+    def test_bad_current_raises(self, repro_scenario, repro_sweeps, bad):
+        sc = replace(
+            repro_scenario, detection=replace(repro_scenario.detection, test_currents_a=(3.0, bad))
+        )
+        with pytest.raises(ValueError, match=r"^i_tx must be >= 0$"):
+            generate_test_samples(sc, 0, repro_sweeps)
 
 
 HEADER = "label,i_tx_A,u_tx_V,p_in_W"
@@ -376,10 +465,12 @@ class TestCsv:
             ("neg_zero", [-0.0, 1.0], [0.0, -0.0], [-0.0, 2.0]),
             ("neg_current", [-2.5, -1e-13], [1.0, 2.0], [3.0, 4.0]),
             ("inf", [0.0, 1.0], [math.inf, 1.0], [1.0, math.inf]),
+            ("inf_current", [-math.inf, 0.0, math.inf], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
             ("empty", [], [], []),
             ("µ%é", [0.0, 12.5], [0.25, 1e-12], [123456789.0625, 5e-13]),
         ],
-        ids=["carry", "subnormal", "neg_zero", "neg_current", "inf", "empty", "label"],
+        ids=["carry", "subnormal", "neg_zero", "neg_current", "inf", "inf_current", "empty",
+             "label"],
     )
     def test_writer_edge_cases_match_reference(self, label, i, u, p):
         curves = [CharacteristicCurve(label, i, u, p), CharacteristicCurve("b", [1.0], [2], [3])]

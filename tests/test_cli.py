@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import wptmod
 from wptmod import characteristics, cli, magnetics, materials, scenario
 from wptmod.errors import ScenarioError, SingularityError
 
@@ -990,7 +991,8 @@ def test_verbs_run_with_encoding_warnings_as_errors(tmp_path):
 
 def test_package_import_loads_no_numpy(tmp_path):
     # the package root re-exports nothing, and the CLI imports the physics modules
-    # inside the verbs that run them: parsing, --help and materials start without numpy
+    # inside the verbs that run them: parsing, --help, --version and materials
+    # start without numpy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
@@ -1008,6 +1010,7 @@ def test_package_import_loads_no_numpy(tmp_path):
         (["wptmod"], None),
         (["wptmod.cli"], None),
         (["wptmod.cli", "--help"], cli.EXIT_OK),
+        (["wptmod.cli", "--version"], cli.EXIT_OK),
         (["wptmod.cli", "couplings", "--no-such-flag"], cli.EXIT_VALIDATION),
         (["wptmod.cli", "materials"], cli.EXIT_OK),
         (["wptmod.cli", "materials", "--db", str(tmp_path / "missing.json")], cli.EXIT_VALIDATION),
@@ -1018,3 +1021,12 @@ def test_package_import_loads_no_numpy(tmp_path):
             capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
         )
         assert result.stdout.splitlines()[-1] == f"{code} []", args
+        if args[1:] == ["--version"]:
+            assert result.stdout.splitlines()[0] == f"wptmod {wptmod.__version__}"
+
+
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == cli.EXIT_OK
+    assert capsys.readouterr().out == f"wptmod {wptmod.__version__}\n"

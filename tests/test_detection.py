@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -307,6 +308,65 @@ class TestNonFinite:
         batch = [("coil", Sample(*point)) for point in zip(*points)]
         with pytest.raises(ValueError, match="sample values must be finite and >= 0"):
             evaluate_batch(batch, model)
+
+
+def reference_report(samples, model: ThresholdModel) -> dict:
+    """evaluate_batch's report rebuilt row by row from classify: the oracle."""
+    counts, rows = {}, []
+    for true, sample in samples:
+        v = classify(sample, model)
+        counts.setdefault(true, {lab.value: 0 for lab in Label})[v.label.value] += 1
+        rows.append({
+            "true_label": true,
+            "i_tx_A": sample.i_tx,
+            "u_tx_V": sample.u_tx,
+            "p_in_W": sample.p_in,
+            "verdict": v.label.value,
+            "u_below": v.u_below,
+            "p_below": v.p_below,
+            "gated": v.gated,
+        })
+    undecided = sum(c["indeterminate"] for c in counts.values())
+    decidable = len(samples) - undecided
+    correct = sum(counts[k][k] for k in ("metal", "coil") if k in counts)
+    return {
+        "counts": counts,
+        "total": len(samples),
+        "decidable": decidable,
+        "no_decidable_samples": decidable == 0,
+        "accuracy": correct / decidable if decidable else None,
+        "samples": rows,
+    }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_batch_report_matches_row_by_row_reference(seed):
+    # gated points, points on either threshold or one ulp off it, and points
+    # whose sub-tests disagree, under true labels beyond coil and metal
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(1, 4))
+    model = ThresholdModel(
+        *rng.uniform(0.0, 2.0, 2), tuple(rng.uniform(0.0, 0.5, degree + 1)), degree,
+        i_min_gate=float(rng.uniform(0.5, 6.0)),
+    )
+    kinds = ["coil", "metal", "indeterminate", "plate:fe", "x"][: int(rng.integers(1, 6))]
+    samples = []
+    for _ in range(int(rng.integers(1, 80))):
+        i = float(rng.choice([model.i_min_gate, rng.uniform(0.0, 12.0)]))
+        values = []
+        for threshold in (model.u_threshold(i), model.p_threshold(i)):
+            step = rng.choice([0.0, -math.inf, math.inf, 0.5, 1.5])
+            if step in (0.0, -math.inf, math.inf):
+                value = threshold if step == 0.0 else math.nextafter(threshold, step)
+            else:
+                value = threshold * step
+            values.append(max(value, 0.0))
+        samples.append((str(rng.choice(kinds)), Sample(i, *values)))
+    report = evaluate_batch(samples, model)
+    assert json.dumps(report) == json.dumps(reference_report(samples, model))
+    verdicts = {row["verdict"] for row in report["samples"]}
+    if len(samples) > 40:
+        assert verdicts == {"metal", "coil", "indeterminate"}
 
 
 @pytest.mark.parametrize("gate", [None, 6.0])
