@@ -11,7 +11,8 @@ points.  It would matter under an absolute noise floor, which the model
 lacks.
 
 One decision rule classifies (I, U, P) points held in arrays, in one array
-pass; classify_arrays, classify and evaluate_batch are thin wrappers over it.
+pass; classify (one point) and evaluate_batch (a report) are its only public
+callers.
 """
 
 from __future__ import annotations
@@ -82,15 +83,12 @@ class ThresholdModel:
 
     u_slope: float  # [V/A]
     u_intercept: float  # [V]
-    p_poly: tuple[float, ...]  # ascending powers of current
-    degree: int
+    p_poly: tuple[float, ...]  # ascending powers of current, degree >= 1
     i_min_gate: float = 3.0  # [A]
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if len(self.p_poly) != self.degree + 1:
-            raise ValueError("p_poly must have degree + 1 coefficients")
+        if len(self.p_poly) < 2:
+            raise ValueError(f"p_poly must have at least 2 coefficients, got {len(self.p_poly)}")
         if not 0.0 < self.i_min_gate < math.inf:
             raise ValueError(f"i_min_gate must be finite and > 0, got {self.i_min_gate!r}")
         # every comparison with a NaN threshold is false: each decided point would read coil
@@ -100,6 +98,11 @@ class ThresholdModel:
         object.__setattr__(self, "p_poly", tuple(float(c) for c in self.p_poly))
         if not all(map(math.isfinite, self.p_poly)):
             raise ValueError(f"p_poly must be finite, got {self.p_poly!r}")
+
+    @property
+    def degree(self) -> int:
+        """The P-I polynomial's degree, fixed by its coefficient count."""
+        return len(self.p_poly) - 1
 
     def u_threshold(self, i_tx):
         """The U-I threshold at i_tx, a float or a float array.
@@ -131,9 +134,7 @@ class ThresholdModel:
                 f"entries, got {len(f.p_poly_W_per_A_n)}"
             )
         line = f.u_line
-        return cls(
-            line.slope_V_per_A, line.intercept_V, f.p_poly_W_per_A_n, f.degree, f.i_min_gate_A
-        )
+        return cls(line.slope_V_per_A, line.intercept_V, f.p_poly_W_per_A_n, f.i_min_gate_A)
 
 
 def _resample(curves: list[CharacteristicCurve], grid: np.ndarray):
@@ -178,14 +179,16 @@ def fit_thresholds(
     U-I plane and a polynomial of the given degree in the P-I plane.
     Raises NonSeparableDataError when the class envelopes overlap at 10% or
     more of the grid points at or above the gate, or at the last point when
-    the gate lies past the grid, and ValueError when the degree is not below
-    the grid's point count (an underdetermined fit).
+    the gate lies past the grid, and ValueError when the degree is below 1 or
+    not below the grid's point count (an underdetermined fit).
     """
     if not metal_curves or not coil_curves:
         raise ValueError("need at least one metal and one coil curve")
     grid = _common_grid(metal_curves, coil_curves)
-    if not degree < grid.size:
-        raise ValueError(f"degree must be < {grid.size}, the grid's point count, got {degree}")
+    if not 1 <= degree < grid.size:
+        raise ValueError(
+            f"degree must be >= 1 and < {grid.size}, the grid's point count, got {degree}"
+        )
     u_metal, p_metal = _resample(metal_curves, grid)
     u_coil, p_coil = _resample(coil_curves, grid)
     u_hi = u_metal.max(axis=0)
@@ -211,32 +214,16 @@ def fit_thresholds(
         u_slope=float(line[1]),
         u_intercept=float(line[0]),
         p_poly=tuple(float(c) for c in p_coeffs),
-        degree=degree,
         i_min_gate=i_min_gate,
     )
 
 
-class Decisions(NamedTuple):
-    """The decision rule's outcome for an array of points, one entry per point.
-
-    label holds Label values ("metal", "coil", "indeterminate").  u_below and
-    p_below are computed for every point, but a gated point's label ignores
-    them.
-    """
-
-    label: np.ndarray
-    gated: np.ndarray
-    u_below: np.ndarray
-    p_below: np.ndarray
-
-
 # a decision code indexes Label's members: 0 metal, 1 coil, 2 indeterminate
 _VERDICTS = tuple(lab.value for lab in Label)
-_VERDICT_ARRAY = np.array(_VERDICTS)
 
 
 def _decide(i_tx, u_tx, p_in, model: ThresholdModel):
-    """(code, gated, u_below, p_below) arrays of the decision rule; see classify_arrays."""
+    """(code, gated, u_below, p_below) arrays of the decision rule; see classify."""
     i, u, p = (np.asarray(a, dtype=float) for a in (i_tx, u_tx, p_in))
     for a in (i, u, p):
         if not ((a >= 0.0) & (a < math.inf)).all():
@@ -251,25 +238,17 @@ def _decide(i_tx, u_tx, p_in, model: ThresholdModel):
     return code, gated, u_below, p_below
 
 
-def classify_arrays(i_tx, u_tx, p_in, model: ThresholdModel) -> Decisions:
-    """The decision rule, over arrays of measured points.
+def classify(sample: Sample, model: ThresholdModel) -> Verdict:
+    """Classify one measured point by the decision rule.
 
     Strictly below both threshold curves means metal, on or above both means
     coil (an on-threshold value counts as the coil side), and disagreeing
-    sub-tests or a current under the gate give indeterminate.  The thresholds
-    come from ThresholdModel.u_threshold and p_threshold applied to the whole
-    array, which round as they do for one float.  Raises ValueError unless
-    every value is finite and >= 0: the one check of a Sample's values.
-    """
-    code, gated, u_below, p_below = _decide(i_tx, u_tx, p_in, model)
-    # the Ellipsis keeps a 0-d code's label a 0-d array, not a scalar
-    return Decisions(_VERDICT_ARRAY[code, ...], gated, u_below, p_below)
-
-
-def classify(sample: Sample, model: ThresholdModel) -> Verdict:
-    """Classify one sample by classify_arrays' rule.
-
-    A gated sample reports None for u_below and p_below.
+    sub-tests or a current under the gate give indeterminate; a gated sample
+    reports None for u_below and p_below.  The thresholds come from
+    ThresholdModel.u_threshold and p_threshold, which round an array as they
+    round one float, so evaluate_batch decides each point as classify does.
+    Raises ValueError unless every value is finite and >= 0: the one check of
+    a Sample's values.
     """
     code, gated, u_below, p_below = _decide(*sample, model)
     if gated:
@@ -282,7 +261,7 @@ def evaluate_batch(
 ) -> dict:
     """Aggregate verdict statistics for (true_label, sample) pairs.
 
-    The whole batch is decided in one array pass of classify_arrays' rule,
+    The whole batch is decided in one array pass of classify's rule,
     and the report rows are built from its arrays.  Accuracy is computed
     over decidable (non-indeterminate) samples; indeterminate verdicts are
     counted separately.

@@ -612,18 +612,24 @@ class TestCurvesFitDetect:
         assert f"unrecognized arguments: {argv[1]} 3" in capsys.readouterr().err
 
     def test_fit_degree_past_grid_names_key(self, pipeline_out, tmp_path, capsys):
+        # the bundled sweep has 21 points: degree 20 fits, and 21 is one past the grid
         raw = _bundled()
-        raw["detection"]["degree"] = 40
         path = tmp_path / "edited.json"
-        path.write_text(json.dumps(raw))
         (tmp_path / "curves.csv").write_bytes((pipeline_out / "curves.csv").read_bytes())
-        code = cli.main(["fit", "--scenario", str(path), "--out", str(tmp_path)])
-        assert code == cli.EXIT_VALIDATION
-        assert (
-            "scenario.detection.degree must be < 21, the grid's point count, got 40"
-            in capsys.readouterr().err
-        )
-        assert not (tmp_path / "threshold.json").exists()
+        argv = ["fit", "--scenario", str(path), "--out", str(tmp_path)]
+        for degree in (21, 40):
+            raw["detection"]["degree"] = degree
+            path.write_text(json.dumps(raw))
+            assert cli.main(argv) == cli.EXIT_VALIDATION
+            assert (
+                f"scenario.detection.degree must be < 21, the grid's point count, got {degree}"
+                in capsys.readouterr().err
+            )
+            assert not (tmp_path / "threshold.json").exists()
+        raw["detection"]["degree"] = 20
+        path.write_text(json.dumps(raw))
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads((tmp_path / "threshold.json").read_text())["degree"] == 20
 
     @pytest.mark.parametrize("gate", [3, 20, 50])
     def test_fit_overlap_past_the_gate_exits_4(self, tmp_path, capsys, gate):

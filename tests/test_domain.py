@@ -197,6 +197,13 @@ def test_anywhere_in_the_domain(values):
     _run(inputs)
 
 
+def test_sweep_at_the_minimum_step_accepted():
+    # a span of exactly MIN_STEP_A per step, exact in floating point, is allowed
+    inputs = _edited({I_MIN: 0, I_MAX: 1e-9, ("scenario", "sweep", "steps"): 2})
+    assert 1e-9 - 0 == MIN_STEP_A * (2 - 1)
+    assert parse_scenario(inputs["scenario"]).sweep.i_max_a == 1e-9
+
+
 def test_sweep_finer_than_curves_csv_named(tmp_path, capsys):
     # 20 steps of 2.5e-103 A all printed as 0.000000000000, and `fit` refused the curve
     inputs = _edited({I_MIN: 0, I_MAX: 5e-102})

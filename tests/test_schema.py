@@ -106,7 +106,7 @@ def test_plain_dataclass_is_a_spec_class(value, message):
         schema.read(_Plain, value, "plain")
 
 
-# ROADMAP item 5: inputs that exited 2 naming no key, or passed until a later verb
+# malformed inputs that exited 2 naming no key, or passed until a later verb
 _ROADMAP = [
     ("steps_1", ("scenario", "sweep", "steps"), 1, "scenario.sweep.steps must be >= 2, got 1"),
     (
