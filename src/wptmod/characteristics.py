@@ -14,6 +14,7 @@ differ from it (ROADMAP item 5).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +44,11 @@ class SweepSpec:
             raise ValueError("steps must be >= 2")
 
 
+# ndarray.all() as the ufunc's own reduction, without the Python-level
+# wrapper that each .all() call goes through
+_every = functools.partial(np.logical_and.reduce, axis=None)
+
+
 @dataclass(frozen=True)
 class CharacteristicCurve:
     """Sampled (current, voltage, power) locus for one labeled receiver."""
@@ -62,9 +68,9 @@ class CharacteristicCurve:
         # every comparison with NaN is false, so NaN fails both checks; the
         # first current has no predecessor to exceed, so it is compared with
         # -inf, which a NaN in a one-point curve fails too
-        if not ((i[1:] > i[:-1]).all() and (i[:1] >= -math.inf).all()):
+        if not (_every(np.greater(i[1:], i[:-1])) and _every(np.greater_equal(i[:1], -math.inf))):
             raise ValueError("i_tx must be strictly increasing")
-        if not ((u >= 0.0).all() and (p >= 0.0).all()):
+        if not (_every(np.greater_equal(u, 0.0)) and _every(np.greater_equal(p, 0.0))):
             raise ValueError("u_tx and p_in must be nonnegative")
 
 
@@ -85,16 +91,33 @@ def _u_and_p(magnitude, resistance, i_tx):
     (receivers, 1) column of each and the row of test currents.
     """
     i_tx = np.asarray(i_tx, dtype=float)
-    if not (i_tx >= 0.0).all():
+    if not _every(np.greater_equal(i_tx, 0.0)):
         raise ValueError("i_tx must be >= 0")
     return magnitude * i_tx, resistance * i_tx * i_tx
 
 
 def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
-    """Evaluate the noiseless characteristic curve for one receiver."""
-    currents = np.linspace(spec.i_min, spec.i_max, spec.steps)
+    """Evaluate the noiseless characteristic curve for one receiver.
+
+    Its i_tx is np.linspace(i_min, i_max, steps), one read-only array shared
+    by every sweep over that range (_grid), so fit_thresholds finds the
+    curves on one grid by identity.
+    """
+    currents = _grid(spec.i_min, spec.i_max, spec.steps)
     u, p = evaluate_point(spec, currents)
     return CharacteristicCurve(label=spec.label, i_tx=currents, u_tx=u, p_in=p)
+
+
+# typed: a float32 bound makes linspace compute in float32, so it must not
+# share the entry of the equal float64 one.  -0.0 and 0.0 do share one:
+# linspace adds the start to 0.0, which gives +0.0 from either.  A scenario
+# sweep holds at most scenario.MAX_STEPS points, 800 kB of grid.
+@functools.lru_cache(maxsize=4, typed=True)
+def _grid(i_min: float, i_max: float, steps: int) -> np.ndarray:
+    """np.linspace(i_min, i_max, steps), made read-only since every sweep shares it."""
+    grid = np.linspace(i_min, i_max, steps)
+    grid.flags.writeable = False
+    return grid
 
 
 _HEADER = "label,i_tx_A,u_tx_V,p_in_W"

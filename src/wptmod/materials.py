@@ -1,17 +1,19 @@
 """The metal material database: bulk conductivity and relative permeability.
 
 `load_materials` reads the bundled database or an alternate file through
-wptmod.schema.  This module imports no numpy, so the `materials` verb reads
+wptmod.schema, parsing a file's text only when it differs from the last
+successful read's.  This module imports no numpy, so the `materials` verb reads
 the database without loading the physics stack; wptmod.eddy takes a
 MetalMaterial as its input.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import ScenarioError
-from .schema import CONDUCTIVITY_S_PER_M, MU_R, finite, key, load_json, read, string
+from .schema import CONDUCTIVITY_S_PER_M, MU_R, decode_json, finite, key, read, read_text, string
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,22 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
     JSON or holds a malformed entry (one MetalMaterial refuses, too) raises
     ScenarioError naming the path and the entry's key, as does a name or
-    alias that, lowercased, an earlier entry already binds.
+    alias that, lowercased, an earlier entry already binds.  The file is
+    read on every call, so an edit is seen; it is parsed again only when
+    its path or text differs from the last successful call's.  Each call
+    returns a new dict.
     """
-    entries = load_json(path, "materials.json", "material database")
-    where = f"material database {path!r}: entry"
+    text = read_text(path, "material database", "materials.json")
+    return dict(_database(path, text))
+
+
+# one entry: a run reads one database over and over; a failed read is not kept
+@functools.lru_cache(maxsize=1)
+def _database(path, text: str) -> dict[str, MetalMaterial]:
+    """The database that load_materials(path) returns when the file holds text."""
+    source = f"material database {path!r}"
+    where = f"{source}: entry"
+    entries = decode_json(text, source)
     db: dict[str, MetalMaterial] = {}
     owner: dict[str, int] = {}  # the index of the entry binding each key of db
     for index, entry in enumerate(read([_Entry], entries, where)):

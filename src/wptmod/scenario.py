@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -255,5 +256,7 @@ def generate_test_samples(
     samples = []
     for sweep, u, p in zip(sweeps, *noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)
-        samples += [(true_label, name, s) for s in map(Sample._make, zip(currents, u, p))]
+        # tuple.__new__ builds each Sample in C, skipping the NamedTuple's Python __new__
+        points = map(tuple.__new__, repeat(Sample), zip(currents, u, p))
+        samples += zip(repeat(true_label), repeat(name), points)
     return samples

@@ -57,8 +57,15 @@ def key(kind, default=dataclasses.MISSING, **bounds):
     return dataclasses.field(default=default, metadata={"kind": kind, "bounds": checks})
 
 
-def read_text(path, what: str) -> str:
-    """The UTF-8 text of the input file at path; ScenarioError names what and path."""
+def read_text(path, what: str, bundled: str | None = None) -> str:
+    """The UTF-8 text of the input file at path, or of the bundled data file when path is None.
+
+    bundled names that file in wptmod/data.
+
+    ScenarioError names what and path when the file cannot be read or is not UTF-8.
+    """
+    if path is None:
+        return resources.files("wptmod.data").joinpath(bundled).read_text(encoding="utf-8")
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -72,11 +79,7 @@ def load_json(path, bundled: str, what: str):
     ScenarioError names what and the path when the file cannot be read, is
     not UTF-8 or is not JSON, as decode_json reads it.
     """
-    if path is None:
-        text = resources.files("wptmod.data").joinpath(bundled).read_text(encoding="utf-8")
-    else:
-        text = read_text(path, what)
-    return decode_json(text, f"{what} {path!r}")
+    return decode_json(read_text(path, what, bundled), f"{what} {path!r}")
 
 
 def decode_json(text: str, what: str):

@@ -678,3 +678,29 @@ def test_build_sweeps_puts_receivers_on_coil_b_axis(repro_scenario, repro_sweeps
         w = spec.drive.angular_frequency
         z_in = spec.tx.impedance(w) + (w * m) ** 2 / spec.receiver.impedance(w)
         assert input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx) == z_in
+
+
+def test_sweeps_over_one_range_share_one_read_only_grid():
+    a = sweep_curve(make_spec(m_bc=2e-7, label="coil:a"))
+    b = sweep_curve(make_spec(m_bc=-4e-7, label="metal:b"))
+    assert a.i_tx is b.i_tx
+    assert a.i_tx.tobytes() == np.linspace(0.0, 10.0, 21).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a.i_tx[3] = 0.0
+    # a handful of grids at most, each up to MAX_STEPS points
+    assert 1 <= characteristics._grid.cache_info().maxsize <= 8
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(-0.0, 10.0), (np.float32(0.1), np.float32(10.3)), (0, 10), (np.float64(0.1), 10.3)],
+    ids=["negative_zero", "float32", "int", "float64"],
+)
+def test_grid_memo_gives_linspace_bits_of_each_bound_type(bounds):
+    # the memo keys on each bound's type: float32 bounds make np.linspace
+    # compute in float32, unlike the equal float64 ones swept just before
+    spec = make_spec()
+    sweep_curve(replace(spec, i_min=float(bounds[0]), i_max=float(bounds[1])))
+    curve = sweep_curve(replace(spec, i_min=bounds[0], i_max=bounds[1]))
+    expected = np.linspace(*bounds, spec.steps).astype(float)
+    assert curve.i_tx.tobytes() == expected.tobytes()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wptmod.characteristics import CharacteristicCurve
+from wptmod.characteristics import CharacteristicCurve, curves_from_csv, curves_to_csv
 from wptmod.detection import (
     Label,
     Sample,
@@ -459,5 +459,82 @@ def test_threshold_ties_and_gate_agree_with_scalar_rule():
             assert not v.gated
         if not v.gated and du == 0.0 and dp == 0.0:
             assert v.label is Label.COIL
+
+    check()
+
+
+def decades_grid(seed, zero):
+    """A strictly increasing grid starting at zero (0.0 or -0.0), its steps spanning decades."""
+    rng = np.random.default_rng(seed)
+    steps = 10.0 ** rng.uniform(-3.0, 1.0, rng.integers(3, 60))
+    return np.concatenate(([zero], zero + np.cumsum(steps)))
+
+
+def decades_training(grid, seed):
+    """Two metal and two coil curves on grid, with slopes spanning decades and ragged values."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    curves = []
+    for label, low in (("metal:a", 1.0), ("metal:b", 1.0), ("coil:a", 8.0), ("coil:b", 8.0)):
+        u = scale * low * grid * rng.uniform(1.0, 1.5, grid.size)
+        p = scale * low * grid * grid * rng.uniform(1.0, 1.5, grid.size)
+        curves.append(CharacteristicCurve(label, grid, u, p))
+    return curves
+
+
+def fitted(curves):
+    model = fit_thresholds(
+        [c for c in curves if c.label.startswith("metal:")],
+        [c for c in curves if c.label.startswith("coil:")],
+    )
+    return model.u_slope, model.u_intercept, model.p_poly
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_grid_fit_matches_resampled_fit_bit_for_bit(seed):
+    # curves on one grid, whether one array, equal copies or read back from
+    # curves.csv, fit exactly as the same curves np.interp-resampled onto it
+    swept = decades_training(decades_grid(seed, -0.0 if seed % 2 else 0.0), seed)
+    for curves in (swept, curves_from_csv(curves_to_csv(swept))):
+        first = curves[0].i_tx
+        shared = [CharacteristicCurve(c.label, first, c.u_tx, c.p_in) for c in curves]
+        copies = [CharacteristicCurve(c.label, np.array(first), c.u_tx, c.p_in) for c in curves]
+        by_hand = [
+            CharacteristicCurve(
+                c.label, first, np.interp(first, c.i_tx, c.u_tx), np.interp(first, c.i_tx, c.p_in)
+            )
+            for c in curves
+        ]
+        model = fitted(shared)
+        assert fitted(copies) == model
+        assert fitted(curves) == model
+        assert fitted(by_hand) == model
+
+
+def test_interp_on_its_own_grid_is_identity():
+    # the shared-grid fit takes each curve as it is, which is what np.interp
+    # gives back on the curve's own grid: fp[j] wherever x == xp[j]
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    )
+
+    @st.composite
+    def curves(draw):
+        xp = np.unique(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)))
+        if draw(st.booleans()) and xp[0] == 0.0:
+            xp[0] = -0.0
+        fp = np.array(draw(st.lists(values, min_size=xp.size, max_size=xp.size)))
+        return xp, fp
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.example((np.array([0.0, 1e-300, 1.0]), np.array([-0.0, 1e300, 5e-324])))
+    @hypothesis.example((np.array([-0.0, 1.0]), np.array([5e-324, -0.0])))
+    @hypothesis.given(curves())
+    def check(curve):
+        xp, fp = curve
+        assert np.interp(xp, xp, fp).tobytes() == fp.tobytes()
 
     check()

@@ -482,3 +482,38 @@ class TestTypesAndDatabase:
         fe = db["fe"]
         assert fe.rel_permeability == 300.0
         assert fe.rel_permeability_range == (200.0, 400.0)
+
+
+def test_database_edit_between_reads_is_seen(tmp_path):
+    path = tmp_path / "materials.json"
+    path.write_text('[{"name": "Cuprum", "conductivity_S_per_m": 5e7}]')
+    assert load_materials(str(path))["cuprum"].conductivity == 5e7
+    path.write_text('[{"name": "Cuprum", "conductivity_S_per_m": 4e7, "aliases": ["Cu"]}]')
+    db = load_materials(str(path))
+    assert db["cuprum"].conductivity == 4e7 and db["cu"] is db["cuprum"]
+
+
+def test_database_dict_is_new_on_each_read():
+    db = load_materials()
+    del db["cu"]
+    db["tin"] = db["fe"]
+    again = load_materials()
+    assert "tin" not in again and again["cu"].name == "cuprum"
+
+
+def test_database_error_not_kept_across_reads(tmp_path):
+    # a bad file raises its error on every read, and a good read before or
+    # after it is unaffected
+    good = load_materials()
+    path = tmp_path / "shadow.json"
+    path.write_text(
+        '[{"name": "A", "conductivity_S_per_m": 1e6},'
+        ' {"name": "a", "conductivity_S_per_m": 2e6}]'
+    )
+    message = re.escape(
+        f"material database {str(path)!r}: entry[1].name 'a' is already bound to entry[0] 'A'"
+    )
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=message):
+            load_materials(str(path))
+        assert load_materials() == good
