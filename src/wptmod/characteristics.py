@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_impedance
+from .schema import unique_label
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,13 @@ def curves_to_csv(curves: list[CharacteristicCurve]) -> str:
     so the digits are those of the exact decimal.  Every other curve (+-inf,
     -0.0, a negative current, a value at or above 1e15, or no points) is one
     %-format of its row template repeated once per point; a curve holds no
-    NaN, which CharacteristicCurve refuses.
+    NaN, which CharacteristicCurve refuses.  A label that curves_from_csv
+    could not read back, one holding a comma or a line break, raises the
+    ScenarioError (a ValueError) of schema.unique_label naming it.
     """
     parts = [_HEADER + "\n"]
     for curve in curves:
+        unique_label(curve.label, "curve label")
         values = np.column_stack([curve.i_tx, curve.u_tx, curve.p_in])
         if values.size and (values < _FIXED_LIMIT).all() and not np.signbit(values).any():
             parts.append(_fixed_rows(curve.label, values))
@@ -403,11 +407,13 @@ def _row_error(text: str) -> ValueError:
                 f"fields, got {len(fields)}"
             )
         for column, field in zip(_COLUMNS[1:], fields[1:]):
+            # loadtxt strips the whitespace around a number, Unicode spaces too
+            number = field.strip()
             try:
                 # loadtxt takes neither the underscores nor the non-ASCII digits of float()
-                if not field.isascii() or "_" in field:
+                if not number.isascii() or "_" in number:
                     raise ValueError(field)
-                value = float(field)
+                value = float(number)
             except ValueError:
                 return ValueError(
                     f"curves.csv line {lineno}, column {column}: not a number: {field!r}"

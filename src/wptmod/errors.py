@@ -33,5 +33,6 @@ class ScenarioError(WptError, ValueError):
     path or the flag.  A number outside its key's physical domain
     (wptmod.schema) is out of bounds.  Any input file that cannot be read or
     is not UTF-8 raises it naming the file.  curves.csv rows raise plain
-    ValueError naming the line.
+    ValueError naming the line; curves_to_csv raises it for a label that
+    curves.csv cannot hold, by the rule scenario labels follow.
     """

@@ -1,15 +1,14 @@
 """The metal material database: bulk conductivity and relative permeability.
 
-`load_materials` reads the bundled database or an alternate file through
-wptmod.schema, parsing a file's text only when it differs from the last
-successful read's.  This module imports no numpy, so the `materials` verb reads
-the database without loading the physics stack; wptmod.eddy takes a
+`load_materials` reads and parses the bundled database or an alternate file
+on every call, through wptmod.schema, which reads the bundled file once per
+process.  This module imports no numpy, so the `materials` verb reads the
+database without loading the physics stack; wptmod.eddy takes a
 MetalMaterial as its input.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import ScenarioError
@@ -59,22 +58,11 @@ def load_materials(path=None) -> dict[str, MetalMaterial]:
     properties (Cu, Al, Fe) is used.  A file that cannot be read, is not
     JSON or holds a malformed entry (one MetalMaterial refuses, too) raises
     ScenarioError naming the path and the entry's key, as does a name or
-    alias that, lowercased, an earlier entry already binds.  The file is
-    read on every call, so an edit is seen; it is parsed again only when
-    its path or text differs from the last successful call's.  Each call
-    returns a new dict.
+    alias that, lowercased, an earlier entry already binds.
     """
-    text = read_text(path, "material database", "materials.json")
-    return dict(_database(path, text))
-
-
-# one entry: a run reads one database over and over; a failed read is not kept
-@functools.lru_cache(maxsize=1)
-def _database(path, text: str) -> dict[str, MetalMaterial]:
-    """The database that load_materials(path) returns when the file holds text."""
     source = f"material database {path!r}"
     where = f"{source}: entry"
-    entries = decode_json(text, source)
+    entries = decode_json(read_text(path, "material database", "materials.json"), source)
     db: dict[str, MetalMaterial] = {}
     owner: dict[str, int] = {}  # the index of the entry binding each key of db
     for index, entry in enumerate(read([_Entry], entries, where)):

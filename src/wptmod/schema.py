@@ -10,12 +10,14 @@ repeated label.
 
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
-`read_text` opens every input file, and `decode_json` reads every JSON input.
+`read_text` opens every input file, a bundled data file once per process, and
+`decode_json` reads every JSON input.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import operator
 import sys
@@ -60,17 +62,24 @@ def key(kind, default=dataclasses.MISSING, **bounds):
 def read_text(path, what: str, bundled: str | None = None) -> str:
     """The UTF-8 text of the input file at path, or of the bundled data file when path is None.
 
-    bundled names that file in wptmod/data.
+    bundled names that file in wptmod/data, which is read once per process
+    (_bundled_text); a file at path is read on every call, so an edit is seen.
 
     ScenarioError names what and path when the file cannot be read or is not UTF-8.
     """
     if path is None:
-        return resources.files("wptmod.data").joinpath(bundled).read_text(encoding="utf-8")
+        return _bundled_text(bundled)
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+# package data cannot change while the process runs
+@functools.cache
+def _bundled_text(name: str) -> str:
+    return resources.files("wptmod.data").joinpath(name).read_text(encoding="utf-8")
 
 
 def load_json(path, bundled: str, what: str):

@@ -182,6 +182,30 @@ class TestSweepShapes:
             CharacteristicCurve("x", [1.0, 2.0], [-1.0, 0.0], [0.0, 0.0])
 
 
+class TestLibraryGuards:
+    # a scenario never reaches these guards, since the schema domain refuses
+    # the same values at parse time; each is tested at its first refused value
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"steps": 1}, "steps must be >= 2"),
+            ({"i_min": -5e-324}, "require 0 <= i_min < i_max"),
+            ({"i_max": 0.0}, "require 0 <= i_min < i_max"),
+        ],
+        ids=["steps", "i_min", "i_max"],
+    )
+    def test_sweep_spec_refuses_first_invalid_value(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(make_spec(), **values)
+
+    @pytest.mark.parametrize("short", ["i_tx", "u_tx", "p_in"])
+    def test_curve_refuses_arrays_of_unequal_length(self, short):
+        arrays = {"i_tx": [1.0, 2.0], "u_tx": [1.0, 2.0], "p_in": [1.0, 2.0], short: [1.0]}
+        with pytest.raises(ValueError, match="^curve arrays must have equal length$"):
+            CharacteristicCurve("x", **arrays)
+
+
 class TestNoise:
     SWEEPS = [make_spec(m_ac=5e-7, label="coil:a"), make_spec(m_bc=2e-7, label="metal:b")]
 
@@ -444,6 +468,27 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^curves.csv {message}$"):
             curves_from_csv(text)
 
+    def test_row_that_loadtxt_reads_is_not_blamed(self):
+        # loadtxt strips the no-break space around line 2's number, as the
+        # blame does; the bad field is on line 3
+        text = f"{HEADER}\ncoil:a,\xa01,1,1\ncoil:a,2,abc,2\n"
+        message = "^curves.csv line 3, column u_tx_V: not a number: 'abc'$"
+        with pytest.raises(ValueError, match=message):
+            curves_from_csv(text)
+
+    @pytest.mark.parametrize("label", ["metal:a,b", "coil:x\ny", "coil:x\u2028y"])
+    def test_writer_refuses_label_it_cannot_read_back(self, label):
+        curves = [CharacteristicCurve(label, [1.0], [1.0], [1.0])]
+        message = f"curve label must be a string without commas or line breaks, got {label!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curves_to_csv(curves)
+
+    def test_empty_label_round_trips(self):
+        curves = [CharacteristicCurve("", [0.0, 1.0], [0.5, 1.0], [0.25, 1.0])]
+        text = curves_to_csv(curves)
+        assert text == reference_to_csv(curves)
+        assert_matches_reference(curves_from_csv(text), text)
+
     def test_rows_without_numbers_rejected_quietly(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on input with no data
@@ -639,6 +684,36 @@ def test_parse_is_correctly_rounded():
         ]
         text = "\n".join([HEADER, *rows])
         assert_matches_reference(curves_from_csv(text), text)
+
+    check()
+
+
+def test_blame_agrees_with_loadtxt_on_one_field():
+    # the error names line 2 exactly where np.loadtxt refuses the field or
+    # reads a non-finite value, and says which; loadtxt strips ASCII and
+    # Unicode whitespace around a number, and takes no underscore and no
+    # non-ASCII digit
+    hypothesis, st = _hypothesis()
+    pieces = ["0", "1", "7", "-", "+", ".", "e", "inf", "nan", "_", " ", "\t", "\xa0", "\x1f",
+              "\u2000", "\u0661"]
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(st.sampled_from(pieces), max_size=6).map("".join))
+    def check(field):
+        row = f"coil:a,{field},1,1"
+        text = f"{HEADER}\n{row}\n"
+        try:
+            want, _, _ = np.loadtxt([row], delimiter=",", comments=None, usecols=(1, 2, 3))
+        except ValueError:
+            with pytest.raises(ValueError, match="^curves.csv line 2, column i_tx_A: not a number"):
+                curves_from_csv(text)
+            return
+        if math.isfinite(want):
+            (curve,) = curves_from_csv(text)
+            assert curve.i_tx.tobytes() == np.array([want]).tobytes()
+        else:
+            with pytest.raises(ValueError, match="^curves.csv line 2, column i_tx_A: non-finite"):
+                curves_from_csv(text)
 
     check()
 

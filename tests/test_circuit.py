@@ -304,3 +304,55 @@ class TestCouplingsHelpers:
             Couplings(float("nan"), 0.0)
         with pytest.raises(ValueError):
             DriveSpec(amplitude=-1.0)
+
+
+class TestLibraryGuards:
+    # a scenario never reaches these guards, since the schema domain refuses
+    # the same values at parse time; each is tested at its first refused value
+
+    @pytest.mark.parametrize("field", ["resistance", "inductance", "capacitance"])
+    def test_tx_coil_refuses_zero(self, field):
+        with pytest.raises(ValueError, match="^TxCoil parameters must be strictly positive$"):
+            replace(default_tx_coil(), **{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["resistance", "inductance", "capacitance", "load"])
+    def test_coil_receiver_refuses_zero(self, field):
+        message = "^CoilReceiver parameters must be strictly positive$"
+        with pytest.raises(ValueError, match=message):
+            replace(resonant_coil_receiver(0.1, 4.5), **{field: 0.0})
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"angular_frequency": 0.0}, "angular_frequency must be > 0"),
+            ({"amplitude": -5e-324}, "amplitude must be >= 0"),
+        ],
+        ids=["angular_frequency", "amplitude"],
+    )
+    def test_drive_refuses_first_invalid_value(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DriveSpec(**values)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda full, driven: reduced_counterpart(full), "full solution must carry"),
+            (
+                lambda full, driven: equivalence_constants(full, reduced_counterpart(driven)),
+                "full solution must carry",
+            ),
+            (
+                lambda full, driven: equivalence_constants(driven, driven),
+                "reduced solution must come from reduced_counterpart",
+            ),
+        ],
+        ids=["reduced_counterpart", "equivalence_full", "equivalence_reduced"],
+    )
+    def test_equivalence_refuses_solution_it_cannot_map(self, call, message):
+        # solve_full_system is voltage driven: its solution carries no drive
+        couplings = Couplings(1e-7, 2e-7)
+        rx, tx = resonant_coil_receiver(0.1, 4.5), default_tx_coil()
+        full = solve_full_system(1.0, 0.5, couplings, rx, tx, OMEGA)
+        driven = solve_from_drive(DriveSpec(OMEGA, 1.0, 0.3), couplings, rx, tx)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call(full, driven)

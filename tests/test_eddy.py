@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -456,6 +457,14 @@ class TestTypesAndDatabase:
     def test_geometry_invariants(self):
         with pytest.raises(ValueError):
             EddyGeometry(0.0, 3, 0.2, W20K)
+
+    @pytest.mark.parametrize(
+        "field", ["coil_half_side", "coil_turns", "plate_distance", "angular_frequency"]
+    )
+    def test_geometry_refuses_zero(self, field):
+        # a scenario never reaches this guard: the schema domain refuses 0 at parse time
+        with pytest.raises(ValueError, match="^all EddyGeometry fields must be strictly positive$"):
+            replace(geom(), **{field: 0})
 
     def test_database_read_errors_are_scenario_errors(self, tmp_path):
         binary = tmp_path / "binary.json"

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wptmod import cli, magnetics, scenario
+from wptmod.errors import ConvergenceError
 from wptmod.magnetics import (
     CoaxialPair,
     SquareLoop,
@@ -193,3 +195,40 @@ class TestInvariantsValidation:
             SquareLoop(0.0)
         with pytest.raises(ValueError):
             SquareLoop(0.1, 0)
+
+
+class TestLibraryGuards:
+    # a scenario never reaches these guards, since the schema domain refuses
+    # the same values at parse time; each is tested at its first refused value
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"secondary_half_side": 0.0}, "secondary_half_side must be > 0"),
+            ({"secondary_turns": 0}, "secondary_turns must be a positive integer"),
+            ({"secondary_turns": 1.5}, "secondary_turns must be a positive integer"),
+        ],
+        ids=["secondary_half_side", "secondary_turns", "fractional_turns"],
+    )
+    def test_coaxial_pair_refuses_first_invalid_value(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(CoaxialPair(SquareLoop(0.1), 0.1, 0.2), **values)
+
+    @pytest.mark.parametrize("n_max", [16, 32])
+    def test_neumann_refuses_to_stop_short_of_its_tolerance(self, n_max):
+        pair = CoaxialPair(SquareLoop(0.1), 0.1, 0.2)
+        message = f"^Neumann integral did not converge to 1e-12 within {n_max} elements/side$"
+        with pytest.raises(ConvergenceError, match=message):
+            mutual_inductance_neumann(pair, rel_tol=1e-12, n_max=n_max)
+
+    @pytest.mark.parametrize(
+        "coupling", [mutual_inductance_coil_plate, mutual_inductance_coil_plate_by_integration]
+    )
+    @pytest.mark.parametrize(
+        "plate_half_side, separation, message",
+        [(0.0, 0.2, "plate_half_side must be > 0"), (0.1, 0.0, "separation must be > 0")],
+        ids=["plate_half_side", "separation"],
+    )
+    def test_plate_coupling_refuses_zero(self, coupling, plate_half_side, separation, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coupling(SquareLoop(0.1, 3), plate_half_side, separation)

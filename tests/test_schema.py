@@ -10,7 +10,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -317,3 +320,30 @@ def test_readme_tables_list_the_declared_keys(index, cls):
         assert (default == "required") == (f.default is dataclasses.MISSING), name
         bounds = {(symbol, float(limit)) for symbol, _, limit in f.metadata["bounds"]}
         assert _stated_bounds(bound) == bounds, name
+
+
+def test_bundled_files_read_once_per_process(tmp_path):
+    # package data cannot change while the process runs, so each bundled file
+    # is read once; a file named by path is read on every call, so an edit is seen
+    named = tmp_path / "named.json"
+    named.write_text(resources.files("wptmod.data").joinpath("materials.json").read_text())
+    src = str(Path(schema.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import collections, os, sys\n"
+        "opened = collections.Counter()\n"
+        "def count(event, args):\n"
+        "    if event == 'open' and isinstance(args[0], (str, os.PathLike)):\n"
+        "        opened[os.path.basename(args[0])] += 1\n"
+        "sys.addaudithook(count)\n"
+        "from wptmod import materials, scenario\n"
+        "for _ in range(3):\n"
+        "    materials.load_materials(), scenario.load_scenario()\n"
+        "    materials.load_materials(sys.argv[1])\n"
+        "print(opened['materials.json'], opened['paper_repro.json'], opened['named.json'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(named)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.split() == ["1", "1", "3"]
