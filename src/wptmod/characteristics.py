@@ -101,8 +101,8 @@ def sweep_curve(spec: SweepSpec) -> CharacteristicCurve:
     """Evaluate the noiseless characteristic curve for one receiver.
 
     Its i_tx is np.linspace(i_min, i_max, steps), one read-only array shared
-    by every sweep over that range (_grid), so fit_thresholds finds the
-    curves on one grid by identity.
+    by every sweep over that range (_grid), so fit_thresholds finds such
+    curves on one grid by identity and takes their values as they are.
     """
     currents = _grid(spec.i_min, spec.i_max, spec.steps)
     u, p = evaluate_point(spec, currents)

@@ -137,38 +137,25 @@ class ThresholdModel:
         return cls(line.slope_V_per_A, line.intercept_V, f.p_poly_W_per_A_n, f.i_min_gate_A)
 
 
-def _resample(curves: list[CharacteristicCurve], grid: np.ndarray, shared: bool):
-    """The curves' (u, p) on grid, one row per curve.
-
-    On a shared grid the curves' own values are taken as they are:
-    np.interp(x, xp, fp) returns fp[j] exactly where x == xp[j], so there
-    the resample is the identity.
-    """
-    if shared:
-        return np.stack([c.u_tx for c in curves]), np.stack([c.p_in for c in curves])
-    u = np.stack([np.interp(grid, c.i_tx, c.u_tx) for c in curves])
-    p = np.stack([np.interp(grid, c.i_tx, c.p_in) for c in curves])
-    return u, p
-
-
-def _common_grid(
-    metal_curves: list[CharacteristicCurve], coil_curves: list[CharacteristicCurve]
-) -> tuple[np.ndarray, bool]:
-    """The fit's grid, and whether every curve already sits on it (shared).
+def _on_grid(curves: list[CharacteristicCurve]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fit's grid and the curves' (u, p) on it, one row per curve.
 
     The curves share the first curve's grid when each i_tx is that array,
-    as every sweep over one range has it, or equals it; otherwise the grid
-    spans their common range with the first curve's point count.
+    as every sweep over one range has it, or equals it; their own values
+    are then taken as they are.  Otherwise they are linearly resampled onto
+    a grid that spans their common range with the first curve's point count.
     """
-    grids = [c.i_tx for c in metal_curves + coil_curves]
-    first = grids[0]
-    if all(g is first or np.array_equal(g, first) for g in grids[1:]):
-        return first, True
-    lo = max(float(g[0]) for g in grids)
-    hi = min(float(g[-1]) for g in grids)
+    first = curves[0].i_tx
+    if all(c.i_tx is first or np.array_equal(c.i_tx, first) for c in curves[1:]):
+        return first, np.stack([c.u_tx for c in curves]), np.stack([c.p_in for c in curves])
+    lo = max(float(c.i_tx[0]) for c in curves)
+    hi = min(float(c.i_tx[-1]) for c in curves)
     if not lo < hi:
         raise ValueError("curves have no overlapping current range")
-    return np.linspace(lo, hi, len(first)), False
+    grid = np.linspace(lo, hi, len(first))
+    u = np.stack([np.interp(grid, c.i_tx, c.u_tx) for c in curves])
+    p = np.stack([np.interp(grid, c.i_tx, c.p_in) for c in curves])
+    return grid, u, p
 
 
 def _scaled_polyfit(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
@@ -190,10 +177,11 @@ def fit_thresholds(
 
     At each grid current the fit target is the midpoint between the metal
     upper envelope and the coil lower envelope: a least-squares line in the
-    U-I plane and a polynomial of the given degree in the P-I plane.  Curves
-    on one grid (swept over one range, or read back from one curves.csv) are
-    taken as they are; curves on mismatched grids are linearly resampled
-    onto their common current range, at the first curve's point count.
+    U-I plane and a polynomial of the given degree in the P-I plane.  One
+    pass puts every curve on the grid: curves on one grid (swept over one
+    range, or read back from one curves.csv) are taken as they are, curves
+    on mismatched grids linearly resampled onto their common current range,
+    at the first metal curve's point count.
     Raises NonSeparableDataError when the class envelopes overlap at 10% or
     more of the grid points at or above the gate, or at the last point when
     the gate lies past the grid, and ValueError when the degree is below 1 or
@@ -201,17 +189,16 @@ def fit_thresholds(
     """
     if not metal_curves or not coil_curves:
         raise ValueError("need at least one metal and one coil curve")
-    grid, shared = _common_grid(metal_curves, coil_curves)
+    grid, u, p = _on_grid(metal_curves + coil_curves)
     if not 1 <= degree < grid.size:
         raise ValueError(
             f"degree must be >= 1 and < {grid.size}, the grid's point count, got {degree}"
         )
-    u_metal, p_metal = _resample(metal_curves, grid, shared)
-    u_coil, p_coil = _resample(coil_curves, grid, shared)
-    u_hi = u_metal.max(axis=0)
-    u_lo = u_coil.min(axis=0)
-    p_hi = p_metal.max(axis=0)
-    p_lo = p_coil.min(axis=0)
+    n = len(metal_curves)
+    u_hi = u[:n].max(axis=0)
+    u_lo = u[n:].min(axis=0)
+    p_hi = p[:n].max(axis=0)
+    p_lo = p[n:].min(axis=0)
 
     start = min(i_min_gate, grid[-1])
     checked = grid >= start

@@ -20,7 +20,7 @@ from .characteristics import SweepSpec, _u_and_p
 from .circuit import Couplings, DriveSpec, TxCoil
 from .detection import Sample
 from .errors import ScenarioError, WorkLimitError
-from .schema import finite, integer, key, load_json, read, string, unique_label
+from .schema import decode_json, finite, integer, key, read, read_text, string, unique_label
 
 
 # the most points one sweep may hold: each point is a curves.csv row of
@@ -106,7 +106,8 @@ class Scenario:
 
 def load_scenario(path=None) -> Scenario:
     """Load and validate a scenario file; None loads the bundled repro setup."""
-    return parse_scenario(load_json(path, "paper_repro.json", "scenario file"))
+    text = read_text(path, "scenario file", "paper_repro.json")
+    return parse_scenario(decode_json(text, f"scenario file {path!r}"))
 
 
 def parse_scenario(raw: dict) -> Scenario:

@@ -11,7 +11,8 @@ repeated label.
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
 `read_text` opens every input file, a bundled data file once per process, and
-`decode_json` reads every JSON input.
+`decode_json` reads every JSON input; scenario.load_scenario and
+materials.load_materials join the two.
 """
 
 from __future__ import annotations
@@ -80,15 +81,6 @@ def read_text(path, what: str, bundled: str | None = None) -> str:
 @functools.cache
 def _bundled_text(name: str) -> str:
     return resources.files("wptmod.data").joinpath(name).read_text(encoding="utf-8")
-
-
-def load_json(path, bundled: str, what: str):
-    """The JSON value in the file at path, or in the bundled data file when path is None.
-
-    ScenarioError names what and the path when the file cannot be read, is
-    not UTF-8 or is not JSON, as decode_json reads it.
-    """
-    return decode_json(read_text(path, what, bundled), f"{what} {path!r}")
 
 
 def decode_json(text: str, what: str):

@@ -278,6 +278,51 @@ class TestEquivalence:
             assert max(abs(k - 1.0) for k in consts.as_tuple()) < 1e-9
 
 
+def ratio_solutions(k1, k2, k3, k4, k5, k6):
+    """A full and a reduced solution whose six equivalence ratios are exactly k1..k6.
+
+    At steering 0 and omega 1, each ratio has the denominator 1 + 0j or 1.0,
+    and a branch with R = L = C = 1 has the reactance 1 - 1 = 0.
+    """
+    full = circuit.PhasorSolution(
+        i_a=0j, i_b=0j, i_c=complex(k2), u_a=0j, u_b=complex(k1), p_in=0.0, omega=1.0,
+        drive=DriveSpec(1.0, k4, 0.0), couplings=Couplings(0.0, k3),
+        receiver=MetalReceiver(k6, 0.0), tx=TxCoil(k5, 1.0, 1.0),
+    )
+    reduced = circuit.PhasorSolution(
+        i_a=1 + 0j, i_b=0j, i_c=1 + 0j, u_a=1 + 0j, u_b=0j, p_in=0.0, omega=1.0,
+        receiver=MetalReceiver(1.0, 0.0), tx=TxCoil(1.0, 1.0, 1.0), reduced_m=1.0,
+    )
+    return full, reduced
+
+
+class TestEquivalenceTolerance:
+    # each check admits a gap of exactly _EQUIVALENCE_TOL times its scale (1 here)
+    # and refuses one a float past it
+    TOL = circuit._EQUIVALENCE_TOL
+
+    def test_real_ratio(self):
+        # abs(1 + 1e-9j) rounds to 1.0, so the scale is 1 and the imaginary part the gap
+        assert circuit._real_ratio(complex(1.0, self.TOL), 1.0) == 1.0
+        with pytest.raises(EquivalenceViolationError, match="is not real within"):
+            circuit._real_ratio(complex(1.0, math.nextafter(self.TOL, 1.0)), 1.0)
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [
+            lambda t: (t, 0.0, 0.0, t, 1.0, 1.0),  # k1 - k2*k3 = t
+            lambda t: (t, t, 1.0, 0.0, 1.0, 0.5),  # k1 - k4*k5 = t
+            lambda t: (0.0, t, 0.0, 0.0, 1.0, 1.0),  # k3*k4 - k2*k6 = -t
+        ],
+        ids=["k1_k2k3", "k1_k4k5", "k3k4_k2k6"],
+    )
+    def test_consistency_checks(self, ratios):
+        k = ratios(self.TOL)
+        assert equivalence_constants(*ratio_solutions(*k)).as_tuple() == k
+        with pytest.raises(EquivalenceViolationError, match="inconsistent"):
+            equivalence_constants(*ratio_solutions(*ratios(math.nextafter(self.TOL, 1.0))))
+
+
 class TestResonance:
     def test_reactance_null(self):
         tx = default_tx_coil()

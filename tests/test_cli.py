@@ -967,24 +967,17 @@ class TestScenarioValidation:
         assert repro_scenario.detection.test_currents_a == (3.0, 6.0, 9.0)
 
 
-def test_cli_import_loads_no_scipy():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, wptmod.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "[]"
-
-
 def test_verbs_run_with_encoding_warnings_as_errors(tmp_path):
-    # each file the CLI reads or writes is opened as UTF-8, never in the locale encoding
+    # each file the CLI reads or writes is opened as UTF-8, never in the locale encoding;
+    # and the verbs run on numpy alone, loading none of the test extras
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     verbs = ["materials", "couplings", "impedance", "curves", "fit", "detect"]
+    extras = ["scipy", "mpmath", "hypothesis"]
     probe = (
-        "from wptmod import cli; "
-        f"print([cli.main([v] if v == 'materials' else [v, '--out', 'o']) for v in {verbs!r}])"
+        "import sys; from wptmod import cli; "
+        f"print([cli.main([v] if v == 'materials' else [v, '--out', 'o']) for v in {verbs!r}]); "
+        f"print(sorted({{m.split('.')[0] for m in sys.modules}} & set({extras!r})))"
     )
     result = subprocess.run(
         [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
@@ -992,7 +985,9 @@ def test_verbs_run_with_encoding_warnings_as_errors(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == str([cli.EXIT_OK] * len(verbs))
+    codes, loaded = result.stdout.splitlines()[-2:]
+    assert codes == str([cli.EXIT_OK] * len(verbs))
+    assert loaded == "[]"
 
 
 def test_package_import_loads_no_numpy(tmp_path):

@@ -31,6 +31,17 @@ def geom(a=0.1, n=3, d=0.2, w=W20K):
     return EddyGeometry(a, n, d, w)
 
 
+def conductivity_for(ks2: float) -> float:
+    """The least sigma whose k_s^2 = w sigma mu0 mur is exactly ks2 at w = mur = 1."""
+    sigma = ks2 / MU0
+    while sigma * MU0 < ks2:
+        sigma = math.nextafter(sigma, math.inf)
+    while math.nextafter(sigma, 0.0) * MU0 >= ks2:
+        sigma = math.nextafter(sigma, 0.0)
+    assert sigma * MU0 == ks2
+    return sigma
+
+
 def quad_plate_impedance(g: EddyGeometry, mat: MetalMaterial) -> complex:
     """R_m + j*w*L_m by scipy's adaptive quad and scipy's J1.
 
@@ -192,6 +203,16 @@ class TestPanelJ1:
         monkeypatch.setattr(eddy, "_J1_BLOCK", 1)
         self.check(geom(a=0.15, d=0.01), CU, graded=False)
 
+    def test_no_graded_panels_when_k_low_is_the_first_uniform_edge(self):
+        # with a = 0.1 and d = 0.2 the first uniform edge is 150/12 = 12.5 exactly, and
+        # k_low = sqrt(k_s^2)/mur/4 is 12.5 at k_s^2 = 2500: nothing lies below it to grade
+        g, k_max = geom(a=0.1, d=0.2, w=1.0), 30.0 / 0.2
+        sigma = conductivity_for(2500.0)
+        edges, first = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
+        assert first == 0 and edges[1] == 12.5
+        below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
+        assert eddy._panel_edges(g, below, k_max)[1] > 0
+
     def test_direct_rule_runs_only_on_graded_panels(self, monkeypatch, repro_scenario):
         calls = []
         j1 = eddy.bessel_j1
@@ -279,6 +300,15 @@ class TestStaticImageLimits:
         assert z.l_m == pytest.approx(image, rel=1e-9, abs=1e-300)
         if W20K * sigma * MU0 * mu_r < sys.float_info.min:
             assert z == plate_impedance(geom(a, n, d), MetalMaterial("x", 5e-324, mu_r))
+
+    def test_smallest_normal_skin_wavenumber_is_kept(self):
+        # k_s^2 = w sigma mu0 mur is taken as 0 only where it is subnormal
+        low = sys.float_info.min
+        sigma = conductivity_for(low)
+        g = geom(w=1.0)
+        assert eddy._ks2(g, MetalMaterial("x", sigma, 1.0)) == low
+        below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
+        assert eddy._ks2(g, below) == 0.0
 
     @pytest.mark.parametrize("a, n, d, track", [(0.1, 3, 0.2, 1e-4), (0.3, 5, 0.01, 2e-3)])
     def test_conductor_limit(self, a, n, d, track):
@@ -420,6 +450,29 @@ class TestPlateImpedance:
         monkeypatch.setattr(eddy, "_panel_j1", None)
         with pytest.raises(WorkLimitError, match="J1 sine evaluations, over its cap of 1e"):
             plate_impedance(geom(d=d), FE)
+
+    def test_work_cap_admits_a_pass_of_exactly_its_work(self, monkeypatch):
+        # the work _panel_edges computes for one pass, read from its frame as it returns
+        g, k_max = geom(), 30.0 / 0.2
+        seen = {}
+
+        def spy(frame, event, arg):
+            if event == "return" and frame.f_code is eddy._panel_edges.__code__:
+                seen.update(frame.f_locals)
+
+        previous = sys.getprofile()
+        sys.setprofile(spy)
+        try:
+            edges, first = eddy._panel_edges(g, FE, k_max)
+        finally:
+            sys.setprofile(previous)
+        work = seen["work"]
+        monkeypatch.setattr(eddy, "_MAX_J1_WORK", work)
+        got = eddy._panel_edges(g, FE, k_max)
+        assert np.array_equal(got[0], edges) and got[1] == first
+        monkeypatch.setattr(eddy, "_MAX_J1_WORK", math.nextafter(work, 0.0))
+        with pytest.raises(WorkLimitError, match="over its cap"):
+            eddy._panel_edges(g, FE, k_max)
 
     @pytest.mark.parametrize("d", [1e300, 1e308])
     @pytest.mark.parametrize("mat", [FE, CU])

@@ -79,6 +79,31 @@ class TestNeumann:
             sums.append(magnetics._neumann_sum(0.164, 0.1, 0.2, 40))
         assert sums == pytest.approx([sums[0]] * 3, rel=1e-13)
 
+    def test_loop_bound_admits_n_max(self):
+        # at rel_tol 0.5 the 16 and 32 elements/side sums agree: a refinement to
+        # exactly n_max runs, and one cap below it does not
+        pair = CoaxialPair(SquareLoop(0.164), 0.164, 0.2)
+        m = mutual_inductance_neumann(pair, rel_tol=0.5, n_max=32)
+        assert m == magnetics._neumann_sum(0.164, 0.164, 0.2, 32)
+        with pytest.raises(ConvergenceError, match="within 31 elements/side"):
+            mutual_inductance_neumann(pair, rel_tol=0.5, n_max=31)
+
+    def test_convergence_admits_a_gap_of_exactly_rel_tol(self):
+        # a rel_tol whose product with |cur| is the gap itself stops the refinement
+        prev, cur = (magnetics._neumann_sum(0.164, 0.164, 0.2, n) for n in (16, 32))
+        gap = abs(cur - prev)
+        # the least rel_tol whose product with |cur| reaches the gap
+        rel_tol = gap / abs(cur)
+        while rel_tol * abs(cur) < gap:
+            rel_tol = math.nextafter(rel_tol, 1.0)
+        while math.nextafter(rel_tol, 0.0) * abs(cur) >= gap:
+            rel_tol = math.nextafter(rel_tol, 0.0)
+        assert rel_tol * abs(cur) == gap
+        pair = CoaxialPair(SquareLoop(0.164), 0.164, 0.2)
+        assert mutual_inductance_neumann(pair, rel_tol=rel_tol, n_max=32) == cur
+        with pytest.raises(ConvergenceError):
+            mutual_inductance_neumann(pair, rel_tol=math.nextafter(rel_tol, 0.0), n_max=32)
+
 
 class TestCoaxialSquares:
     # (a, b, h, N1, N2); each converges at 256 elements/side, so the reference stays small

@@ -109,6 +109,16 @@ def test_plain_dataclass_is_a_spec_class(value, message):
         schema.read(_Plain, value, "plain")
 
 
+def test_largest_finite_float_is_a_number():
+    # the bound is abs(value) <= the largest float, ends included
+    top = sys.float_info.max
+    assert schema.finite(top, "x") == top
+    assert schema.finite(-top, "x") == -top
+    for value in (2**1024, math.inf):
+        with pytest.raises(ScenarioError, match="^x must be a finite number"):
+            schema.finite(value, "x")
+
+
 # malformed inputs that exited 2 naming no key, or passed until a later verb
 _ROADMAP = [
     ("steps_1", ("scenario", "sweep", "steps"), 1, "scenario.sweep.steps must be >= 2, got 1"),
