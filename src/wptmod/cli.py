@@ -132,10 +132,11 @@ def cmd_fit(args) -> int:
             raise ScenarioError(f"curves.csv holds no {kind}: curve; the fit needs both classes")
     metal, coil = classes.values()
     d = sc.detection
-    # fit_thresholds' grid has as many points as the first metal curve
-    if not d.degree < metal[0].i_tx.size:
+    # fit_thresholds' grid has as many points as the longest curve
+    points = max(curve.i_tx.size for curve in curves)
+    if not d.degree < points:
         raise ScenarioError(
-            f"scenario.detection.degree must be < {metal[0].i_tx.size}, the grid's point "
+            f"scenario.detection.degree must be < {points}, the grid's point "
             f"count, got {d.degree}"
         )
     model = detection.fit_thresholds(metal, coil, degree=d.degree, i_min_gate=d.gate_amps)

@@ -143,7 +143,8 @@ def _on_grid(curves: list[CharacteristicCurve]) -> tuple[np.ndarray, np.ndarray,
     The curves share the first curve's grid when each i_tx is that array,
     as every sweep over one range has it, or equals it; their own values
     are then taken as they are.  Otherwise they are linearly resampled onto
-    a grid that spans their common range with the first curve's point count.
+    a grid that spans their common range with the largest point count among
+    them, so the grid does not depend on the curves' order.
     """
     first = curves[0].i_tx
     if all(c.i_tx is first or np.array_equal(c.i_tx, first) for c in curves[1:]):
@@ -152,7 +153,7 @@ def _on_grid(curves: list[CharacteristicCurve]) -> tuple[np.ndarray, np.ndarray,
     hi = min(float(c.i_tx[-1]) for c in curves)
     if not lo < hi:
         raise ValueError("curves have no overlapping current range")
-    grid = np.linspace(lo, hi, len(first))
+    grid = np.linspace(lo, hi, max(c.i_tx.size for c in curves))
     u = np.stack([np.interp(grid, c.i_tx, c.u_tx) for c in curves])
     p = np.stack([np.interp(grid, c.i_tx, c.p_in) for c in curves])
     return grid, u, p
@@ -181,7 +182,7 @@ def fit_thresholds(
     pass puts every curve on the grid: curves on one grid (swept over one
     range, or read back from one curves.csv) are taken as they are, curves
     on mismatched grids linearly resampled onto their common current range,
-    at the first metal curve's point count.
+    at the largest point count among the curves.
     Raises NonSeparableDataError when the class envelopes overlap at 10% or
     more of the grid points at or above the gate, or at the last point when
     the gate lies past the grid, and ValueError when the degree is below 1 or

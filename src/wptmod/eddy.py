@@ -17,10 +17,22 @@ graded toward k_s / (4 mur), where the material response turns.  Those two
 rules, not the floor, resolve the integrand: on passes the floor sets, the
 largest relative gap between the 16- and 32-node values over 4,486 test
 plates was 3e-12 with a floor of 48, 1.3e-11 with 12 and 2.1e-11 with 4,
-against the check's 1e-6 refusal limit.  On the uniform panels, which
-share one width, the trapezoid sum is split by angle addition into a table
-over the panel centres and one over the node offsets; the graded panels,
-when there are any, take the direct rule.
+against the check's 1e-6 refusal limit.
+
+The uniform panels lie on a grid in x = a k that every plate shares: level
+L has panel width 12 * 2^-L in x, and a pass takes the coarsest level that
+needs at least 12 panels to reach x_max = a k_max: 12 to 22 of them where
+x_max <= 132, and the phase rule's count above.  The last edge may pass
+k_max, which only shrinks the truncation error.  J1 at a level's rule
+nodes then depends on the level and the panel index alone, so it is
+tabulated once per process, in read-only blocks of 16 panels that a
+bounded LRU cache keeps.  Each block takes its trapezoid node count from
+its own panels, so no value depends on the order in which plates are
+evaluated, and its trapezoid sum is split by angle addition into a table
+over the panel centres and one over the node offsets.  The graded panels
+stand in for the grid's first panel and take the direct rule.  A plate
+whose x_max is below about 1e-299, where J1 is x/2 at rounding level,
+keeps 12 uniform panels on [0, k_max] and a table of its own.
 
 The plate's material is a wptmod.materials.MetalMaterial; the database
 reader, wptmod.materials.load_materials, is reachable here by that name too.
@@ -28,6 +40,7 @@ reader, wptmod.materials.load_materials, is reachable here by that name too.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,6 +63,14 @@ _J1_BLOCK = 1 << 20
 # a fixed numpy cost it is kept low
 _PANELS = 12
 _PANEL_PHASE = 24.0
+# the x = a k grid of the uniform panels: level L has width _PANEL_PHASE / 2 * 2^-L,
+# and its J1 tables hold _GRID_BLOCK panels each.  The cache keeps at most
+# _GRID_TABLES of them, 6 KiB each: the 164 level-0 tables of the widest pass
+# the work cap admits fit, so repeating such a plate rebuilds none.  An x_max
+# below _PANELS - 1 widths of level _GRID_LEVELS (about 1e-299) leaves the grid
+_GRID_BLOCK = 16
+_GRID_TABLES = 256
+_GRID_LEVELS = 1000
 # 32-node Gauss-Legendre rule per panel, and the 16-node rule that checks it
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHECK_NODES, _CHECK_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -57,7 +78,8 @@ _NODES = np.concatenate([_FINE_NODES, _CHECK_NODES])
 # cap on the work of one quadrature pass, counted as the (points x trapezoid
 # nodes) sine table of the direct J1 rule; a/d = 50 counts 2.5e6 for coil half
 # side a and plate distance d, and the cap admits a/d up to about 1000, where
-# a call takes about 1 s on a 2-core Xeon host
+# a first call takes about 1.2 s on a 2-core Xeon host (building its x-grid
+# tables) and a repeat about 7 ms
 _MAX_J1_WORK = 1e9
 
 
@@ -169,18 +191,41 @@ def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
     return out / s.size
 
 
+@functools.lru_cache(maxsize=_GRID_TABLES)
+def _grid_table(level: int, block: int) -> np.ndarray:
+    """J1 at the rule nodes of panels 16 block .. 16 block + 15 of the x-grid's level.
+
+    Built by _panel_j1 on that block's edges alone, so its trapezoid node
+    count, and every value in it, is the same whichever plate asks first.
+    Every caller shares the array, so it refuses writes.
+    """
+    width = math.ldexp(_PANEL_PHASE / 2.0, -level)
+    start = block * _GRID_BLOCK
+    table = _panel_j1(width * np.arange(start, start + _GRID_BLOCK + 1), 1.0)
+    table.flags.writeable = False
+    return table
+
+
+def _grid_j1(level: int, panels: int) -> np.ndarray:
+    """J1 at the rule nodes of the x-grid's first `panels` panels at `level`, one row each."""
+    blocks = [_grid_table(level, b) for b in range(-(-panels // _GRID_BLOCK))]
+    return np.concatenate(blocks)[:panels]
+
+
 def _panel_edges(
     geom: EddyGeometry, mat: MetalMaterial, k_max: float
-) -> tuple[np.ndarray, int]:
-    """Panel edges on [0, k_max] for the composite Gauss-Legendre rule.
+) -> tuple[np.ndarray, int, int | None]:
+    """Panel edges on [0, k_max] or a little past it, for the composite Gauss-Legendre rule.
 
     Panels are uniform, narrow enough that J1(k a)^2 turns by at most
-    _PANEL_PHASE radians across one.  With k_s = sqrt(w sigma mu0 mur), the
-    material response has a pole at |k| = k_s / sqrt(mur^2 - 1) and branch
-    points at |k| = k_s.  Below the first uniform edge, panels grow
-    geometrically by at most 2x from a quarter of k_s / mur, so that no
-    panel is wide against its distance to either.  Returns the edges and the
-    index of the first uniform panel.  Raises WorkLimitError, before any
+    _PANEL_PHASE radians across one, and lie on the x-grid's level (see the
+    module docstring), or on k_max / _PANELS when x_max is too small for
+    it.  With k_s = sqrt(w sigma mu0 mur), the material response has a pole
+    at |k| = k_s / sqrt(mur^2 - 1) and branch points at |k| = k_s.  Below
+    the first uniform edge, panels grow geometrically by at most 2x from a
+    quarter of k_s / mur, so that no panel is wide against its distance to
+    either.  Returns the edges, the index of the first uniform panel and
+    the grid level, None off the grid.  Raises WorkLimitError, before any
     table is allocated, when the J1 work of the panels would pass
     _MAX_J1_WORK, or when k_max is so large that phi_k would overflow.
     """
@@ -194,38 +239,56 @@ def _panel_edges(
             f"the plate quadrature needs {amount} J1 sine evaluations, "
             f"over its cap of {_MAX_J1_WORK:.0e}"
         )
-    # phi_k squares about k * (1 + mur) at nodes up to k_max; the factor 2 keeps
-    # that square, and its rounding, below the largest float
+    # phi_k squares about k * (1 + mur) at nodes up to the last edge, below
+    # 1.1 k_max; the factor 2 keeps that square, and its rounding, below the
+    # largest float
     reach = 2.0 * k_max * (1.0 + mat.rel_permeability)
     if not math.isfinite(reach * reach):
         raise WorkLimitError(
             f"the plate quadrature's cutoff k_max {k_max:.3g} 1/m overflows the material "
             f"response at mu_r {mat.rel_permeability:g}"
         )
-    edges = np.linspace(0.0, k_max, max(_PANELS, math.ceil(n)) + 1)
+    # the coarsest level whose width leaves more than _PANELS - 1 widths below
+    # x_max; x_max 2^level is exact, and x_max / width is x_max 2^level / 12
+    level, scaled, full = 0, x_max, (_PANELS - 1) * _PANEL_PHASE / 2.0
+    while scaled <= full and level < _GRID_LEVELS:
+        level, scaled = level + 1, 2.0 * scaled
+    if scaled > full:
+        panels = math.ceil(scaled / (_PANEL_PHASE / 2.0))
+        width = math.ldexp(_PANEL_PHASE / 2.0, -level)
+        edges = np.arange(panels + 1.0) * width / geom.coil_half_side
+    else:
+        level, edges = None, np.linspace(0.0, k_max, _PANELS + 1)
     k_low = math.sqrt(_ks2(geom, mat)) / mat.rel_permeability / 4.0
     # k_s is 0 for a vanishing conductivity: phi is then the constant of the
     # magnetic image, and uniform panels integrate it
     if not 0.0 < k_low < edges[1]:
-        return edges, 0
+        return edges, 0, level
     # [0, k_low], then `steps` geometric panels up to the first uniform edge
     steps = math.ceil(math.log2(edges[1] / k_low))
     graded = np.geomspace(k_low, edges[1], steps + 1)
-    return np.concatenate([[0.0], graded, edges[2:]]), steps + 1
+    return np.concatenate([[0.0], graded, edges[2:]]), steps + 1, level
 
 
 def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> complex:
-    """int_0^k_max phi(k) exp(-2kd) [N a J1(ka)]^2 dk, Re and Im in one pass.
+    """int_0^K phi(k) exp(-2kd) [N a J1(ka)]^2 dk, Re and Im in one pass.
 
-    The 32-node rule gives the value; an embedded 16-node rule on the same
-    panels is its error estimate.
+    K is the last panel edge, k_max or a little past it.  The 32-node rule
+    gives the value; an embedded 16-node rule on the same panels is its
+    error estimate.
     """
-    edges, first = _panel_edges(geom, mat, k_max)
+    edges, first, level = _panel_edges(geom, mat, k_max)
     half = np.diff(edges)[:, None] / 2.0
     k = (edges[:-1, None] + half) + half * _NODES
     a = geom.coil_half_side
-    # the uniform panels by angle addition, the graded ones (if any) by the direct rule
-    j1 = _panel_j1(edges[first:], a)
+    # the uniform panels from the x-grid's tables, past its first panel when
+    # graded panels stand in for it, or by angle addition off the grid; the
+    # graded ones (if any) by the direct rule
+    if level is None:
+        j1 = _panel_j1(edges[first:], a)
+    else:
+        skip = 1 if first else 0
+        j1 = _grid_j1(level, edges.size - 1 - first + skip)[skip:]
     if first:
         j1 = np.concatenate([bessel_j1(k[:first] * a), j1])
     f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
@@ -246,7 +309,8 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
 def plate_impedance(geom: EddyGeometry, mat: MetalMaterial) -> MetalReceiver:
     """Evaluate the plate's equivalent (R_m, L_m) by fixed Gauss-Legendre.
 
-    The semi-infinite integral is truncated at k_max = 30/d first.  |phi| <= 1,
+    The semi-infinite integral is truncated at k_max = 30/d first, or at the
+    last panel edge past it, which only shrinks the tail.  |phi| <= 1,
     so the tail beyond k is at most sup_t exp(-2 k d) / (2 d), with
     sup_t = (N a sup|J1|)^2.  A second pass runs at the k where that bound
     meets 1e-12 of the smaller of |Re| and |Im| of the first, floored at

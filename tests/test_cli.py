@@ -457,6 +457,51 @@ class TestCurvesFitDetect:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "threshold.json").exists()
 
+    def test_fit_on_mismatched_grids_ignores_row_order(self, pipeline_out, tmp_path, capsys):
+        # metal:cu_0.1m thinned to every other row (11 of 21), as the CI step writes it:
+        # the fit resamples every curve onto the common range at the largest point count,
+        # 21, wherever the thinned curve's rows stand, and that curve's linear
+        # interpolation moves the P-I fit off the plain one
+        lines = (pipeline_out / "curves.csv").read_text().splitlines()
+        thinned = lines[:1]
+        n = 0
+        for line in lines[1:]:
+            if line.startswith("metal:cu_0.1m,"):
+                n += 1
+                if n % 2 == 0:
+                    continue
+            thinned.append(line)
+        curves = {}
+        for line in thinned[1:]:
+            curves.setdefault(line.partition(",")[0], []).append(line)
+        labels = list(curves)
+        orders = {
+            "in_place": labels,
+            "thinned_first": ["metal:cu_0.1m", *(lb for lb in labels if lb != "metal:cu_0.1m")],
+            "reversed": labels[::-1],
+        }
+        written = set()
+        for name, order in orders.items():
+            out = tmp_path / name
+            out.mkdir()
+            rows = [line for label in order for line in curves[label]]
+            (out / "curves.csv").write_text("\n".join([lines[0], *rows]) + "\n")
+            assert cli.main(["fit", "--out", str(out)]) == cli.EXIT_OK, name
+            written.add((out / "threshold.json").read_bytes())
+        assert len(curves["metal:cu_0.1m"]) == 11 and len(written) == 1
+        assert written != {(pipeline_out / "threshold.json").read_bytes()}
+        # the degree check counts the grid's 21 points, not the thinned curve's 11
+        raw = _bundled()
+        raw["detection"]["degree"] = 20
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps(raw))
+        argv = ["fit", "--scenario", str(path), "--out", str(tmp_path / "thinned_first")]
+        assert cli.main(argv) == cli.EXIT_OK
+        raw["detection"]["degree"] = 21
+        path.write_text(json.dumps(raw))
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "degree must be < 21, the grid's point count" in capsys.readouterr().err
+
     def test_detect_requires_threshold(self, tmp_path, capsys):
         assert cli.main(["detect", "--out", str(tmp_path / "empty")]) == cli.EXIT_VALIDATION
         assert "missing upstream artifact" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -148,6 +149,28 @@ class TestFitting:
         coil = [curve("coil:a", lambda i: 1.0 * i, lambda i: 0.15 * i**2)]
         model = fit_thresholds(metal, coil)
         assert model.u_slope == pytest.approx(0.75, abs=1e-6)
+
+    def test_mismatched_grids_fit_independent_of_order(self):
+        # resampled onto the common range 0.5-10 A at the largest point count, 31,
+        # whichever curve comes first; the first metal curve has 11 points
+        metal = [
+            curve("metal:a", lambda i: 0.4 * i, lambda i: 0.05 * i**2,
+                  grid=np.linspace(0.0, 10.0, 11)),
+            curve("metal:b", lambda i: 0.5 * i, lambda i: 0.06 * i**2,
+                  grid=np.linspace(0.0, 10.0, 31)),
+            curve("metal:c", lambda i: 0.45 * i, lambda i: 0.055 * i**2),
+        ]
+        coil = [
+            curve("coil:a", lambda i: 1.0 * i, lambda i: 0.12 * i**2,
+                  grid=np.linspace(0.5, 10.0, 20)),
+            curve("coil:b", lambda i: 1.2 * i, lambda i: 0.15 * i**2),
+        ]
+        model = fit_thresholds(metal, coil, degree=20)
+        for m in itertools.permutations(metal):
+            for c in itertools.permutations(coil):
+                assert fit_thresholds(list(m), list(c), degree=20) == model
+        with pytest.raises(ValueError, match="< 31, the grid's point count, got 31"):
+            fit_thresholds(metal, coil, degree=31)
 
     def test_ranges_touching_at_one_current_refused(self):
         # metal swept over 0-5 A and coil over 5-10 A share only 5 A: no grid to fit on

@@ -174,7 +174,7 @@ class TestBessel:
 
 def rule_nodes(g: EddyGeometry, mat: MetalMaterial, k_max=None):
     """The panel edges, uniform-panel index and node table k of a pass (default: the first)."""
-    edges, first = eddy._panel_edges(g, mat, k_max or 30.0 / g.plate_distance)
+    edges, first, _ = eddy._panel_edges(g, mat, k_max or 30.0 / g.plate_distance)
     half = np.diff(edges)[:, None] / 2.0
     return edges, first, (edges[:-1, None] + half) + half * eddy._NODES
 
@@ -204,12 +204,13 @@ class TestPanelJ1:
         self.check(geom(a=0.15, d=0.01), CU, graded=False)
 
     def test_no_graded_panels_when_k_low_is_the_first_uniform_edge(self):
-        # with a = 0.1 and d = 0.2 the first uniform edge is 150/12 = 12.5 exactly, and
-        # k_low = sqrt(k_s^2)/mur/4 is 12.5 at k_s^2 = 2500: nothing lies below it to grade
+        # with a = 0.1 and d = 0.2 the first uniform edge is the x-grid's level-4 width
+        # 0.75 over a, 7.5 exactly, and k_low = sqrt(k_s^2)/mur/4 is 7.5 at k_s^2 = 900:
+        # nothing lies below it to grade
         g, k_max = geom(a=0.1, d=0.2, w=1.0), 30.0 / 0.2
-        sigma = conductivity_for(2500.0)
-        edges, first = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
-        assert first == 0 and edges[1] == 12.5
+        sigma = conductivity_for(900.0)
+        edges, first, _ = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
+        assert first == 0 and edges[1] == 7.5
         below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
         assert eddy._panel_edges(g, below, k_max)[1] > 0
 
@@ -223,6 +224,69 @@ class TestPanelJ1:
         edges, first, k = rule_nodes(g, mat)
         eddy._spectral_integral(g, mat, 30.0 / g.plate_distance)
         assert len(calls) == 1 and calls[0].shape == k[:first].shape
+
+
+class TestGridTables:
+    """The x-grid's J1 tables: one value per node, whatever the cache has seen."""
+
+    def test_rows_match_direct_rule(self):
+        # bessel_j1 at a k on each uniform panel, graded or not
+        cases = [
+            (geom(a=0.15, d=0.03), CU),
+            (geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0)),
+            (geom(a=0.1, d=0.2), FE),
+        ]
+        for g, mat in cases:
+            edges, first, k = rule_nodes(g, mat)
+            level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)[2]
+            skip = 1 if first else 0
+            got = eddy._grid_j1(level, edges.size - 1 - first + skip)[skip:]
+            expected = bessel_j1(k[first:] * g.coil_half_side)
+            assert np.max(np.abs(got - expected)) <= 1e-14, (g, mat)
+
+    def test_values_independent_of_cache_history(self):
+        # each table is built from its own panels, so a plate's bits do not depend on
+        # which plates, or which of its levels' blocks, the cache held before
+        cases = seeded_plates(31, 120)
+
+        def digest(order):
+            bits = {}
+            for index in order:
+                imp = plate_impedance(*cases[index])
+                bits[index] = (imp.r_m.hex(), imp.l_m.hex())
+            return [bits[index] for index in range(len(cases))]
+
+        forward = range(len(cases))
+        eddy._grid_table.cache_clear()
+        cold = digest(forward)
+        assert eddy._grid_table.cache_info().currsize > 0
+        assert digest(forward) == cold
+        eddy._grid_table.cache_clear()
+        assert digest(forward) == cold
+        eddy._grid_table.cache_clear()
+        assert digest(reversed(forward)) == cold
+
+    def test_table_refuses_writes(self):
+        table = eddy._grid_table(0, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        assert eddy._grid_table(0, 0) is table
+
+    def test_cache_stays_bounded(self):
+        # a/d = 1000 needs 2,500 level-0 panels, 157 tables, which the cache holds; 60
+        # small plates, each with 20 panels on a level of its own, need 120 more
+        eddy._grid_table.cache_clear()
+        g = geom(a=0.1, d=1e-4)
+        edges, first, level = eddy._panel_edges(g, CU, 30.0 / g.plate_distance)
+        assert level == 0 and edges.size - 1 == 2500
+        imp = plate_impedance(g, CU)
+        assert imp.r_m > 0.0 and imp.l_m > 0.0
+        assert eddy._grid_table.cache_info().currsize == 157
+        for level in range(1, 61):
+            small = geom(a=math.ldexp(0.2, -level), d=0.2)
+            assert eddy._panel_edges(small, CU, 150.0)[2] == level + 3
+            plate_impedance(small, CU)
+        assert eddy._grid_table.cache_info().currsize == eddy._GRID_TABLES == 256
 
 
 def elliptic_ke(m: float) -> tuple[float, float]:
@@ -386,6 +450,32 @@ class TestPlateImpedance:
             got = plate_impedance(g, mat).impedance(g.angular_frequency)
             assert abs(got - expected) <= 1e-12 * abs(expected), (g, mat)
 
+    # 144 2^-L is where a level's 12 panels become 13, and 132 2^-L where the next
+    # level's 22 become this level's 12; each point's (panels, level - L) below, at
+    # and above the edge
+    @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+    @pytest.mark.parametrize("level", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "edge, rules",
+        [(144.0, ((12, 0), (12, 0), (13, 0))), (132.0, ((22, 1), (22, 1), (12, 0)))],
+    )
+    def test_matches_quad_oracle_at_level_boundaries(self, level, edge, rules):
+        # d = 30/128 puts k_max = 30/d at 128 exactly, so x_max = a k_max is exact for
+        # a = x/128; the Fe plate at 1 kHz has graded panels, the Cu plate none
+        x = math.ldexp(edge, -level)
+        points = (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+        for x_max, (panels, finer) in zip(points, rules):
+            for mat, w, graded in ((CU, W20K, False), (FE, 2.0 * math.pi * 1e3, True)):
+                g = geom(a=x_max / 128.0, d=30.0 / 128.0, w=w)
+                assert g.coil_half_side * (30.0 / g.plate_distance) == x_max
+                edges, first, got_level = eddy._panel_edges(g, mat, 128.0)
+                skip = 1 if first else 0
+                assert (got_level, edges.size - 1 - first + skip) == (level + finer, panels)
+                assert (first > 0) == graded
+                expected = quad_plate_impedance(g, mat)
+                got = plate_impedance(g, mat).impedance(g.angular_frequency)
+                assert abs(got - expected) <= 1e-12 * abs(expected), (x_max, mat)
+
     def test_panel_floor_margin(self, monkeypatch):
         # the 16-node check stays 1000x inside its 1e-6 refusal limit on every
         # pass, so the panel floor is not what keeps the quadrature converged
@@ -463,7 +553,7 @@ class TestPlateImpedance:
         previous = sys.getprofile()
         sys.setprofile(spy)
         try:
-            edges, first = eddy._panel_edges(g, FE, k_max)
+            edges, first, _ = eddy._panel_edges(g, FE, k_max)
         finally:
             sys.setprofile(previous)
         work = seen["work"]
