@@ -12,27 +12,35 @@ The integral is evaluated with numpy alone: fixed composite Gauss-Legendre
 with k_max certified by the exponential tail bound, and J1 by the
 trapezoid rule on its periodic integral (Trefethen and Weideman, SIAM
 Review 56, 2014).  The panels come from two rules: uniform panels across
-which J1(ka)^2 turns by at most 24 rad, at least 12 of them, and panels
-graded toward k_s / (4 mur), where the material response turns.  Those two
-rules, not the floor, resolve the integrand: on passes the floor sets, the
-largest relative gap between the 16- and 32-node values over 4,486 test
-plates was 3e-12 with a floor of 48, 1.3e-11 with 12 and 2.1e-11 with 4,
-against the check's 1e-6 refusal limit.
+which J1(ka)^2 turns by at most 24 rad, at least 4 of them, and a head of
+panels halving toward 0 from the first uniform edge down past
+k_s / (4 mur), where the material response turns.  Those two rules, not
+the floor, resolve the integrand: on passes the floor sets, the largest
+relative gap between the 16- and 32-node values over 4,486 test plates was
+3e-12 with a floor of 48, 1.3e-11 with 12 and 2.1e-11 with 4.  With this
+grid and head the floor is 4: on the passes it sets for 802 test plates
+no part gaps by more than 2.9e-11 of itself, and over 2,626 plates drawn
+across the reader's domain the largest gap, 8.0e-10, is on a pass the
+phase rule sets.  The check refuses at 1e-6.
 
-The uniform panels lie on a grid in x = a k that every plate shares: level
-L has panel width 12 * 2^-L in x, and a pass takes the coarsest level that
-needs at least 12 panels to reach x_max = a k_max: 12 to 22 of them where
-x_max <= 132, and the phase rule's count above.  The last edge may pass
-k_max, which only shrinks the truncation error.  J1 at a level's rule
-nodes then depends on the level and the panel index alone, so it is
-tabulated once per process, in read-only blocks of 16 panels that a
-bounded LRU cache keeps.  Each block takes its trapezoid node count from
-its own panels, so no value depends on the order in which plates are
-evaluated, and its trapezoid sum is split by angle addition into a table
-over the panel centres and one over the node offsets.  The graded panels
-stand in for the grid's first panel and take the direct rule.  A plate
-whose x_max is below about 1e-299, where J1 is x/2 at rounding level,
-keeps 12 uniform panels on [0, k_max] and a table of its own.
+Every panel lies on a grid in x = a k that every plate shares: level L has
+panel width w = 12 * 2^-L in x, and a pass takes the coarsest level that
+needs at least 4 panels to reach x_max = a k_max: 4 to 6 of them where
+x_max <= 36, and the phase rule's count above.  The last edge may pass
+k_max, which only shrinks the truncation error.  The head's panels
+[w 2^-(j+1), w 2^-j] and [0, w 2^-s] are panel 1 of level L + j + 1 and
+panel 0 of level L + s.  So the rule's nodes, and its weights times
+J1(x)^2, depend on the level and the panel index alone, and one bounded
+LRU cache keeps them, in read-only tables of 16 panels; a pass is then the
+response at the tables' nodes, one exp and one matrix product.  Each table
+takes its trapezoid node count from its own panels, so no value depends on
+the order in which plates are evaluated, and its trapezoid sum is split by
+angle addition into a table over the panel centres and one over the node
+offsets.  A pass whose deepest level would pass 64 (an x_max below about
+2e-18, or a head deeper than that) leaves the grid: it keeps 4 uniform
+panels on [0, k_max] where x_max is that small, a geometric head, and J1
+by the same angle addition on its uniform panels and by the direct rule
+on its head.
 
 The plate's material is a wptmod.materials.MetalMaterial; the database
 reader, wptmod.materials.load_materials, is reachable here by that name too.
@@ -59,27 +67,42 @@ _J1_SUP = 0.5819
 _J1_BLOCK = 1 << 20
 # plate integral: minimum panel count, and the most J1(ka)^2 may turn in one panel.
 # The phase rule (2.5 a/d panels on the first pass) and the grading set what the
-# integrand needs; the floor binds below a/d of about 5, and since each panel is
-# a fixed numpy cost it is kept low
-_PANELS = 12
+# integrand needs; the floor binds below a/d of about 1.6, and every panel is
+# kernel work, so it is kept at the least the 16- vs 32-node check certifies
+_PANELS = 4
 _PANEL_PHASE = 24.0
-# the x = a k grid of the uniform panels: level L has width _PANEL_PHASE / 2 * 2^-L,
-# and its J1 tables hold _GRID_BLOCK panels each.  The cache keeps at most
-# _GRID_TABLES of them, 6 KiB each: the 164 level-0 tables of the widest pass
-# the work cap admits fit, so repeating such a plate rebuilds none.  An x_max
-# below _PANELS - 1 widths of level _GRID_LEVELS (about 1e-299) leaves the grid
+# the x = a k grid: level L has width _PANEL_PHASE / 2 * 2^-L, and its tables
+# hold _GRID_BLOCK panels each, 18 KiB (768 nodes x 3 floats).  A pass leaves
+# the grid when its deepest level would pass _GRID_LEVELS: an x_max below
+# _PANELS - 1 widths of that level (about 2e-18), or a head deeper than it.  The
+# domain's deepest head reaches level 43, and at level 64 the least table entry
+# is still about 5e-64, far from underflow.  Every pass below level 0 takes only
+# its level's first table, so the grid can ask for at most the 164 level-0
+# tables of the widest pass the work cap admits and one table on each of the
+# _GRID_LEVELS levels below: 228 tables, about 4 MiB, which the cache's
+# _GRID_TABLES hold, so that repeating any pass on the grid rebuilds none
 _GRID_BLOCK = 16
 _GRID_TABLES = 256
-_GRID_LEVELS = 1000
+_GRID_LEVELS = 64
 # 32-node Gauss-Legendre rule per panel, and the 16-node rule that checks it
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHECK_NODES, _CHECK_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate([_FINE_NODES, _CHECK_NODES])
+# the weights as two columns, the 32-node rule's on its nodes and the 16-node
+# rule's on the rest, so that one matrix product takes both sums
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[: _FINE_NODES.size, 0] = _FINE_WEIGHTS
+_WEIGHTS[_FINE_NODES.size :, 1] = _CHECK_WEIGHTS
+# leggauss returns each rule's nodes in exact +- pairs: the 24 positive ones, and
+# for each of _NODES the one of equal size and its sign
+_OFFSETS = _NODES[_NODES > 0.0]
+_MIRROR = np.array([np.flatnonzero(_OFFSETS == abs(t))[0] for t in _NODES])
+_SIGNS = np.sign(_NODES)
 # cap on the work of one quadrature pass, counted as the (points x trapezoid
 # nodes) sine table of the direct J1 rule; a/d = 50 counts 2.5e6 for coil half
 # side a and plate distance d, and the cap admits a/d up to about 1000, where
 # a first call takes about 1.2 s on a 2-core Xeon host (building its x-grid
-# tables) and a repeat about 7 ms
+# tables) and a repeat about 10 ms
 _MAX_J1_WORK = 1e9
 
 
@@ -122,15 +145,20 @@ def phi_k(k, geom: EddyGeometry, mat: MetalMaterial):
     magnitude with nonnegative imaginary part for any passive material,
     which keeps the loss resistance nonnegative.  Evaluated as the equal
     quotient (k^2 (1 - mur^2) + j k_s^2) / (root + k*mur)^2, which does not
-    cancel in root - k*mur when k >> k_s.
+    cancel in root - k*mur when k >> k_s, with both sides written through
+    root^2 = k^2 + j k_s^2: the denominator as root^2 + (k mur)^2 + 2 k mur
+    root, since squaring root + k mur as a complex number cancels in its
+    real part when k << k_s (by up to 5e-9 of R_m at 100 MHz, 1e9 S/m).
     """
     k = np.asarray(k, dtype=float)
-    if not np.all(k >= 0.0):
+    if not (k >= 0.0).all():
         raise ValueError("k must be >= 0")
-    mur = mat.rel_permeability
-    ks2 = _ks2(geom, mat)
-    root = np.sqrt(k * k + 1j * ks2)
-    out = (k * k * (1.0 - mur * mur) + 1j * ks2) / (root + k * mur) ** 2
+    square = k * k + 1j * _ks2(geom, mat)
+    km = k * mat.rel_permeability
+    km2 = km * km
+    den = square + km2
+    den += 2.0 * km * np.sqrt(square)
+    out = (square - km2) / den
     return out if out.ndim else complex(out)
 
 
@@ -174,14 +202,17 @@ def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
     B = a h t_j s_m, sin(A + B) = sin A cos B + cos A sin B splits
     bessel_j1's sum over its trapezoid nodes s_m into a table over the
     centres times one over the offsets: sines are taken once per panel and
-    once per offset, not once per (node, trapezoid node) pair.
+    once per offset, not once per (node, trapezoid node) pair.  The offsets
+    come in +- pairs, so cos B and sin B are taken at the positive ones and
+    mirrored, which gives the same bits where sin is odd and cos even.
     """
     half = np.diff(edges) / 2.0
     centre = a * (edges[:-1] + half)
-    offset = a * half[0] * _NODES
+    offset = a * half[0] * _OFFSETS
     s = _j1_nodes(float(centre[-1] + np.max(offset)))
     turn = np.outer(offset, s)
-    cos_b, sin_b = (np.cos(turn) * s).T, (np.sin(turn) * s).T
+    cos_b = (np.cos(turn) * s)[_MIRROR].T
+    sin_b = (np.sin(turn) * s)[_MIRROR].T * _SIGNS
     out = np.empty((centre.size, _NODES.size))
     # block the (panels x trapezoid nodes) tables so their memory stays bounded
     step = max(1, _J1_BLOCK // s.size)
@@ -193,23 +224,43 @@ def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_GRID_TABLES)
 def _grid_table(level: int, block: int) -> np.ndarray:
-    """J1 at the rule nodes of panels 16 block .. 16 block + 15 of the x-grid's level.
+    """Rule nodes and weights of panels 16 block .. 16 block + 15 of the x-grid's level.
 
-    Built by _panel_j1 on that block's edges alone, so its trapezoid node
-    count, and every value in it, is the same whichever plate asks first.
-    Every caller shares the array, so it refuses writes.
+    Row 48 p + j is node j of the block's panel p: its x, then
+    J1(x)^2 w_j h / 2 for panel width h in the column of the node's rule
+    (32-node, then 16-node), and 0 in the other.  J1 comes from _panel_j1 on
+    the block's own edges, so its trapezoid node count, and every value
+    here, is the same whichever plate asks first.  Every caller shares the
+    array, so it refuses writes.
     """
     width = math.ldexp(_PANEL_PHASE / 2.0, -level)
     start = block * _GRID_BLOCK
-    table = _panel_j1(width * np.arange(start, start + _GRID_BLOCK + 1), 1.0)
+    edges = width * np.arange(start, start + _GRID_BLOCK + 1)
+    half = width / 2.0
+    j1 = _panel_j1(edges, 1.0)
+    table = np.empty((j1.size, 3))
+    table[:, 0] = ((edges[:-1, None] + half) + half * _NODES).ravel()
+    table[:, 1:] = ((j1 * j1 * half)[:, :, None] * _WEIGHTS).reshape(-1, 2)
     table.flags.writeable = False
     return table
 
 
-def _grid_j1(level: int, panels: int) -> np.ndarray:
-    """J1 at the rule nodes of the x-grid's first `panels` panels at `level`, one row each."""
+def _grid_rows(level: int, panels: int, depth: int) -> np.ndarray:
+    """_grid_table rows of a pass on the x-grid, one panel per 48 rows.
+
+    Without a head (depth 0) these are the level's first `panels` panels.
+    A head of `depth` levels replaces panel 0 by panel 0 of level
+    level + depth, then panel 1 of each level from level + depth down to
+    level + 1: the panels [0, w 2^-depth], ..., [w / 2, w] for the level's
+    width w.
+    """
+    n = _NODES.size
     blocks = [_grid_table(level, b) for b in range(-(-panels // _GRID_BLOCK))]
-    return np.concatenate(blocks)[:panels]
+    rows = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks))[: panels * n]
+    if depth:
+        head = [_grid_table(level + j, 0)[n : 2 * n] for j in range(depth, 0, -1)]
+        rows = np.concatenate([_grid_table(level + depth, 0)[:n], *head, rows[n:]])
+    return rows
 
 
 def _panel_edges(
@@ -218,16 +269,22 @@ def _panel_edges(
     """Panel edges on [0, k_max] or a little past it, for the composite Gauss-Legendre rule.
 
     Panels are uniform, narrow enough that J1(k a)^2 turns by at most
-    _PANEL_PHASE radians across one, and lie on the x-grid's level (see the
-    module docstring), or on k_max / _PANELS when x_max is too small for
+    _PANEL_PHASE radians across one, and lie on the x-grid's level L (see
+    the module docstring), or on k_max / _PANELS when x_max is too small for
     it.  With k_s = sqrt(w sigma mu0 mur), the material response has a pole
-    at |k| = k_s / sqrt(mur^2 - 1) and branch points at |k| = k_s.  Below
-    the first uniform edge, panels grow geometrically by at most 2x from a
-    quarter of k_s / mur, so that no panel is wide against its distance to
-    either.  Returns the edges, the index of the first uniform panel and
-    the grid level, None off the grid.  Raises WorkLimitError, before any
-    table is allocated, when the J1 work of the panels would pass
-    _MAX_J1_WORK, or when k_max is so large that phi_k would overflow.
+    at |k| = k_s / sqrt(mur^2 - 1) and branch points at |k| = k_s.  When a
+    quarter of k_s / mur, k_low, lies below the first uniform edge, a head
+    of panels halving toward 0 replaces the first uniform panel, so that no
+    panel is wide against its distance to either.  On the grid its edges are
+    0 and w 2^-j / a for the level's width w, j from the least depth s that
+    puts the first of them at or below k_low down to 0: the panel
+    [w 2^-j, w 2^-(j-1)] is the grid's panel 1 of level L + j, and
+    [0, w 2^-s] its panel 0 of level L + s.  Off the grid, or where L + s
+    passes _GRID_LEVELS, the head's s panels above k_low grow geometrically.
+    Returns the edges, the index of the first uniform panel and the grid
+    level, None off the grid.  Raises WorkLimitError, before any table is
+    allocated, when the J1 work of the panels would pass _MAX_J1_WORK, or
+    when k_max is so large that phi_k would overflow.
     """
     x_max = geom.coil_half_side * k_max
     n = 2.0 * x_max / _PANEL_PHASE
@@ -253,9 +310,9 @@ def _panel_edges(
     level, scaled, full = 0, x_max, (_PANELS - 1) * _PANEL_PHASE / 2.0
     while scaled <= full and level < _GRID_LEVELS:
         level, scaled = level + 1, 2.0 * scaled
+    width = math.ldexp(_PANEL_PHASE / 2.0, -level)
     if scaled > full:
         panels = math.ceil(scaled / (_PANEL_PHASE / 2.0))
-        width = math.ldexp(_PANEL_PHASE / 2.0, -level)
         edges = np.arange(panels + 1.0) * width / geom.coil_half_side
     else:
         level, edges = None, np.linspace(0.0, k_max, _PANELS + 1)
@@ -264,10 +321,14 @@ def _panel_edges(
     # magnetic image, and uniform panels integrate it
     if not 0.0 < k_low < edges[1]:
         return edges, 0, level
-    # [0, k_low], then `steps` geometric panels up to the first uniform edge
-    steps = math.ceil(math.log2(edges[1] / k_low))
-    graded = np.geomspace(k_low, edges[1], steps + 1)
-    return np.concatenate([[0.0], graded, edges[2:]]), steps + 1, level
+    # the least depth with edges[1] 2^-depth <= k_low, read off the binary exponents
+    (top, top_exp), (low, low_exp) = math.frexp(edges[1]), math.frexp(k_low)
+    depth = top_exp - low_exp + (top > low)
+    if level is not None and level + depth <= _GRID_LEVELS:
+        head = np.ldexp(width, -np.arange(depth, 0, -1)) / geom.coil_half_side
+        return np.concatenate([[0.0], head, edges[1:]]), depth + 1, level
+    graded = np.geomspace(k_low, edges[1], depth + 1)
+    return np.concatenate([[0.0], graded, edges[2:]]), depth + 1, None
 
 
 def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> complex:
@@ -275,27 +336,34 @@ def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> 
 
     K is the last panel edge, k_max or a little past it.  The 32-node rule
     gives the value; an embedded 16-node rule on the same panels is its
-    error estimate.
+    error estimate.  On the grid the integral is taken in x = a k, as
+    (N a)^2 / a times the sum of phi exp(-2 x d / a) against the tables'
+    weights; (N a)^2 enters ahead of the sum, so a plate too small for its
+    value to be a float gives 0.  Off the grid J1 comes from _panel_j1 on
+    the uniform panels and the direct rule on the head, in k.
     """
     edges, first, level = _panel_edges(geom, mat, k_max)
-    half = np.diff(edges)[:, None] / 2.0
-    k = (edges[:-1, None] + half) + half * _NODES
     a = geom.coil_half_side
-    # the uniform panels from the x-grid's tables, past its first panel when
-    # graded panels stand in for it, or by angle addition off the grid; the
-    # graded ones (if any) by the direct rule
     if level is None:
+        half = np.diff(edges)[:, None] / 2.0
+        k = (edges[:-1, None] + half) + half * _NODES
         j1 = _panel_j1(edges[first:], a)
+        if first:
+            j1 = np.concatenate([bessel_j1(k[:first] * a), j1])
+        f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
+        f *= (geom.coil_turns * a * j1) ** 2
+        f *= half
+        weights, length = np.tile(_WEIGHTS, (edges.size - 1, 1)), 1.0
     else:
-        skip = 1 if first else 0
-        j1 = _grid_j1(level, edges.size - 1 - first + skip)[skip:]
-    if first:
-        j1 = np.concatenate([bessel_j1(k[:first] * a), j1])
-    f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
-    f *= (geom.coil_turns * a * j1) ** 2
-    f *= half
-    value = complex(np.sum(f[:, : _FINE_NODES.size] @ _FINE_WEIGHTS))
-    check = complex(np.sum(f[:, _FINE_NODES.size :] @ _CHECK_WEIGHTS))
+        depth = first - 1 if first else 0
+        rows = _grid_rows(level, edges.size - 1 - depth, depth)
+        k = rows[:, 0] / a
+        f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
+        f *= (geom.coil_turns * a) ** 2
+        weights, length = rows[:, 1:], a
+    # rows (value, check), columns (Re, Im)
+    sums = weights.T @ f.reshape(-1).view(float).reshape(-1, 2) / length
+    value, check = complex(*sums[0]), complex(*sums[1])
     # a subnormal part holds too few bits for a relative check, so the gap is
     # measured against the smallest normal float there instead
     for part, gap in ((value.real, (value - check).real), (value.imag, (value - check).imag)):

@@ -82,6 +82,37 @@ def quad_plate_impedance(g: EddyGeometry, mat: MetalMaterial) -> complex:
     return complex(w * math.pi * MU0 * raw[0], w * math.pi * MU0 * raw[1])
 
 
+def mpmath_plate_impedance(
+    g: EddyGeometry, mat: MetalMaterial, points: list[float], got: MetalReceiver
+) -> complex:
+    """R_m + j*w*L_m by 30-digit mpmath integrals over the breakpoints `points` (1/m).
+
+    The oracle where scipy's quad is off.  mpmath's quad stops on an absolute
+    error estimate, so each part of the integrand is scaled to order 1 by the
+    size `got` gives that part; the scale sets where quad stops, not the
+    value it converges to.  phi is the equal quotient phi_k documents.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, n, d, w = g.coil_half_side, g.coil_turns, g.plate_distance, g.angular_frequency
+    sizes = (got.l_m / (math.pi * MU0), got.r_m / (w * math.pi * MU0))
+    with mpmath.workdps(30):
+        mur = mpmath.mpf(mat.rel_permeability)
+        ks2 = mpmath.mpf(w) * mpmath.mpf(mat.conductivity) * mpmath.mpf(MU0) * mur
+        big_a, big_d = mpmath.mpf(a), mpmath.mpf(d)
+
+        def f(k):
+            root = mpmath.sqrt(k * k + 1j * ks2)
+            phi = (k * k * (1 - mur * mur) + 1j * ks2) / (root + k * mur) ** 2
+            j1 = mpmath.besselj(1, k * big_a)
+            return phi * mpmath.exp(-2 * k * big_d) * (n * big_a * j1) ** 2
+
+        raw = []
+        for part, size in zip((lambda z: z.real, lambda z: z.imag), sizes):
+            scale = points[-1] / abs(size)
+            raw.append(float(mpmath.quad(lambda k: part(f(k)) * scale, points) / scale))
+    return complex(w * math.pi * MU0 * raw[1], w * math.pi * MU0 * raw[0])
+
+
 class TestPhi:
     def test_k_zero_is_one(self):
         assert phi_k(0.0, geom(), CU) == pytest.approx(1.0 + 0.0j)
@@ -113,6 +144,20 @@ class TestPhi:
         got = phi_k(k, geom(), MetalMaterial("x", sigma, 1.0))
         assert abs(got.real - float(expected.real)) <= 1e-13 * abs(float(expected.real))
         assert abs(got.imag - float(expected.imag)) <= 1e-13 * abs(float(expected.imag))
+
+    @pytest.mark.parametrize("mur", [1.0, 300.0])
+    def test_against_mpmath_where_k_s_dominates(self, mur):
+        # k << k_s: squared as a complex number, (root + k*mur)^2 cancels in its real part
+        mpmath = pytest.importorskip("mpmath")
+        g, mat = geom(w=2.0 * math.pi * 1e8), MetalMaterial("x", 1e9, mur)
+        ks = np.array([1e-3, 0.1, 10.0])
+        with mpmath.workdps(40):
+            ks2 = mpmath.mpf(g.angular_frequency) * mpmath.mpf(1e9) * mpmath.mpf(MU0) * mur
+            for k, got in zip(ks, phi_k(ks, g, mat)):
+                root = mpmath.sqrt(k * k + 1j * ks2)
+                expected = (root - k * mur) / (root + k * mur)
+                assert abs(got.real - float(expected.real)) <= 1e-15 * abs(float(expected.real))
+                assert abs(got.imag - float(expected.imag)) <= 1e-15 * abs(float(expected.imag))
 
     def test_bounded_and_passive_random(self):
         rng = np.random.default_rng(11)
@@ -203,46 +248,105 @@ class TestPanelJ1:
         monkeypatch.setattr(eddy, "_J1_BLOCK", 1)
         self.check(geom(a=0.15, d=0.01), CU, graded=False)
 
+    def test_mirrored_offsets_give_the_direct_table(self, monkeypatch):
+        # cos and sin at the 24 positive offsets, mirrored onto the 48, give the bits of
+        # taking them at all 48, where numpy's sin is odd and its cos even
+        def direct(edges, a):
+            half = np.diff(edges) / 2.0
+            centre = a * (edges[:-1] + half)
+            offset = a * half[0] * eddy._NODES
+            s = eddy._j1_nodes(float(centre[-1] + np.max(offset)))
+            turn = np.outer(offset, s)
+            cos_b, sin_b = (np.cos(turn) * s).T, (np.sin(turn) * s).T
+            out = np.empty((centre.size, eddy._NODES.size))
+            step = max(1, eddy._J1_BLOCK // s.size)
+            for i in range(0, centre.size, step):
+                phase = np.outer(centre[i : i + step], s)
+                out[i : i + step] = np.sin(phase) @ cos_b + np.cos(phase) @ sin_b
+            return out / s.size
+
+        plates = [(geom(a=0.15, d=0.03), CU), (geom(a=0.137, d=1e-3), FE)]
+        cases = [(12.0 * np.arange(17.0), 1.0), (1.5 * np.arange(2000.0, 2017.0), 1.0)]
+        cases += [(rule_nodes(g, mat)[0], g.coil_half_side) for g, mat in plates]
+        for block in (eddy._J1_BLOCK, 1):
+            monkeypatch.setattr(eddy, "_J1_BLOCK", block)
+            for edges, a in cases:
+                assert np.array_equal(eddy._panel_j1(edges, a), direct(edges, a))
+
     def test_no_graded_panels_when_k_low_is_the_first_uniform_edge(self):
-        # with a = 0.1 and d = 0.2 the first uniform edge is the x-grid's level-4 width
-        # 0.75 over a, 7.5 exactly, and k_low = sqrt(k_s^2)/mur/4 is 7.5 at k_s^2 = 900:
+        # with a = 0.1 and d = 0.2 the first uniform edge is the x-grid's level-2 width
+        # 3 over a, 30 exactly, and k_low = sqrt(k_s^2)/mur/4 is 30 at k_s^2 = 14400:
         # nothing lies below it to grade
         g, k_max = geom(a=0.1, d=0.2, w=1.0), 30.0 / 0.2
-        sigma = conductivity_for(900.0)
+        sigma = conductivity_for(14400.0)
         edges, first, _ = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
-        assert first == 0 and edges[1] == 7.5
+        assert first == 0 and edges[1] == 30.0
         below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
         assert eddy._panel_edges(g, below, k_max)[1] > 0
 
     def test_direct_rule_runs_only_on_graded_panels(self, monkeypatch, repro_scenario):
+        # only a head off the grid takes the direct rule: not the bundled plates, nor a
+        # head 59 levels below level 2, but one 108 levels below it
         calls = []
         j1 = eddy.bessel_j1
         monkeypatch.setattr(eddy, "bessel_j1", lambda x: calls.append(x) or j1(x))
         scenario.plates(repro_scenario)
+        g = geom(a=0.1, d=0.2)
+        on_grid = MetalMaterial("x", 1e-30, 1.0)
+        assert eddy._panel_edges(g, on_grid, 150.0)[1:] == (60, 2)
+        plate_impedance(g, on_grid)
         assert calls == []
-        g, mat = geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0)
-        edges, first, k = rule_nodes(g, mat)
-        eddy._spectral_integral(g, mat, 30.0 / g.plate_distance)
+        off_grid = MetalMaterial("x", 1e-60, 1.0)
+        edges, first, k = rule_nodes(g, off_grid)
+        assert first == 109 and eddy._panel_edges(g, off_grid, 150.0)[2] is None
+        eddy._spectral_integral(g, off_grid, 150.0)
         assert len(calls) == 1 and calls[0].shape == k[:first].shape
 
 
-class TestGridTables:
-    """The x-grid's J1 tables: one value per node, whatever the cache has seen."""
+def graded_plates() -> list[tuple[EddyGeometry, MetalMaterial]]:
+    """Plates whose first pass has a head on the grid, from both of seeded_plates' ranges."""
+    cases = [(geom(), FE), (geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0))]
+    for g, mat in seeded_plates(37, 60):
+        _, first, level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)
+        if first and level is not None:
+            cases.append((g, mat))
+    return cases
 
-    def test_rows_match_direct_rule(self):
-        # bessel_j1 at a k on each uniform panel, graded or not
-        cases = [
-            (geom(a=0.15, d=0.03), CU),
-            (geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0)),
-            (geom(a=0.1, d=0.2), FE),
-        ]
+
+class TestGridTables:
+    """The x-grid's tables: one value per node, whatever the cache has seen."""
+
+    @pytest.mark.parametrize("level, block", [(0, 0), (0, 3), (2, 0), (10, 0), (43, 0), (64, 0)])
+    def test_rows_match_direct_rule(self, level, block):
+        # each row: the node x, then bessel_j1(x)^2 w h / 2 in its rule's column, 0 in the other
+        table = eddy._grid_table(level, block)
+        width = math.ldexp(12.0, -level)
+        edges = width * np.arange(16 * block, 16 * block + 17)
+        x = (edges[:-1, None] + width / 2.0) + width / 2.0 * eddy._NODES
+        assert np.array_equal(table[:, 0], x.ravel())
+        j1 = bessel_j1(x)
+        fine, check = eddy._FINE_NODES.size, eddy._CHECK_NODES.size
+        weights = table[:, 1:].reshape(16, fine + check, 2)
+        expected = j1 * j1 * width / 2.0
+        rules = ((slice(0, fine), eddy._FINE_WEIGHTS), (slice(fine, None), eddy._CHECK_WEIGHTS))
+        for column, (rule, w) in enumerate(rules):
+            assert np.max(np.abs(weights[:, rule, column] - expected[:, rule] * w)) <= 1e-14
+        assert not weights[:, fine:, 0].any() and not weights[:, :fine, 1].any()
+        # the deepest level's entries are far from underflow
+        assert np.min(weights[:, :fine, 0]) > 1e-70
+
+    def test_pass_rows_lie_at_its_rule_nodes(self):
+        # _grid_rows gives each panel of the pass, head or uniform, the nodes that its
+        # edges give, to rounding at the size of the panel's upper edge
+        cases = [(geom(a=0.15, d=0.03), CU), (geom(a=0.1, d=1e-3), AL), *graded_plates()]
         for g, mat in cases:
             edges, first, k = rule_nodes(g, mat)
             level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)[2]
-            skip = 1 if first else 0
-            got = eddy._grid_j1(level, edges.size - 1 - first + skip)[skip:]
-            expected = bessel_j1(k[first:] * g.coil_half_side)
-            assert np.max(np.abs(got - expected)) <= 1e-14, (g, mat)
+            depth = first - 1 if first else 0
+            rows = eddy._grid_rows(level, edges.size - 1 - depth, depth)
+            assert rows.shape == (k.size, 3)
+            gap = np.abs(rows[:, 0] / g.coil_half_side - k.ravel())
+            assert np.all(gap <= 1e-15 * np.repeat(edges[1:], k.shape[1])), (g, mat)
 
     def test_values_independent_of_cache_history(self):
         # each table is built from its own panels, so a plate's bits do not depend on
@@ -271,22 +375,92 @@ class TestGridTables:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
         assert eddy._grid_table(0, 0) is table
+        with pytest.raises(ValueError, match="read-only"):
+            eddy._grid_rows(0, 5, 0)[0, 1] = 0.0
 
     def test_cache_stays_bounded(self):
-        # a/d = 1000 needs 2,500 level-0 panels, 157 tables, which the cache holds; 60
-        # small plates, each with 20 panels on a level of its own, need 120 more
+        # a/d = 1040 needs 2,600 level-0 panels, 163 tables; every pass below level 0
+        # takes its level's first table only, so plates on each level down to 64 add 64
+        # more, the cache holds them all, and a repeat builds none.  Level 65 is off the
+        # grid and adds none
         eddy._grid_table.cache_clear()
-        g = geom(a=0.1, d=1e-4)
+        g = geom(a=0.104, d=1e-4)
         edges, first, level = eddy._panel_edges(g, CU, 30.0 / g.plate_distance)
-        assert level == 0 and edges.size - 1 == 2500
+        assert (level, first, edges.size - 1) == (0, 0, 2600)
         imp = plate_impedance(g, CU)
         assert imp.r_m > 0.0 and imp.l_m > 0.0
-        assert eddy._grid_table.cache_info().currsize == 157
-        for level in range(1, 61):
-            small = geom(a=math.ldexp(0.2, -level), d=0.2)
-            assert eddy._panel_edges(small, CU, 150.0)[2] == level + 3
+        assert eddy._grid_table.cache_info().currsize == 163
+        smalls = [geom(a=math.ldexp(0.2, -level), d=0.2) for level in range(64)]
+        for level, small in enumerate(smalls, 1):
+            assert eddy._panel_edges(small, CU, 150.0)[2] == level
             plate_impedance(small, CU)
-        assert eddy._grid_table.cache_info().currsize == eddy._GRID_TABLES == 256
+        info = eddy._grid_table.cache_info()
+        assert info.currsize == 227 < eddy._GRID_TABLES == 256
+        for small in (g, *smalls):
+            plate_impedance(small, CU)
+        assert eddy._grid_table.cache_info().misses == info.misses
+        deeper = geom(a=math.ldexp(0.2, -64), d=0.2)
+        assert eddy._panel_edges(deeper, CU, 150.0)[2] is None
+        plate_impedance(deeper, CU)
+        assert eddy._grid_table.cache_info().currsize == 227
+
+
+class TestGradedHead:
+    """The head of halving panels that replaces a pass's first uniform panel."""
+
+    def test_edges_halve_the_grid_width(self):
+        # on the grid the head's edges are w 2^-j / a for the level's width w, and the first
+        # is the first of them at or below k_low
+        for g, mat in graded_plates():
+            edges, first, level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)
+            a, width = g.coil_half_side, math.ldexp(12.0, -level)
+            head = [math.ldexp(width, -j) / a for j in range(first - 1, -1, -1)]
+            assert edges[0] == 0.0 and list(edges[1 : first + 1]) == head
+            k_low = math.sqrt(eddy._ks2(g, mat)) / mat.rel_permeability / 4.0
+            assert edges[1] <= k_low < edges[2], (g, mat)
+
+    def test_depth_at_a_head_edge(self):
+        # at a = 0.1, d = 0.2 the level-2 width is 30 over a; k_low = sqrt(k_s^2)/4 is 3.75
+        # = 30 / 8 at k_s^2 = 225, a head of 3 levels with its first edge at k_low.  Below
+        # it the head takes a fourth level
+        g, k_max = geom(a=0.1, d=0.2, w=1.0), 150.0
+        sigma = conductivity_for(225.0)
+        edges, first, level = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
+        assert (first, level, edges[1]) == (4, 2, 3.75)
+        below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
+        edges, first, level = eddy._panel_edges(g, below, k_max)
+        assert (first, level, edges[1]) == (5, 2, 1.875)
+
+    def test_deepest_head_on_the_grid(self):
+        # k_low = 30 2^-62 puts the head 62 levels below level 2, level 64; one float
+        # lower it would reach 65 and leaves the grid.  Both give the same plate
+        g, k_max = geom(a=0.1, d=0.2, w=1.0), 150.0
+        sigma = conductivity_for(math.ldexp(14400.0, -124))
+        deepest = MetalMaterial("x", sigma, 1.0)
+        assert eddy._panel_edges(g, deepest, k_max)[1:] == (63, 2)
+        below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
+        assert eddy._panel_edges(g, below, k_max)[1:] == (64, None)
+        on, off = plate_impedance(g, deepest), plate_impedance(g, below)
+        assert on.r_m == pytest.approx(off.r_m, rel=1e-12, abs=0.0)
+        assert on.l_m == pytest.approx(off.l_m, rel=1e-12, abs=0.0)
+
+    def test_deepest_domain_head_matches_mpmath(self):
+        # the domain's corner a = d = 1e-4 m, 1 Hz, sigma = 1e-3 S/m, mu_r = 1e6 puts the
+        # head 42 levels below level 1, and takes a table on each level.  scipy's quad is
+        # off at that corner (ROADMAP item 11), so the oracle is mpmath's, split at
+        # k_s / mu_r 2^j and every 2 units of x = a k
+        a = d = 1e-4
+        g, mat = EddyGeometry(a, 3, d, 2.0 * math.pi), MetalMaterial("x", 1e-3, 1e6)
+        edges, first, level = eddy._panel_edges(g, mat, 30.0 / d)
+        assert (first - 1, level) == (42, 1)
+        eddy._grid_table.cache_clear()
+        got = plate_impedance(g, mat)
+        assert eddy._grid_table.cache_info().currsize == 43
+        low = math.sqrt(eddy._ks2(g, mat)) / mat.rel_permeability
+        points = [0.0] + [low * 2.0**j for j in range(-4, 40) if low * 2.0**j < 1.0 / a]
+        expected = mpmath_plate_impedance(g, mat, points + [x / a for x in range(1, 101, 2)], got)
+        assert abs(got.impedance(g.angular_frequency) - expected) <= 1e-12 * abs(expected)
+        assert got.r_m == pytest.approx(expected.real, rel=1e-12, abs=0.0)
 
 
 def elliptic_ke(m: float) -> tuple[float, float]:
@@ -441,6 +615,20 @@ class TestPlateImpedance:
         assert all(x.r_m < y.r_m for x, y in zip(imps, imps[1:]))
         assert all(x.l_m < y.l_m for x, y in zip(imps, imps[1:]))
 
+    @pytest.mark.parametrize("a", [1e-4, 100.0])
+    def test_loss_where_k_s_dominates_matches_mpmath(self, a):
+        # 100 MHz and 1e9 S/m put k_s near 9e5 1/m, and d = 100 m keeps k below 1.3 1/m:
+        # R_m's part is 2.4e-8 of L_m's at a = 1e-4 m, and (root + k)^2 squared as a
+        # complex number cancels in its real part there, by 5e-9 of R_m
+        g, mat = geom(a=a, d=100.0, w=2.0 * math.pi * 1e8), MetalMaterial("x", 1e9, 1.0)
+        got = plate_impedance(g, mat)
+        points = [0.0, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28]
+        if a > 1.0:
+            points = sorted(points + [x / a for x in range(2, 128, 2)])
+        expected = mpmath_plate_impedance(g, mat, points, got)
+        assert got.r_m == pytest.approx(expected.real, rel=1e-12, abs=0.0)
+        assert g.angular_frequency * got.l_m == pytest.approx(expected.imag, rel=1e-12, abs=0.0)
+
     # at 2e-14 quad can reach its rounding floor and says so; it still
     # returns its best value, which the bound below then judges
     @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
@@ -450,14 +638,14 @@ class TestPlateImpedance:
             got = plate_impedance(g, mat).impedance(g.angular_frequency)
             assert abs(got - expected) <= 1e-12 * abs(expected), (g, mat)
 
-    # 144 2^-L is where a level's 12 panels become 13, and 132 2^-L where the next
-    # level's 22 become this level's 12; each point's (panels, level - L) below, at
+    # 48 2^-L is where a level's 4 panels become 5, and 36 2^-L where the next
+    # level's 6 become this level's 4; each point's (panels, level - L) below, at
     # and above the edge
     @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
     @pytest.mark.parametrize("level", [0, 1, 5])
     @pytest.mark.parametrize(
         "edge, rules",
-        [(144.0, ((12, 0), (12, 0), (13, 0))), (132.0, ((22, 1), (22, 1), (12, 0)))],
+        [(48.0, ((4, 0), (4, 0), (5, 0))), (36.0, ((6, 1), (6, 1), (4, 0)))],
     )
     def test_matches_quad_oracle_at_level_boundaries(self, level, edge, rules):
         # d = 30/128 puts k_max = 30/d at 128 exactly, so x_max = a k_max is exact for
