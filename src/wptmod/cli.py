@@ -4,8 +4,9 @@ Verbs: materials, couplings, impedance, curves, fit, detect.  Every command
 is deterministic given the scenario file and seed; exit codes distinguish
 validation (2), convergence (3), and non-separability (4) failures.
 
-Parsing, --help, --version, usage errors and `materials` load no numpy:
-each of the other verbs imports the physics modules it runs when it starts.
+Parsing, --help, --version, usage errors, `materials` and `couplings` load
+no numpy: each verb imports the modules it runs when it starts, and
+wptmod.scenario defers each physics module to the builder that calls it.
 """
 
 from __future__ import annotations

@@ -5,14 +5,16 @@ planes.  Mutual inductance between coaxial square loops is available four
 ways: the exact form over parallel sides (used by the pipeline), a discretized
 Neumann double contour integral (its independent test reference), the paper's
 closed-form estimate, and a plate variant stacking loops over the plate radius.
+
+Every form the `couplings` verb prints runs on the math module, so that verb
+loads no numpy; only the Neumann test reference imports numpy, inside the two
+functions that build and sum its element tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError
 
@@ -59,6 +61,8 @@ class CoaxialPair:
 
 def _square_contour(half_side: float, z: float, n_per_side: int):
     """Midpoints and directed element vectors of a square contour, n per side."""
+    import numpy as np
+
     corners = [
         (half_side, -half_side),
         (half_side, half_side),
@@ -83,6 +87,8 @@ def _square_contour(half_side: float, z: float, n_per_side: int):
 
 
 def _neumann_sum(a: float, b: float, h: float, n_per_side: int) -> float:
+    import numpy as np
+
     p1, d1 = _square_contour(a, 0.0, n_per_side)
     p2, d2 = _square_contour(b, h, n_per_side)
     total = 0.0
@@ -199,7 +205,12 @@ def mutual_inductance_coil_plate_by_integration(
 
     Independent evaluation path for mutual_inductance_coil_plate; composite
     Simpson quadrature on 64 panels over plate half sides in
-    (0, plate_half_side].
+    (0, plate_half_side]: nodes i * step, the last one plate_half_side
+    itself, weights 1, 4, 2, ..., 4, 1, summed by math.fsum.  The tests hold
+    it to a numpy evaluation of the same sum within 1e-14 over desk
+    geometry and 1e-10 wherever h is at most 10 max(a, b).  Farther away
+    both cancel in log(hypot(a + b, h)) - log(hypot(a - b, h)) and drift
+    apart by up to ~1e-7, the closed form's fault too (ROADMAP item 11).
     """
     if not plate_half_side > 0.0:
         raise ValueError("plate_half_side must be > 0")
@@ -207,12 +218,14 @@ def mutual_inductance_coil_plate_by_integration(
         raise ValueError("separation must be > 0")
     a = primary.half_side
     h = separation
-    bp = np.linspace(0.0, plate_half_side, 2 * _SIMPSON_PANELS + 1)
-    # half of log(((a + b)^2 + h^2) / ((a - b)^2 + h^2)), without squaring a tiny h into underflow
-    log_ratio = np.log(np.hypot(a + bp, h)) - np.log(np.hypot(a - bp, h))
-    integrand = 4.0 * MU0 * bp / math.pi * log_ratio
-    step = plate_half_side / (2 * _SIMPSON_PANELS)
-    weights = np.ones_like(bp)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return step / 3.0 * float(weights @ integrand) * primary.turns
+    n = 2 * _SIMPSON_PANELS
+    step = plate_half_side / n
+    nodes = [i * step for i in range(n)] + [plate_half_side]
+    weights = [1.0] + [4.0, 2.0] * (_SIMPSON_PANELS - 1) + [4.0, 1.0]
+    terms = []
+    for w, b in zip(weights, nodes):
+        # half of log(((a + b)^2 + h^2) / ((a - b)^2 + h^2)), without squaring a tiny h
+        # into underflow
+        log_ratio = math.log(math.hypot(a + b, h)) - math.log(math.hypot(a - b, h))
+        terms.append(w * (4.0 * MU0 * b / math.pi * log_ratio))
+    return step / 3.0 * math.fsum(terms) * primary.turns

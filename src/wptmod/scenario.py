@@ -5,6 +5,15 @@ typo cannot silently fall back to a default.  Each spec class below
 declares its keys once, as fields with their kind, default and bounds
 (wptmod.schema, whose named ranges are the physical domain of each
 quantity), and parse_scenario reads them all in one pass.
+
+Importing this module loads the spec classes and magnetics, which runs on
+the math module, so `couplings` runs without numpy.  Each builder imports
+the physics modules it calls when it starts, once per call and never in a
+per-receiver helper: plates() imports eddy and materials, build_sweeps()
+circuit and characteristics, and generate_test_samples() numpy, circuit,
+characteristics and detection.  So a CLI verb loads only the modules it
+runs: `fit` loads neither eddy nor materials, and only `detect` loads them
+all.
 """
 
 from __future__ import annotations
@@ -12,15 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import circuit, eddy, magnetics, materials, schema
-from .characteristics import SweepSpec, _u_and_p
-from .circuit import Couplings, DriveSpec, TxCoil
-from .detection import Sample
+from . import magnetics, schema
 from .errors import ScenarioError, WorkLimitError
 from .schema import decode_json, finite, integer, key, read, read_text, string, unique_label
+
+if TYPE_CHECKING:
+    from .characteristics import SweepSpec
+    from .circuit import MetalReceiver
+    from .materials import MetalMaterial
 
 
 # the most points one sweep may hold: each point is a curves.csv row of
@@ -125,13 +135,6 @@ def parse_scenario(raw: dict) -> Scenario:
 # -- builders binding a scenario to the physics modules ----------------------
 
 
-def _capacitance(sc: Scenario, part: TransmitterSpec | ReceiverCoilSpec) -> float:
-    """part's capacitance_f, or the one resonant with its inductance_h at the frequency."""
-    if part.capacitance_f is not None:
-        return part.capacitance_f
-    return circuit.resonant_capacitance(part.inductance_h, sc.omega)
-
-
 def tx_loop(sc: Scenario) -> magnetics.SquareLoop:
     return magnetics.SquareLoop(sc.transmitter.half_side_m, sc.transmitter.turns)
 
@@ -145,7 +148,7 @@ def coil_pair(sc: Scenario, spec: ReceiverCoilSpec) -> magnetics.CoaxialPair:
     )
 
 
-def plates(sc: Scenario) -> list[tuple[materials.MetalMaterial, circuit.MetalReceiver]]:
+def plates(sc: Scenario) -> list[tuple[MetalMaterial, MetalReceiver]]:
     """The material and equivalent series R-L branch of each metal plate.
 
     Reads the material database once, then binds each plate in order.
@@ -155,6 +158,8 @@ def plates(sc: Scenario) -> list[tuple[materials.MetalMaterial, circuit.MetalRec
     quadrature would pass eddy's work cap or overflow.  So of two faulty
     plates the first in order is reported, whichever its fault.
     """
+    from . import eddy, materials
+
     db = materials.load_materials(sc.materials_db)
     out = []
     for index, spec in enumerate(sc.metal_plates):
@@ -207,22 +212,31 @@ def build_sweeps(sc: Scenario) -> list[SweepSpec]:
     every Z_in is finite; a plate built outside it that reflects nothing
     meets circuit's "receiver impedance is zero" when its sweep is evaluated.
     """
+    from . import characteristics, circuit
+
     for name in ("receiver_coils", "metal_plates"):
         if not getattr(sc, name):
             raise ScenarioError(f"{name} is empty; the threshold fit needs both classes")
+
+    def capacitance(part: TransmitterSpec | ReceiverCoilSpec) -> float:
+        """part's capacitance_f, or the one resonant with its inductance_h at the frequency."""
+        if part.capacitance_f is not None:
+            return part.capacitance_f
+        return circuit.resonant_capacitance(part.inductance_h, sc.omega)
+
     t, s = sc.transmitter, sc.sweep
-    tx = TxCoil(t.resistance_ohm, t.inductance_h, _capacitance(sc, t))
+    tx = circuit.TxCoil(t.resistance_ohm, t.inductance_h, capacitance(t))
     bound = []
     for spec in sc.receiver_coils:
-        cap = _capacitance(sc, spec)
+        cap = capacitance(spec)
         rx = circuit.CoilReceiver(spec.resistance_ohm, spec.inductance_h, cap, spec.load_ohm)
         bound.append(("coil", spec, rx))
     bound += [("metal", spec, rx) for spec, (_, rx) in zip(sc.metal_plates, plates(sc))]
-    drive = DriveSpec(sc.omega)
+    drive = circuit.DriveSpec(sc.omega)
     return [
-        SweepSpec(
-            s.i_min_a, s.i_max_a, s.steps, drive, rx, Couplings(0.0, coupling(sc, spec)), tx,
-            label=f"{kind}:{spec.label}",
+        characteristics.SweepSpec(
+            s.i_min_a, s.i_max_a, s.steps, drive, rx,
+            circuit.Couplings(0.0, coupling(sc, spec)), tx, label=f"{kind}:{spec.label}",
         )
         for kind, spec, rx in bound
     ]
@@ -241,6 +255,10 @@ def generate_test_samples(
     sweeps to skip rebuilding couplings and impedances.  Raises
     ScenarioError naming the test currents when there are none.
     """
+    import numpy as np
+
+    from . import characteristics, circuit, detection
+
     currents = sc.detection.test_currents_a
     if not currents:
         raise ScenarioError("scenario.detection.test_currents_a must not be empty")
@@ -251,13 +269,14 @@ def generate_test_samples(
     # one row (|Z_in|, Re Z_in) per receiver, the magnitude from Python's abs:
     # np.abs over a complex array can differ in the last bit
     parts = np.array([(abs(z), z.real) for z in z_in])
-    noisy = np.array(_u_and_p(parts[:, :1], parts[:, 1:], currents))  # (2, receivers, currents)
+    # (2, receivers, currents)
+    noisy = np.array(characteristics._u_and_p(parts[:, :1], parts[:, 1:], currents))
     noisy *= 1.0 + eps.transpose(2, 0, 1)
     np.maximum(noisy, 0.0, out=noisy)
     samples = []
     for sweep, u, p in zip(sweeps, *noisy.tolist()):
         true_label, name = sweep.label.split(":", 1)
         # tuple.__new__ builds each Sample in C, skipping the NamedTuple's Python __new__
-        points = map(tuple.__new__, repeat(Sample), zip(currents, u, p))
+        points = map(tuple.__new__, repeat(detection.Sample), zip(currents, u, p))
         samples += zip(repeat(true_label), repeat(name), points)
     return samples

@@ -3,10 +3,10 @@
 Each field of a spec class is declared once, by `key`: its JSON kind, its
 default (a field without one is a required key; a None default also takes
 an explicit null) and its bounds.  A spec class is a plain dataclass, and
-its fields, in declaration order, are its key table.  `read` walks those
-fields in one pass and raises ScenarioError naming the key path of the
-first value that is unknown, missing, of the wrong kind, out of bounds or a
-repeated label.
+its fields, in declaration order, are its key table, built once per class
+and process.  `read` walks that table in one pass and raises ScenarioError
+naming the key path of the first value that is unknown, missing, of the
+wrong kind, out of bounds or a repeated label.
 
 A kind is one of the reader functions below, a spec class (an object),
 [kind] (a list of any length) or (kind, kind) (a list of exactly two).
@@ -165,21 +165,32 @@ def read_key(cls, name: str, value, where: str):
     return read(f.metadata["kind"], value, where, f.metadata["bounds"])
 
 
+# a spec class's fields cannot change while the process runs
+@functools.cache
+def _key_table(cls):
+    """cls's keys as (name, kind, bounds, required, takes null) rows, and their names."""
+    rows = tuple(
+        (f.name, f.metadata["kind"], f.metadata["bounds"],
+         f.default is dataclasses.MISSING, f.default is None)
+        for f in dataclasses.fields(cls)
+    )
+    return rows, frozenset(row[0] for row in rows)
+
+
 def _object(cls, obj, where: str, seen):
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where} must be an object, got {obj!r}")
-    fields = dataclasses.fields(cls)
-    unknown = obj.keys() - {f.name for f in fields}
+    rows, names = _key_table(cls)
+    unknown = obj.keys() - names
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
     values = {}
-    for f in fields:
-        name, kind = f.name, f.metadata["kind"]
+    for name, kind, bounds, required, takes_null in rows:
         if name not in obj:
-            if f.default is dataclasses.MISSING:
+            if required:
                 raise ScenarioError(f"{where}.{name} is missing")
-        elif obj[name] is not None or f.default is not None:
-            value = values[name] = read(kind, obj[name], f"{where}.{name}", f.metadata["bounds"])
+        elif obj[name] is not None or not takes_null:
+            value = values[name] = read(kind, obj[name], f"{where}.{name}", bounds)
             if kind is unique_label:
                 if value in seen:
                     raise ScenarioError(f"duplicate label {value!r} at {where}")

@@ -758,8 +758,10 @@ def test_detect_reports_byte_identical(tmp_path, capsys):
 
 
 # sha256 of the `impedance`, `curves` and `fit` artifacts on the bundled
-# scenario, as written when every panel took the direct J1 rule
+# scenario, as written when every panel took the direct J1 rule; and of the
+# `couplings` table, as written when its Simpson check column was a numpy sum
 ARTIFACT_SHA256 = {
+    "couplings.csv": "e05146f8e8783975e29c625a8b24341744e9cdeb78ce6ac5c738ddc54011b2e7",
     "impedance.csv": "50a8b978c3f99f25100e85a02b27ce5a45e7b6c9ef9b2afcc82afab76f718671",
     "curves.csv": "ce04ca314db603d053d3d1e6a409cac83cb14fb3cdd3c79129f63d574810857f",
     "threshold.json": "691eaf03d6dd0dc9f0af4dfdf805a3e1c0be6804b00eb0dc706c41e3016ebc34",
@@ -767,7 +769,7 @@ ARTIFACT_SHA256 = {
 
 
 def test_artifacts_byte_identical(tmp_path, capsys):
-    for verb in ("impedance", "curves", "fit"):
+    for verb in ("couplings", "impedance", "curves", "fit"):
         assert cli.main([verb, "--out", str(tmp_path)]) == cli.EXIT_OK
     for name, digest in ARTIFACT_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -1037,8 +1039,8 @@ def test_verbs_run_with_encoding_warnings_as_errors(tmp_path):
 
 def test_package_import_loads_no_numpy(tmp_path):
     # the package root re-exports nothing, and the CLI imports the physics modules
-    # inside the verbs that run them: parsing, --help, --version and materials
-    # start without numpy
+    # inside the verbs that run them: parsing, --help, --version, materials and
+    # couplings run without numpy
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
@@ -1060,6 +1062,7 @@ def test_package_import_loads_no_numpy(tmp_path):
         (["wptmod.cli", "couplings", "--no-such-flag"], cli.EXIT_VALIDATION),
         (["wptmod.cli", "materials"], cli.EXIT_OK),
         (["wptmod.cli", "materials", "--db", str(tmp_path / "missing.json")], cli.EXIT_VALIDATION),
+        (["wptmod.cli", "couplings", "--out", str(tmp_path / "o")], cli.EXIT_OK),
     ]
     for args, code in cases:
         result = subprocess.run(
@@ -1069,6 +1072,38 @@ def test_package_import_loads_no_numpy(tmp_path):
         assert result.stdout.splitlines()[-1] == f"{code} []", args
         if args[1:] == ["--version"]:
             assert result.stdout.splitlines()[0] == f"wptmod {wptmod.__version__}"
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    # scenario imports the physics modules inside the builders that call them,
+    # so a verb loads no module that only a later verb runs; detect loads them all
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import json, sys\n"
+        "from wptmod import cli\n"
+        "code = cli.main([sys.argv[1], '--out', 'o'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    loaded = {}
+    for verb in ("couplings", "impedance", "curves", "fit"):
+        result = subprocess.run(
+            [sys.executable, "-c", probe, verb],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        )
+        code, modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == cli.EXIT_OK, verb
+        loaded[verb] = set(modules)
+    package = {m.removeprefix("wptmod.") for m in loaded["couplings"] if m.startswith("wptmod.")}
+    assert "magnetics" in package
+    assert package <= {"cli", "data", "errors", "magnetics", "scenario", "schema"}
+    assert "numpy" not in loaded["couplings"]
+    assert "wptmod.eddy" in loaded["impedance"]
+    assert not loaded["impedance"] & {"wptmod.characteristics", "wptmod.detection"}
+    assert "wptmod.characteristics" in loaded["curves"]
+    assert "wptmod.detection" not in loaded["curves"]
+    assert "wptmod.detection" in loaded["fit"]
+    assert not loaded["fit"] & {"wptmod.eddy", "wptmod.materials", "numpy.polynomial"}
 
 
 def test_version_flag(capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wptmod import cli, magnetics, scenario
+from wptmod import cli, magnetics, scenario, schema
 from wptmod.errors import ConvergenceError
 from wptmod.magnetics import (
     CoaxialPair,
@@ -16,6 +16,17 @@ from wptmod.magnetics import (
     mutual_inductance_coil_plate_by_integration,
     mutual_inductance_neumann,
 )
+
+
+def simpson_oracle(a: float, b: float, h: float) -> float:
+    """The plate radius integral's Simpson sum in numpy: same nodes, weights and terms, one dot."""
+    bp = np.linspace(0.0, b, 2 * magnetics._SIMPSON_PANELS + 1)
+    log_ratio = np.log(np.hypot(a + bp, h)) - np.log(np.hypot(a - bp, h))
+    integrand = 4.0 * magnetics.MU0 * bp / math.pi * log_ratio
+    weights = np.ones_like(bp)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return b / (2 * magnetics._SIMPSON_PANELS) / 3.0 * float(weights @ integrand)
 
 
 class TestNeumann:
@@ -180,6 +191,26 @@ class TestClosedForms:
                     closed = mutual_inductance_coil_plate(loop, b, h)
                     integ = mutual_inductance_coil_plate_by_integration(loop, b, h)
                     assert closed == pytest.approx(integ, rel=1e-6)
+
+    def test_plate_integration_matches_numpy_oracle_on_desk_geometry(self):
+        # the benchmark's plates: the bundled coil, b 0.02-0.15 m, h 0.03-0.30 m
+        a = 0.164
+        for b in np.linspace(0.02, 0.15, 14):
+            for h in np.linspace(0.03, 0.30, 10):
+                m = mutual_inductance_coil_plate_by_integration(SquareLoop(a), b, h)
+                assert m == pytest.approx(simpson_oracle(a, b, h), rel=1e-14, abs=0.0)
+
+    def test_plate_integration_matches_numpy_oracle_across_the_domain(self):
+        # on every LENGTH_M decade with h <= 10 max(a, b); farther away both sums
+        # cancel in the log ratio and drift apart (ROADMAP item 11)
+        lo, hi = (schema.LENGTH_M[k] for k in ("ge", "le"))
+        decades = [10.0**k for k in range(round(math.log10(lo)), round(math.log10(hi)) + 1)]
+        for a in decades:
+            for b in decades:
+                for h in decades:
+                    if h <= 10.0 * max(a, b):
+                        m = mutual_inductance_coil_plate_by_integration(SquareLoop(a), b, h)
+                        assert m == pytest.approx(simpson_oracle(a, b, h), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("length", [1e-200, 1e-300])
     def test_plate_integration_finite_at_tiny_lengths(self, length):
