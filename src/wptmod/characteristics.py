@@ -18,11 +18,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circuit import Couplings, DriveSpec, Receiver, TxCoil, input_impedance
 from .schema import unique_label
+
+if TYPE_CHECKING:
+    from .circuit import Couplings, DriveSpec, Receiver, TxCoil
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,12 @@ class CharacteristicCurve:
 def evaluate_point(spec: SweepSpec, i_tx):
     """Noiseless (|Z_in|*I, Re(Z_in)*I^2) of the sweep configuration at I = i_tx.
 
-    i_tx may be a scalar or an array.
+    i_tx may be a scalar or an array.  circuit is imported here, not at the
+    top, so that a verb which only reads curves (fit) does not load it.
     """
-    z_in = input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx)
+    from . import circuit
+
+    z_in = circuit.input_impedance(spec.drive, spec.couplings, spec.receiver, spec.tx)
     return _u_and_p(abs(z_in), z_in.real, i_tx)
 
 
@@ -151,10 +157,12 @@ def curves_to_csv(curves: list[CharacteristicCurve]) -> str:
     float rounded to 12 places, ties to even, so both paths below give the
     same bytes.  A curve whose values all have the sign bit clear and lie
     below 1e15 is written from exact integers, with no per-value format
-    call: q = floor(v), the remainder r = v - q is exact, and r*10^12 is
-    taken exactly as p + e by Dekker's split product.  np.rint rounds p half
-    to even; where p sits on a tie, e says on which side of it r*10^12 lies,
-    so the digits are those of the exact decimal.  Every other curve (+-inf,
+    call: q = floor(v), the remainder r = v - q is exact, and np.rint of
+    p = fl(r*10^12) gives the 12 decimals of the exact decimal wherever p is
+    not a half-integer.  At those ties alone Dekker's split product takes
+    r*10^12 exactly as p + e, and e says on which side of the tie it lies
+    (_fixed_rows).  The integer parts are split into only as many 4-digit
+    groups as the curve's largest one fills.  Every other curve (+-inf,
     -0.0, a negative current, a value at or above 1e15, or no points) is one
     %-format of its row template repeated once per point; a curve holds no
     NaN, which CharacteristicCurve refuses.  A label that curves_from_csv
@@ -174,37 +182,37 @@ def curves_to_csv(curves: list[CharacteristicCurve]) -> str:
 
 
 def _fixed_rows(label: str, values: np.ndarray) -> str:
-    """The rows of one curve; values (n, 3) have the sign bit clear and are < _FIXED_LIMIT."""
+    """The rows of one curve; values (n, 3) have the sign bit clear and are < _FIXED_LIMIT.
+
+    For r = v - floor(v), p = fl(r * 10^12) < 2^40 has an ulp <= 2^-13, so every half-integer
+    up to it is a float; rounding being monotone, r * 10^12 = p + e rounds to another integer
+    than rint(p) only where p is one.  Dekker's split product gives e on that tie subset
+    alone; |e| <= 2^-14, so p + e rounds as p moved a quarter toward e, an exact tie to even.
+    """
     whole = np.floor(values)
     rest = values - whole
-    # Dekker's split product: rest * 10^12 == p + e exactly
     p = rest * float(_FRACTION)
-    t = rest * _SPLITTER
-    hi = t - (t - rest)
-    lo = rest - hi
-    e = ((hi * _FRACTION_HI - p) + hi * _FRACTION_LO + lo * _FRACTION_HI) + lo * _FRACTION_LO
-    # p <= 10^12 < 2^40 has a unit in the last place of at most 2^-13, so
-    # every half-integer up to it is a float; rounding being monotone, p + e
-    # rounds to another integer than p only where p is itself a half-integer
-    # and e points away from the integer rint picks
     n = np.rint(p)
-    off = p - n
-    n += (off == 0.5) & (e > 0.0)
-    n -= (off == -0.5) & (e < 0.0)
+    tie = np.abs(p - n) == 0.5
+    r, p_tie = rest[tie], p[tie]
+    t = r * _SPLITTER
+    hi = t - (t - r)
+    lo = r - hi
+    e = ((hi * _FRACTION_HI - p_tie) + hi * _FRACTION_LO + lo * _FRACTION_HI) + lo * _FRACTION_LO
+    n[tie] = np.rint(p_tie + 0.25 * np.sign(e))
     fraction = n.astype(np.int64)
     whole = whole.astype(np.int64)
     carry = fraction == _FRACTION
     whole += carry
     fraction[carry] = 0
-    groups = np.empty(values.shape + (7,), dtype=np.int64)
-    _split_groups(whole, groups[..., :4])
-    _split_groups(fraction, groups[..., 4:])
+    # integer digits of the largest value less one; only the groups they fill are built
+    top = int(np.searchsorted(_POWERS, whole.max(), side="right"))
+    groups = np.empty(values.shape + (top // 4 + 4,), dtype=np.int64)
+    _split_groups(whole, groups[..., :-3])
+    _split_groups(fraction, groups[..., -3:])
     digits = _DIGITS[groups].view(np.uint8)
 
-    # each value: comma, as many integer digits as the curve's largest
-    # value has, point, 12 decimals
-    count = np.searchsorted(_POWERS, whole, side="right")  # integer digits less one
-    top = int(count.max())
+    # each value: comma, top + 1 integer digits, point, 12 decimals
     size = top + 15
     rows, head = len(values), np.frombuffer(label.encode(), dtype=np.uint8)
     text = np.empty((rows, head.size + 3 * size + 1), dtype=np.uint8)
@@ -212,13 +220,13 @@ def _fixed_rows(label: str, values: np.ndarray) -> str:
     text[:, -1] = ord("\n")
     cells = text[:, head.size : -1].reshape(rows, 3, size)
     cells[..., 0] = ord(",")
-    cells[..., 1 : top + 2] = digits[..., 15 - top : 16]
+    cells[..., 1 : top + 2] = digits[..., -13 - top : -12]
     cells[..., top + 2] = ord(".")
-    cells[..., top + 3 :] = digits[..., 16:]
-    # drop the leading zeros of the shorter integer parts
+    cells[..., top + 3 :] = digits[..., -12:]
+    # drop the leading zeros of the shorter integer parts: 10^k's digit shows where v >= 10^k
     printed = np.ones(text.shape, dtype=bool)
     leading = printed[:, head.size : -1].reshape(rows, 3, size)[..., 1 : top + 1]
-    leading[...] = np.arange(top) >= top - count[..., None]
+    leading[...] = whole[..., None] >= _POWERS[:top][::-1]
     return text[printed].tobytes().decode()
 
 

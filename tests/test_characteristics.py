@@ -5,6 +5,7 @@ import random
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -513,13 +514,62 @@ class TestCsv:
             ("inf_current", [-math.inf, 0.0, math.inf], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
             ("empty", [], [], []),
             ("µ%é", [0.0, 12.5], [0.25, 1e-12], [123456789.0625, 5e-13]),
+            # r*10^12 rounds to the ties 6.5 and 999999999999.5, which rint takes
+            # to 6 and 10^12; the doubles lie above and below them, so %.12f
+            # prints 0.000000000007 and 0.999999999999, with no carry
+            ("tie", [0.0, 1.0], [6.5e-12, 0.9999999999995], [0.9999999999995, 6.5e-12]),
         ],
         ids=["carry", "subnormal", "neg_zero", "neg_current", "inf", "inf_current", "empty",
-             "label"],
+             "label", "tie"],
     )
     def test_writer_edge_cases_match_reference(self, label, i, u, p):
         curves = [CharacteristicCurve(label, i, u, p), CharacteristicCurve("b", [1.0], [2], [3])]
         assert curves_to_csv(curves) == reference_to_csv(curves)
+
+    def test_writer_tie_block_matches_reference(self):
+        # no double is exactly (m + 1/2)/10^12: the nearest lies just above or
+        # below it, and its r*10^12 mostly rounds onto the tie, so only the exact
+        # product decides the last digit; k/2^13 for odd k is an exact tie
+        m = np.concatenate([np.arange(k, k + 300) for k in (0, 10**6, 10**11, 10**12 - 300)])
+        values = np.concatenate([(m + 0.5) / 1e12, 3.0 + np.arange(1, 600, 2) / 2**13])
+        # at each tie p = fl(r*10^12): how far %.12f's last digit lies from
+        # rint(p), -1, 0 or +1, or "exact" where r*10^12 is the tie itself
+        moves = []
+        for v in values.tolist():
+            r = v - math.floor(v)
+            p = r * 1e12
+            off = p - round(p)  # round, like np.rint, takes a tie to even
+            if abs(off) == 0.5:
+                exact = Fraction(r) * 10**12
+                moves.append("exact" if exact == p else int(2 * off) * ((exact > p) == (off > 0)))
+        assert {-1, 0, 1, "exact"} <= set(moves)
+        curves = [CharacteristicCurve("ties", np.arange(values.size), values, values[::-1])]
+        text = curves_to_csv(curves)
+        # as lists of lines, which pytest compares (and reports) row by row
+        assert text.splitlines() == reference_to_csv(curves).splitlines()
+        assert_matches_reference(curves_from_csv(text), text)
+
+    @pytest.mark.parametrize(
+        "widest",
+        [9.75, 9999.5, 10000.25, 99999999.5, 1e8, 999999999999.75, 1e12 + 0.5, 9.99e14],
+        ids=lambda v: f"{len(str(int(v)))}_digits",
+    )
+    def test_writer_integer_groups_match_reference(self, widest):
+        # the writer splits integer parts into only as many 4-digit groups as
+        # the widest one needs; the others print without their leading zeros
+        small = [0.0, 0.5, 7.25, 12.0625, 123.125, 1000.75, 54321.5, 9.999e7, 1.5e11]
+        u = [x for x in small if x < widest] + [widest]
+        curves = [
+            CharacteristicCurve("wide", np.arange(len(u)), u, u[::-1]),
+            CharacteristicCurve("b", [1.0], [2.0], [3.0]),
+        ]
+        text = curves_to_csv(curves)
+        assert text == reference_to_csv(curves)
+        back = curves_from_csv(text)
+        assert_matches_reference(back, text)
+        for orig, rt in zip(curves, back):
+            for name in ("i_tx", "u_tx", "p_in"):
+                assert getattr(rt, name).tobytes() == getattr(orig, name).tobytes()
 
     def test_longest_sweep_matches_reference(self):
         curves = [sweep_curve(replace(make_spec(m_ac=5e-7, label="coil:a"), steps=MAX_STEPS))]

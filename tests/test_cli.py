@@ -1103,7 +1103,9 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     assert "wptmod.characteristics" in loaded["curves"]
     assert "wptmod.detection" not in loaded["curves"]
     assert "wptmod.detection" in loaded["fit"]
-    assert not loaded["fit"] & {"wptmod.eddy", "wptmod.materials", "numpy.polynomial"}
+    assert not loaded["fit"] & {
+        "wptmod.circuit", "wptmod.eddy", "wptmod.materials", "numpy.polynomial"
+    }
 
 
 def test_version_flag(capsys):
