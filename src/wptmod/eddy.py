@@ -31,16 +31,15 @@ k_max, which only shrinks the truncation error.  The head's panels
 [w 2^-(j+1), w 2^-j] and [0, w 2^-s] are panel 1 of level L + j + 1 and
 panel 0 of level L + s.  So the rule's nodes, and its weights times
 J1(x)^2, depend on the level and the panel index alone, and one bounded
-LRU cache keeps them, in read-only tables of 16 panels; a pass is then the
+LRU cache keeps them, in read-only tables of 16 panels; every pass is the
 response at the tables' nodes, one exp and one matrix product.  Each table
 takes its trapezoid node count from its own panels, so no value depends on
 the order in which plates are evaluated, and its trapezoid sum is split by
 angle addition into a table over the panel centres and one over the node
-offsets.  A pass whose deepest level would pass 64 (an x_max below about
-2e-18, or a head deeper than that) leaves the grid: it keeps 4 uniform
-panels on [0, k_max] where x_max is that small, a geometric head, and J1
-by the same angle addition on its uniform panels and by the direct rule
-on its head.
+offsets.  The grid stops at level 363, the first whose weights have all
+underflowed to 0: a pass whose level or head would reach deeper (an x_max
+below about 1.9e-108, or an a k_low below about 6.4e-109) stops there, and
+so drops only terms that are 0.  The reader's domain reaches level 43.
 
 The plate's material is a wptmod.materials.MetalMaterial; the database
 reader, wptmod.materials.load_materials, is reachable here by that name too.
@@ -63,7 +62,8 @@ from .materials import MetalMaterial, load_materials  # noqa: F401
 
 # max of |J1| on the real line, used for the truncation tail bound
 _J1_SUP = 0.5819
-# cap on each (points or panels x trapezoid nodes) table of the J1 rule
+# cap on each (points x trapezoid nodes) table of bessel_j1; the x-grid tables'
+# J1 needs none: at most 16 panels x 7,971 trapezoid nodes a table
 _J1_BLOCK = 1 << 20
 # plate integral: minimum panel count, and the most J1(ka)^2 may turn in one panel.
 # The phase rule (2.5 a/d panels on the first pass) and the grading set what the
@@ -72,18 +72,20 @@ _J1_BLOCK = 1 << 20
 _PANELS = 4
 _PANEL_PHASE = 24.0
 # the x = a k grid: level L has width _PANEL_PHASE / 2 * 2^-L, and its tables
-# hold _GRID_BLOCK panels each, 18 KiB (768 nodes x 3 floats).  A pass leaves
-# the grid when its deepest level would pass _GRID_LEVELS: an x_max below
-# _PANELS - 1 widths of that level (about 2e-18), or a head deeper than it.  The
-# domain's deepest head reaches level 43, and at level 64 the least table entry
-# is still about 5e-64, far from underflow.  Every pass below level 0 takes only
-# its level's first table, so the grid can ask for at most the 164 level-0
-# tables of the widest pass the work cap admits and one table on each of the
-# _GRID_LEVELS levels below: 228 tables, about 4 MiB, which the cache's
-# _GRID_TABLES hold, so that repeating any pass on the grid rebuilds none
+# hold _GRID_BLOCK panels each, 18 KiB (768 nodes x 3 floats).  _GRID_LEVELS is
+# the first level whose first table's weights have all underflowed to 0 (at
+# level 362, 214 of them are still 5e-324), so a pass whose level or head
+# depth stops there drops only zero terms.  Every pass below level 0 takes only
+# its level's first table, so a pass asks for at most the 164 level-0 tables of
+# the widest pass the work cap admits and one table on each level below it
+# that it reaches.  Inside the reader's domain that is level 43: 207 tables,
+# about 3.6 MiB, which the cache's _GRID_TABLES hold, so that repeating any
+# pass rebuilds none.  Outside it the clamp bounds a pass at 164 + 363 tables,
+# about 9.3 MiB; a pass that asks for more than the cache holds rebuilds some
+# when repeated
 _GRID_BLOCK = 16
 _GRID_TABLES = 256
-_GRID_LEVELS = 64
+_GRID_LEVELS = 363
 # 32-node Gauss-Legendre rule per panel, and the 16-node rule that checks it
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHECK_NODES, _CHECK_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -99,8 +101,8 @@ _OFFSETS = _NODES[_NODES > 0.0]
 _MIRROR = np.array([np.flatnonzero(_OFFSETS == abs(t))[0] for t in _NODES])
 _SIGNS = np.sign(_NODES)
 # cap on the work of one quadrature pass, counted as the (points x trapezoid
-# nodes) sine table of the direct J1 rule; a/d = 50 counts 2.5e6 for coil half
-# side a and plate distance d, and the cap admits a/d up to about 1000, where
+# nodes) sine table bessel_j1 would take on its nodes; a/d = 50 counts 2.5e6
+# for coil half side a and plate distance d, and the cap admits a/d up to about 1000, where
 # a first call takes about 1.2 s on a 2-core Xeon host (building its x-grid
 # tables) and a repeat about 10 ms
 _MAX_J1_WORK = 1e9
@@ -194,12 +196,12 @@ def bessel_j1(x):
     return out.reshape(x.shape)[()]
 
 
-def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
-    """bessel_j1(a k) at the rule nodes k of the equal-width panels between edges.
+def _panel_j1(edges: np.ndarray) -> np.ndarray:
+    """bessel_j1(x) at the rule nodes x of the equal-width panels between edges.
 
     Row p holds the nodes c_p + h t_j of panel p, with c_p its centre, h the
-    shared half width and t_j the _NODES.  With A = a c_p s_m and
-    B = a h t_j s_m, sin(A + B) = sin A cos B + cos A sin B splits
+    shared half width and t_j the _NODES.  With A = c_p s_m and
+    B = h t_j s_m, sin(A + B) = sin A cos B + cos A sin B splits
     bessel_j1's sum over its trapezoid nodes s_m into a table over the
     centres times one over the offsets: sines are taken once per panel and
     once per offset, not once per (node, trapezoid node) pair.  The offsets
@@ -207,19 +209,14 @@ def _panel_j1(edges: np.ndarray, a: float) -> np.ndarray:
     mirrored, which gives the same bits where sin is odd and cos even.
     """
     half = np.diff(edges) / 2.0
-    centre = a * (edges[:-1] + half)
-    offset = a * half[0] * _OFFSETS
+    centre = edges[:-1] + half
+    offset = half[0] * _OFFSETS
     s = _j1_nodes(float(centre[-1] + np.max(offset)))
     turn = np.outer(offset, s)
     cos_b = (np.cos(turn) * s)[_MIRROR].T
     sin_b = (np.sin(turn) * s)[_MIRROR].T * _SIGNS
-    out = np.empty((centre.size, _NODES.size))
-    # block the (panels x trapezoid nodes) tables so their memory stays bounded
-    step = max(1, _J1_BLOCK // s.size)
-    for i in range(0, centre.size, step):
-        phase = np.outer(centre[i : i + step], s)
-        out[i : i + step] = np.sin(phase) @ cos_b + np.cos(phase) @ sin_b
-    return out / s.size
+    phase = np.outer(centre, s)
+    return (np.sin(phase) @ cos_b + np.cos(phase) @ sin_b) / s.size
 
 
 @functools.lru_cache(maxsize=_GRID_TABLES)
@@ -237,7 +234,7 @@ def _grid_table(level: int, block: int) -> np.ndarray:
     start = block * _GRID_BLOCK
     edges = width * np.arange(start, start + _GRID_BLOCK + 1)
     half = width / 2.0
-    j1 = _panel_j1(edges, 1.0)
+    j1 = _panel_j1(edges)
     table = np.empty((j1.size, 3))
     table[:, 0] = ((edges[:-1, None] + half) + half * _NODES).ravel()
     table[:, 1:] = ((j1 * j1 * half)[:, :, None] * _WEIGHTS).reshape(-1, 2)
@@ -246,7 +243,7 @@ def _grid_table(level: int, block: int) -> np.ndarray:
 
 
 def _grid_rows(level: int, panels: int, depth: int) -> np.ndarray:
-    """_grid_table rows of a pass on the x-grid, one panel per 48 rows.
+    """_grid_table rows of the pass _pass_plan gives, one panel per 48 rows.
 
     Without a head (depth 0) these are the level's first `panels` panels.
     A head of `depth` levels replaces panel 0 by panel 0 of level
@@ -263,28 +260,27 @@ def _grid_rows(level: int, panels: int, depth: int) -> np.ndarray:
     return rows
 
 
-def _panel_edges(
-    geom: EddyGeometry, mat: MetalMaterial, k_max: float
-) -> tuple[np.ndarray, int, int | None]:
-    """Panel edges on [0, k_max] or a little past it, for the composite Gauss-Legendre rule.
+def _pass_plan(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> tuple[int, int, int]:
+    """The x-grid level, uniform panel count and head depth of a pass to k_max.
 
-    Panels are uniform, narrow enough that J1(k a)^2 turns by at most
-    _PANEL_PHASE radians across one, and lie on the x-grid's level L (see
-    the module docstring), or on k_max / _PANELS when x_max is too small for
-    it.  With k_s = sqrt(w sigma mu0 mur), the material response has a pole
-    at |k| = k_s / sqrt(mur^2 - 1) and branch points at |k| = k_s.  When a
-    quarter of k_s / mur, k_low, lies below the first uniform edge, a head
-    of panels halving toward 0 replaces the first uniform panel, so that no
-    panel is wide against its distance to either.  On the grid its edges are
-    0 and w 2^-j / a for the level's width w, j from the least depth s that
-    puts the first of them at or below k_low down to 0: the panel
-    [w 2^-j, w 2^-(j-1)] is the grid's panel 1 of level L + j, and
-    [0, w 2^-s] its panel 0 of level L + s.  Off the grid, or where L + s
-    passes _GRID_LEVELS, the head's s panels above k_low grow geometrically.
-    Returns the edges, the index of the first uniform panel and the grid
-    level, None off the grid.  Raises WorkLimitError, before any table is
-    allocated, when the J1 work of the panels would pass _MAX_J1_WORK, or
-    when k_max is so large that phi_k would overflow.
+    The pass's uniform panels have the level's width w = 12 * 2^-level in
+    x = a k, narrow enough that J1(x)^2 turns by at most _PANEL_PHASE
+    radians across one; the level is the coarsest that needs at least
+    _PANELS of them to reach x_max = a k_max (see the module docstring), and
+    the last edge, panels * w / a, may pass k_max.  With
+    k_s = sqrt(w sigma mu0 mur), the material response has a pole at
+    |k| = k_s / sqrt(mur^2 - 1) and branch points at |k| = k_s.  When a
+    quarter of k_s / mur, k_low, lies below the first uniform edge w / a, a
+    head of panels halving toward 0 replaces the first uniform panel, so
+    that no panel is wide against its distance to either: the panels
+    [w 2^-j, w 2^-(j-1)] / a, j from depth down to 1, are panel 1 of level
+    level + j, and [0, w 2^-depth] / a is panel 0 of level level + depth,
+    for the least depth that puts w 2^-depth / a at or below k_low.  The
+    level and level + depth stop at _GRID_LEVELS, whose weights are all 0.
+    _grid_rows(level, panels, depth) holds the pass's nodes and weights.
+    Raises WorkLimitError, before any table is built, when the J1 work of
+    the panels would pass _MAX_J1_WORK, or when k_max is so large that phi_k
+    would overflow.
     """
     x_max = geom.coil_half_side * k_max
     n = 2.0 * x_max / _PANEL_PHASE
@@ -310,59 +306,36 @@ def _panel_edges(
     level, scaled, full = 0, x_max, (_PANELS - 1) * _PANEL_PHASE / 2.0
     while scaled <= full and level < _GRID_LEVELS:
         level, scaled = level + 1, 2.0 * scaled
-    width = math.ldexp(_PANEL_PHASE / 2.0, -level)
-    if scaled > full:
-        panels = math.ceil(scaled / (_PANEL_PHASE / 2.0))
-        edges = np.arange(panels + 1.0) * width / geom.coil_half_side
-    else:
-        level, edges = None, np.linspace(0.0, k_max, _PANELS + 1)
+    panels = max(_PANELS, math.ceil(scaled / (_PANEL_PHASE / 2.0)))
+    edge = math.ldexp(_PANEL_PHASE / 2.0, -level) / geom.coil_half_side
     k_low = math.sqrt(_ks2(geom, mat)) / mat.rel_permeability / 4.0
     # k_s is 0 for a vanishing conductivity: phi is then the constant of the
     # magnetic image, and uniform panels integrate it
-    if not 0.0 < k_low < edges[1]:
-        return edges, 0, level
-    # the least depth with edges[1] 2^-depth <= k_low, read off the binary exponents
-    (top, top_exp), (low, low_exp) = math.frexp(edges[1]), math.frexp(k_low)
+    if not 0.0 < k_low < edge:
+        return level, panels, 0
+    # the least depth with edge 2^-depth <= k_low, read off the binary exponents
+    (top, top_exp), (low, low_exp) = math.frexp(edge), math.frexp(k_low)
     depth = top_exp - low_exp + (top > low)
-    if level is not None and level + depth <= _GRID_LEVELS:
-        head = np.ldexp(width, -np.arange(depth, 0, -1)) / geom.coil_half_side
-        return np.concatenate([[0.0], head, edges[1:]]), depth + 1, level
-    graded = np.geomspace(k_low, edges[1], depth + 1)
-    return np.concatenate([[0.0], graded, edges[2:]]), depth + 1, None
+    return level, panels, min(depth, _GRID_LEVELS - level)
 
 
 def _spectral_integral(geom: EddyGeometry, mat: MetalMaterial, k_max: float) -> complex:
     """int_0^K phi(k) exp(-2kd) [N a J1(ka)]^2 dk, Re and Im in one pass.
 
-    K is the last panel edge, k_max or a little past it.  The 32-node rule
-    gives the value; an embedded 16-node rule on the same panels is its
-    error estimate.  On the grid the integral is taken in x = a k, as
-    (N a)^2 / a times the sum of phi exp(-2 x d / a) against the tables'
-    weights; (N a)^2 enters ahead of the sum, so a plate too small for its
-    value to be a float gives 0.  Off the grid J1 comes from _panel_j1 on
-    the uniform panels and the direct rule on the head, in k.
+    K is the last panel edge of _pass_plan's pass, k_max or a little past
+    it.  The integral is taken in x = a k, as (N a)^2 / a times the sum of
+    phi exp(-2 x d / a) at the pass's table nodes against their weights:
+    the 32-node rule's gives the value, the embedded 16-node rule's on the
+    same panels its error estimate.  (N a)^2 enters ahead of the sum, so a
+    plate too small for its value to be a float gives 0.
     """
-    edges, first, level = _panel_edges(geom, mat, k_max)
     a = geom.coil_half_side
-    if level is None:
-        half = np.diff(edges)[:, None] / 2.0
-        k = (edges[:-1, None] + half) + half * _NODES
-        j1 = _panel_j1(edges[first:], a)
-        if first:
-            j1 = np.concatenate([bessel_j1(k[:first] * a), j1])
-        f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
-        f *= (geom.coil_turns * a * j1) ** 2
-        f *= half
-        weights, length = np.tile(_WEIGHTS, (edges.size - 1, 1)), 1.0
-    else:
-        depth = first - 1 if first else 0
-        rows = _grid_rows(level, edges.size - 1 - depth, depth)
-        k = rows[:, 0] / a
-        f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
-        f *= (geom.coil_turns * a) ** 2
-        weights, length = rows[:, 1:], a
+    rows = _grid_rows(*_pass_plan(geom, mat, k_max))
+    k = rows[:, 0] / a
+    f = phi_k(k, geom, mat) * np.exp(-2.0 * geom.plate_distance * k)
+    f *= (geom.coil_turns * a) ** 2
     # rows (value, check), columns (Re, Im)
-    sums = weights.T @ f.reshape(-1).view(float).reshape(-1, 2) / length
+    sums = rows[:, 1:].T @ f.view(float).reshape(-1, 2) / a
     value, check = complex(*sums[0]), complex(*sums[1])
     # a subnormal part holds too few bits for a relative check, so the gap is
     # measured against the smallest normal float there instead

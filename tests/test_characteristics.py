@@ -375,6 +375,19 @@ def reference_to_csv(curves):
     return out.getvalue()
 
 
+def assert_writes_reference(text, curves):
+    """Assert text == reference_to_csv(curves), naming the first row that differs.
+
+    pytest's diff of two long strings can run for minutes; this compares the
+    rows only until the first one that differs, and reports that one.
+    """
+    expected = reference_to_csv(curves)
+    if text != expected:
+        rows = zip(text.splitlines(True) + [""], expected.splitlines(True) + [""])
+        row, (got, want) = next((i, pair) for i, pair in enumerate(rows) if pair[0] != pair[1])
+        assert got == want, f"row {row} of the written text differs from the reference"
+
+
 def reference_from_csv(text):
     """The row-by-row parser: (label, i, u, p) per label in first-seen order."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -421,7 +434,7 @@ class TestCsv:
 
     def test_matches_reference_on_repro_curves(self, repro_curves):
         text = curves_to_csv(repro_curves)
-        assert text == reference_to_csv(repro_curves)
+        assert_writes_reference(text, repro_curves)
         assert_matches_reference(curves_from_csv(text), text)
 
     def test_header_only(self):
@@ -487,7 +500,7 @@ class TestCsv:
     def test_empty_label_round_trips(self):
         curves = [CharacteristicCurve("", [0.0, 1.0], [0.5, 1.0], [0.25, 1.0])]
         text = curves_to_csv(curves)
-        assert text == reference_to_csv(curves)
+        assert_writes_reference(text, curves)
         assert_matches_reference(curves_from_csv(text), text)
 
     def test_rows_without_numbers_rejected_quietly(self):
@@ -524,7 +537,7 @@ class TestCsv:
     )
     def test_writer_edge_cases_match_reference(self, label, i, u, p):
         curves = [CharacteristicCurve(label, i, u, p), CharacteristicCurve("b", [1.0], [2], [3])]
-        assert curves_to_csv(curves) == reference_to_csv(curves)
+        assert_writes_reference(curves_to_csv(curves), curves)
 
     def test_writer_tie_block_matches_reference(self):
         # no double is exactly (m + 1/2)/10^12: the nearest lies just above or
@@ -545,8 +558,7 @@ class TestCsv:
         assert {-1, 0, 1, "exact"} <= set(moves)
         curves = [CharacteristicCurve("ties", np.arange(values.size), values, values[::-1])]
         text = curves_to_csv(curves)
-        # as lists of lines, which pytest compares (and reports) row by row
-        assert text.splitlines() == reference_to_csv(curves).splitlines()
+        assert_writes_reference(text, curves)
         assert_matches_reference(curves_from_csv(text), text)
 
     @pytest.mark.parametrize(
@@ -564,7 +576,7 @@ class TestCsv:
             CharacteristicCurve("b", [1.0], [2.0], [3.0]),
         ]
         text = curves_to_csv(curves)
-        assert text == reference_to_csv(curves)
+        assert_writes_reference(text, curves)
         back = curves_from_csv(text)
         assert_matches_reference(back, text)
         for orig, rt in zip(curves, back):
@@ -574,7 +586,7 @@ class TestCsv:
     def test_longest_sweep_matches_reference(self):
         curves = [sweep_curve(replace(make_spec(m_ac=5e-7, label="coil:a"), steps=MAX_STEPS))]
         text = curves_to_csv(curves)
-        assert text == reference_to_csv(curves)
+        assert_writes_reference(text, curves)
         assert_matches_reference(curves_from_csv(text), text)
 
     def test_bad_curve_names_label(self):
@@ -711,7 +723,7 @@ def test_csv_matches_row_by_row_reference():
     @hypothesis.given(_curve_lists(st))
     def check(curves):
         text = curves_to_csv(curves)
-        assert text == reference_to_csv(curves)
+        assert_writes_reference(text, curves)
         assert_matches_reference(curves_from_csv(text), text)
 
     check()

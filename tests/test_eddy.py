@@ -217,22 +217,36 @@ class TestBessel:
         assert np.allclose(bessel_j1(-xs), -bessel_j1(xs), rtol=0, atol=1e-15)
 
 
+def plan_edges(g: EddyGeometry, mat: MetalMaterial, k_max=None):
+    """The x = a k panel edges and head depth of a pass (default: the first), from its plan."""
+    level, panels, depth = eddy._pass_plan(g, mat, k_max or 30.0 / g.plate_distance)
+    width = math.ldexp(12.0, -level)
+    head = np.ldexp(width, -np.arange(depth, 0, -1))
+    return np.concatenate([[0.0], head, width * np.arange(1.0, panels + 1.0)]), depth
+
+
 def rule_nodes(g: EddyGeometry, mat: MetalMaterial, k_max=None):
-    """The panel edges, uniform-panel index and node table k of a pass (default: the first)."""
-    edges, first, _ = eddy._panel_edges(g, mat, k_max or 30.0 / g.plate_distance)
+    """The panel edges, first uniform panel and node table k of a pass (default: the first).
+
+    A head of depth s replaces uniform panel 0 by s + 1 panels, so the first
+    uniform panel is s + 1 with a head and 0 without.
+    """
+    x, depth = plan_edges(g, mat, k_max)
+    edges = x / g.coil_half_side
     half = np.diff(edges)[:, None] / 2.0
-    return edges, first, (edges[:-1, None] + half) + half * eddy._NODES
+    return edges, depth + (depth > 0), (edges[:-1, None] + half) + half * eddy._NODES
 
 
 class TestPanelJ1:
-    """Angle addition on the uniform panels against bessel_j1 on the same nodes."""
+    """Angle addition on a pass's uniform panels against bessel_j1 on the same nodes, in x."""
 
     def check(self, g, mat, graded):
-        edges, first, k = rule_nodes(g, mat)
-        assert (first > 0) == graded
-        a = g.coil_half_side
-        got = eddy._panel_j1(edges[first:], a)
-        expected = bessel_j1(k[first:] * a)
+        x, depth = plan_edges(g, mat)
+        assert (depth > 0) == graded
+        first = depth + (depth > 0)
+        half = np.diff(x[first:])[:, None] / 2.0
+        got = eddy._panel_j1(x[first:])
+        expected = bessel_j1((x[first:-1, None] + half) + half * eddy._NODES)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-14
 
@@ -244,34 +258,28 @@ class TestPanelJ1:
         self.check(geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0), graded=True)
 
     def test_blocked(self, monkeypatch):
-        # a block of one panel: the loop runs once per panel
+        # a block of one point: bessel_j1's loop runs once per node
         monkeypatch.setattr(eddy, "_J1_BLOCK", 1)
         self.check(geom(a=0.15, d=0.01), CU, graded=False)
 
     def test_mirrored_offsets_give_the_direct_table(self, monkeypatch):
         # cos and sin at the 24 positive offsets, mirrored onto the 48, give the bits of
         # taking them at all 48, where numpy's sin is odd and its cos even
-        def direct(edges, a):
+        def direct(edges):
             half = np.diff(edges) / 2.0
-            centre = a * (edges[:-1] + half)
-            offset = a * half[0] * eddy._NODES
+            centre = edges[:-1] + half
+            offset = half[0] * eddy._NODES
             s = eddy._j1_nodes(float(centre[-1] + np.max(offset)))
             turn = np.outer(offset, s)
             cos_b, sin_b = (np.cos(turn) * s).T, (np.sin(turn) * s).T
-            out = np.empty((centre.size, eddy._NODES.size))
-            step = max(1, eddy._J1_BLOCK // s.size)
-            for i in range(0, centre.size, step):
-                phase = np.outer(centre[i : i + step], s)
-                out[i : i + step] = np.sin(phase) @ cos_b + np.cos(phase) @ sin_b
-            return out / s.size
+            phase = np.outer(centre, s)
+            return (np.sin(phase) @ cos_b + np.cos(phase) @ sin_b) / s.size
 
         plates = [(geom(a=0.15, d=0.03), CU), (geom(a=0.137, d=1e-3), FE)]
-        cases = [(12.0 * np.arange(17.0), 1.0), (1.5 * np.arange(2000.0, 2017.0), 1.0)]
-        cases += [(rule_nodes(g, mat)[0], g.coil_half_side) for g, mat in plates]
-        for block in (eddy._J1_BLOCK, 1):
-            monkeypatch.setattr(eddy, "_J1_BLOCK", block)
-            for edges, a in cases:
-                assert np.array_equal(eddy._panel_j1(edges, a), direct(edges, a))
+        cases = [12.0 * np.arange(17.0), 1.5 * np.arange(2000.0, 2017.0)]
+        cases += [plan_edges(g, mat)[0] for g, mat in plates]
+        for edges in cases:
+            assert np.array_equal(eddy._panel_j1(edges), direct(edges))
 
     def test_no_graded_panels_when_k_low_is_the_first_uniform_edge(self):
         # with a = 0.1 and d = 0.2 the first uniform edge is the x-grid's level-2 width
@@ -279,36 +287,36 @@ class TestPanelJ1:
         # nothing lies below it to grade
         g, k_max = geom(a=0.1, d=0.2, w=1.0), 30.0 / 0.2
         sigma = conductivity_for(14400.0)
-        edges, first, _ = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
-        assert first == 0 and edges[1] == 30.0
+        level, _, depth = eddy._pass_plan(g, MetalMaterial("x", sigma, 1.0), k_max)
+        assert depth == 0 and math.ldexp(12.0, -level) / g.coil_half_side == 30.0
         below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
-        assert eddy._panel_edges(g, below, k_max)[1] > 0
+        assert eddy._pass_plan(g, below, k_max)[2] > 0
 
-    def test_direct_rule_runs_only_on_graded_panels(self, monkeypatch, repro_scenario):
-        # only a head off the grid takes the direct rule: not the bundled plates, nor a
-        # head 59 levels below level 2, but one 108 levels below it
-        calls = []
-        j1 = eddy.bessel_j1
-        monkeypatch.setattr(eddy, "bessel_j1", lambda x: calls.append(x) or j1(x))
-        scenario.plates(repro_scenario)
-        g = geom(a=0.1, d=0.2)
-        on_grid = MetalMaterial("x", 1e-30, 1.0)
-        assert eddy._panel_edges(g, on_grid, 150.0)[1:] == (60, 2)
-        plate_impedance(g, on_grid)
-        assert calls == []
-        off_grid = MetalMaterial("x", 1e-60, 1.0)
-        edges, first, k = rule_nodes(g, off_grid)
-        assert first == 109 and eddy._panel_edges(g, off_grid, 150.0)[2] is None
-        eddy._spectral_integral(g, off_grid, 150.0)
-        assert len(calls) == 1 and calls[0].shape == k[:first].shape
+    def test_far_out_plates_need_no_direct_rule(self, monkeypatch):
+        # far outside the domain every pass still reads the x-grid's tables: a head 108
+        # levels below level 2, a plate 2^70 times smaller and one 1e20 m away, both on
+        # level 71, and a head clamped at _GRID_LEVELS evaluate with no direct J1 rule and
+        # no linspace or geomspace panels to fall back on
+        monkeypatch.setattr(eddy, "bessel_j1", None)
+        monkeypatch.setattr(np, "linspace", None)
+        monkeypatch.setattr(np, "geomspace", None)
+        cases = [
+            (geom(a=0.1, d=0.2), MetalMaterial("x", 1e-60, 1.0), (2, 5, 108)),
+            (geom(a=math.ldexp(0.2, -70), d=0.2), CU, (71, 5, 0)),
+            (geom(a=0.1, d=1e20), CU, (71, 6, 0)),
+            (geom(a=0.1, d=0.2), MetalMaterial("x", 1e-308, 300.0), (2, 5, 361)),
+        ]
+        for g, mat, plan in cases:
+            assert eddy._pass_plan(g, mat, 30.0 / g.plate_distance) == plan
+            imp = plate_impedance(g, mat)
+            assert imp.r_m > 0.0 and math.isfinite(imp.l_m), (g, mat)
 
 
 def graded_plates() -> list[tuple[EddyGeometry, MetalMaterial]]:
     """Plates whose first pass has a head on the grid, from both of seeded_plates' ranges."""
     cases = [(geom(), FE), (geom(0.05, 1, 0.01), MetalMaterial("x", 1e-6, 1000.0))]
     for g, mat in seeded_plates(37, 60):
-        _, first, level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)
-        if first and level is not None:
+        if eddy._pass_plan(g, mat, 30.0 / g.plate_distance)[2]:
             cases.append((g, mat))
     return cases
 
@@ -332,18 +340,23 @@ class TestGridTables:
         for column, (rule, w) in enumerate(rules):
             assert np.max(np.abs(weights[:, rule, column] - expected[:, rule] * w)) <= 1e-14
         assert not weights[:, fine:, 0].any() and not weights[:, :fine, 1].any()
-        # the deepest level's entries are far from underflow
+        # down to level 64 the entries are far from underflow
         assert np.min(weights[:, :fine, 0]) > 1e-70
+
+    def test_clamp_level_weights_are_zero(self):
+        # every weight of _GRID_LEVELS' first table has underflowed to 0, and it is the
+        # first level where they all have: a pass clamped there drops only zero terms
+        deepest = eddy._grid_table(eddy._GRID_LEVELS, 0)
+        assert not deepest[:, 1:].any() and deepest[:, 0].all()
+        assert eddy._grid_table(eddy._GRID_LEVELS - 1, 0)[:, 1:].any()
 
     def test_pass_rows_lie_at_its_rule_nodes(self):
         # _grid_rows gives each panel of the pass, head or uniform, the nodes that its
         # edges give, to rounding at the size of the panel's upper edge
         cases = [(geom(a=0.15, d=0.03), CU), (geom(a=0.1, d=1e-3), AL), *graded_plates()]
         for g, mat in cases:
-            edges, first, k = rule_nodes(g, mat)
-            level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)[2]
-            depth = first - 1 if first else 0
-            rows = eddy._grid_rows(level, edges.size - 1 - depth, depth)
+            edges, _, k = rule_nodes(g, mat)
+            rows = eddy._grid_rows(*eddy._pass_plan(g, mat, 30.0 / g.plate_distance))
             assert rows.shape == (k.size, 3)
             gap = np.abs(rows[:, 0] / g.coil_half_side - k.ravel())
             assert np.all(gap <= 1e-15 * np.repeat(edges[1:], k.shape[1])), (g, mat)
@@ -381,18 +394,16 @@ class TestGridTables:
     def test_cache_stays_bounded(self):
         # a/d = 1040 needs 2,600 level-0 panels, 163 tables; every pass below level 0
         # takes its level's first table only, so plates on each level down to 64 add 64
-        # more, the cache holds them all, and a repeat builds none.  Level 65 is off the
-        # grid and adds none
+        # more, the cache holds them all, and a repeat builds none.  Level 65 adds one
         eddy._grid_table.cache_clear()
         g = geom(a=0.104, d=1e-4)
-        edges, first, level = eddy._panel_edges(g, CU, 30.0 / g.plate_distance)
-        assert (level, first, edges.size - 1) == (0, 0, 2600)
+        assert eddy._pass_plan(g, CU, 30.0 / g.plate_distance) == (0, 2600, 0)
         imp = plate_impedance(g, CU)
         assert imp.r_m > 0.0 and imp.l_m > 0.0
         assert eddy._grid_table.cache_info().currsize == 163
         smalls = [geom(a=math.ldexp(0.2, -level), d=0.2) for level in range(64)]
         for level, small in enumerate(smalls, 1):
-            assert eddy._panel_edges(small, CU, 150.0)[2] == level
+            assert eddy._pass_plan(small, CU, 150.0)[0] == level
             plate_impedance(small, CU)
         info = eddy._grid_table.cache_info()
         assert info.currsize == 227 < eddy._GRID_TABLES == 256
@@ -400,24 +411,22 @@ class TestGridTables:
             plate_impedance(small, CU)
         assert eddy._grid_table.cache_info().misses == info.misses
         deeper = geom(a=math.ldexp(0.2, -64), d=0.2)
-        assert eddy._panel_edges(deeper, CU, 150.0)[2] is None
+        assert eddy._pass_plan(deeper, CU, 150.0)[0] == 65
         plate_impedance(deeper, CU)
-        assert eddy._grid_table.cache_info().currsize == 227
+        assert eddy._grid_table.cache_info().currsize == 228
 
 
 class TestGradedHead:
     """The head of halving panels that replaces a pass's first uniform panel."""
 
     def test_edges_halve_the_grid_width(self):
-        # on the grid the head's edges are w 2^-j / a for the level's width w, and the first
-        # is the first of them at or below k_low
+        # the head's edges are w 2^-j / a for the level's width w, and its depth is the
+        # least that puts the first of them at or below k_low
         for g, mat in graded_plates():
-            edges, first, level = eddy._panel_edges(g, mat, 30.0 / g.plate_distance)
+            level, _, depth = eddy._pass_plan(g, mat, 30.0 / g.plate_distance)
             a, width = g.coil_half_side, math.ldexp(12.0, -level)
-            head = [math.ldexp(width, -j) / a for j in range(first - 1, -1, -1)]
-            assert edges[0] == 0.0 and list(edges[1 : first + 1]) == head
             k_low = math.sqrt(eddy._ks2(g, mat)) / mat.rel_permeability / 4.0
-            assert edges[1] <= k_low < edges[2], (g, mat)
+            assert math.ldexp(width, -depth) / a <= k_low < math.ldexp(width, 1 - depth) / a
 
     def test_depth_at_a_head_edge(self):
         # at a = 0.1, d = 0.2 the level-2 width is 30 over a; k_low = sqrt(k_s^2)/4 is 3.75
@@ -425,24 +434,33 @@ class TestGradedHead:
         # it the head takes a fourth level
         g, k_max = geom(a=0.1, d=0.2, w=1.0), 150.0
         sigma = conductivity_for(225.0)
-        edges, first, level = eddy._panel_edges(g, MetalMaterial("x", sigma, 1.0), k_max)
-        assert (first, level, edges[1]) == (4, 2, 3.75)
+        mat = MetalMaterial("x", sigma, 1.0)
+        assert eddy._pass_plan(g, mat, k_max) == (2, 5, 3)
+        assert plan_edges(g, mat, k_max)[0][1] / g.coil_half_side == 3.75
         below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
-        edges, first, level = eddy._panel_edges(g, below, k_max)
-        assert (first, level, edges[1]) == (5, 2, 1.875)
+        assert eddy._pass_plan(g, below, k_max) == (2, 5, 4)
+        assert plan_edges(g, below, k_max)[0][1] / g.coil_half_side == 1.875
 
-    def test_deepest_head_on_the_grid(self):
+    def test_head_one_level_deeper_one_float_lower(self):
         # k_low = 30 2^-62 puts the head 62 levels below level 2, level 64; one float
-        # lower it would reach 65 and leaves the grid.  Both give the same plate
+        # lower it reaches level 65.  Both give the same plate
         g, k_max = geom(a=0.1, d=0.2, w=1.0), 150.0
         sigma = conductivity_for(math.ldexp(14400.0, -124))
-        deepest = MetalMaterial("x", sigma, 1.0)
-        assert eddy._panel_edges(g, deepest, k_max)[1:] == (63, 2)
-        below = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
-        assert eddy._panel_edges(g, below, k_max)[1:] == (64, None)
-        on, off = plate_impedance(g, deepest), plate_impedance(g, below)
-        assert on.r_m == pytest.approx(off.r_m, rel=1e-12, abs=0.0)
-        assert on.l_m == pytest.approx(off.l_m, rel=1e-12, abs=0.0)
+        level_64 = MetalMaterial("x", sigma, 1.0)
+        assert eddy._pass_plan(g, level_64, k_max) == (2, 5, 62)
+        level_65 = MetalMaterial("x", math.nextafter(sigma, 0.0), 1.0)
+        assert eddy._pass_plan(g, level_65, k_max) == (2, 5, 63)
+        upper, lower = plate_impedance(g, level_64), plate_impedance(g, level_65)
+        assert upper.r_m == pytest.approx(lower.r_m, rel=1e-12, abs=0.0)
+        assert upper.l_m == pytest.approx(lower.l_m, rel=1e-12, abs=0.0)
+
+    def test_head_clamped_at_the_last_level(self):
+        # a head that would reach past _GRID_LEVELS stops there; so does the level of a
+        # plate whose x_max is below 36 widths of it
+        g = geom(a=0.1, d=0.2)
+        level, _, depth = eddy._pass_plan(g, MetalMaterial("x", 1e-250, 1.0), 150.0)
+        assert level + depth == eddy._GRID_LEVELS and level == 2
+        assert eddy._pass_plan(geom(d=1e300), CU, 3e-299) == (eddy._GRID_LEVELS, 4, 0)
 
     def test_deepest_domain_head_matches_mpmath(self):
         # the domain's corner a = d = 1e-4 m, 1 Hz, sigma = 1e-3 S/m, mu_r = 1e6 puts the
@@ -451,14 +469,28 @@ class TestGradedHead:
         # k_s / mu_r 2^j and every 2 units of x = a k
         a = d = 1e-4
         g, mat = EddyGeometry(a, 3, d, 2.0 * math.pi), MetalMaterial("x", 1e-3, 1e6)
-        edges, first, level = eddy._panel_edges(g, mat, 30.0 / d)
-        assert (first - 1, level) == (42, 1)
+        level, _, depth = eddy._pass_plan(g, mat, 30.0 / d)
+        assert (depth, level) == (42, 1)
         eddy._grid_table.cache_clear()
         got = plate_impedance(g, mat)
         assert eddy._grid_table.cache_info().currsize == 43
         low = math.sqrt(eddy._ks2(g, mat)) / mat.rel_permeability
         points = [0.0] + [low * 2.0**j for j in range(-4, 40) if low * 2.0**j < 1.0 / a]
         expected = mpmath_plate_impedance(g, mat, points + [x / a for x in range(1, 101, 2)], got)
+        assert abs(got.impedance(g.angular_frequency) - expected) <= 1e-12 * abs(expected)
+        assert got.r_m == pytest.approx(expected.real, rel=1e-12, abs=0.0)
+
+    def test_head_far_past_the_domain_matches_mpmath(self):
+        # sigma = 1e-60 S/m puts the head 108 levels below level 2, 65 levels below the
+        # domain's deepest; the oracle is split at k_s / mu_r 2^j for every fourth j
+        # (every j gives the same value in three times the time) and every 2 units of
+        # x = a k
+        g, mat = geom(a=0.1, d=0.2), MetalMaterial("x", 1e-60, 1.0)
+        assert eddy._pass_plan(g, mat, 150.0) == (2, 5, 108)
+        got = plate_impedance(g, mat)
+        low = math.sqrt(eddy._ks2(g, mat)) / mat.rel_permeability
+        points = [0.0] + [low * 2.0**j for j in range(-4, 120, 4) if low * 2.0**j < 1.0 / 0.1]
+        expected = mpmath_plate_impedance(g, mat, points + [x / 0.1 for x in range(1, 31, 2)], got)
         assert abs(got.impedance(g.angular_frequency) - expected) <= 1e-12 * abs(expected)
         assert got.r_m == pytest.approx(expected.real, rel=1e-12, abs=0.0)
 
@@ -656,10 +688,9 @@ class TestPlateImpedance:
             for mat, w, graded in ((CU, W20K, False), (FE, 2.0 * math.pi * 1e3, True)):
                 g = geom(a=x_max / 128.0, d=30.0 / 128.0, w=w)
                 assert g.coil_half_side * (30.0 / g.plate_distance) == x_max
-                edges, first, got_level = eddy._panel_edges(g, mat, 128.0)
-                skip = 1 if first else 0
-                assert (got_level, edges.size - 1 - first + skip) == (level + finer, panels)
-                assert (first > 0) == graded
+                got_level, got_panels, depth = eddy._pass_plan(g, mat, 128.0)
+                assert (got_level, got_panels) == (level + finer, panels)
+                assert (depth > 0) == graded
                 expected = quad_plate_impedance(g, mat)
                 got = plate_impedance(g, mat).impedance(g.angular_frequency)
                 assert abs(got - expected) <= 1e-12 * abs(expected), (x_max, mat)
@@ -730,27 +761,26 @@ class TestPlateImpedance:
             plate_impedance(geom(d=d), FE)
 
     def test_work_cap_admits_a_pass_of_exactly_its_work(self, monkeypatch):
-        # the work _panel_edges computes for one pass, read from its frame as it returns
+        # the work _pass_plan computes for one pass, read from its frame as it returns
         g, k_max = geom(), 30.0 / 0.2
         seen = {}
 
         def spy(frame, event, arg):
-            if event == "return" and frame.f_code is eddy._panel_edges.__code__:
+            if event == "return" and frame.f_code is eddy._pass_plan.__code__:
                 seen.update(frame.f_locals)
 
         previous = sys.getprofile()
         sys.setprofile(spy)
         try:
-            edges, first, _ = eddy._panel_edges(g, FE, k_max)
+            plan = eddy._pass_plan(g, FE, k_max)
         finally:
             sys.setprofile(previous)
         work = seen["work"]
         monkeypatch.setattr(eddy, "_MAX_J1_WORK", work)
-        got = eddy._panel_edges(g, FE, k_max)
-        assert np.array_equal(got[0], edges) and got[1] == first
+        assert eddy._pass_plan(g, FE, k_max) == plan
         monkeypatch.setattr(eddy, "_MAX_J1_WORK", math.nextafter(work, 0.0))
         with pytest.raises(WorkLimitError, match="over its cap"):
-            eddy._panel_edges(g, FE, k_max)
+            eddy._pass_plan(g, FE, k_max)
 
     @pytest.mark.parametrize("d", [1e300, 1e308])
     @pytest.mark.parametrize("mat", [FE, CU])
